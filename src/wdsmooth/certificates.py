@@ -33,9 +33,15 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import kernels
-from .arith import multiplicative_order
+from .arith import is_prime, order_capped
 from .orbits import OrbitLabel
-from .variety import GroupSpec, SGPoint, jordan_partition, tangent_dim
+from .variety import (
+    GroupSpec,
+    SGPoint,
+    _jordan_nilpotent,
+    jordan_partition,
+    tangent_dim,
+)
 
 __all__ = [
     "CertificateError",
@@ -69,17 +75,6 @@ class BasePoint:
 
 def _coxeter_number(spec: GroupSpec) -> int:
     return spec.n if spec.kind == "GL" else 4
-
-
-def _gl_jordan(parts: tuple[int, ...]) -> NDArray[np.int64]:
-    n = sum(parts)
-    out = np.zeros((n, n), dtype=np.int64)
-    pos = 0
-    for part in parts:
-        for i in range(part - 1):
-            out[pos + i, pos + i + 1] = 1
-        pos += part
-    return out
 
 
 def _gl_grading(parts: tuple[int, ...]) -> NDArray[np.int64]:
@@ -139,11 +134,13 @@ def build_phi0(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
     """
     if orbit.parts is None:
         raise CertificateError("certificates need a partition orbit label")
+    if not is_prime(p):
+        raise CertificateError("p must be prime")
     q = q % p
     if q == 0:
         raise CertificateError("q must be a unit mod p")
     h = _coxeter_number(spec)
-    if multiplicative_order(q, p) <= h:
+    if order_capped(q, p, h) is not None:
         raise CertificateError(
             "order of q mod p must exceed %d to separate eigenvalue ratios" % h
         )
@@ -161,7 +158,7 @@ def build_phi0(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
         phi0 = np.diag(np.array([pow(q, a, p) for a in exps], dtype=np.int64))
         return BasePoint(
             spec=spec, orbit=OrbitLabel.partition(parts), p=p, q=q,
-            phi0=phi0, e_mat=_gl_jordan(parts), marked=None,
+            phi0=phi0, e_mat=_jordan_nilpotent(parts), marked=None,
             grading=_gl_grading(parts), levi_basis=_gl_levi_basis(parts),
             reflection=None,
         )
@@ -178,7 +175,7 @@ def build_phi0(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
     phi0 = np.diag(np.array([pow(q, a, p) for a in exps], dtype=np.int64))
     return BasePoint(
         spec=spec, orbit=OrbitLabel.partition(parts), p=p, q=q,
-        phi0=phi0, e_mat=_gl_jordan(parts), marked=marked,
+        phi0=phi0, e_mat=_jordan_nilpotent(parts), marked=marked,
         grading=_gl_grading(parts), levi_basis=_gl_levi_basis(parts),
         reflection=_transposition(n, marked - 1, marked),
     )
@@ -277,7 +274,7 @@ class EpsilonCertificate:
 
 
 def _ad(phi: NDArray[np.int64], m: NDArray[np.int64], p: int) -> NDArray[np.int64]:
-    return phi @ m @ kernels.inv_mod(phi, p) % p
+    return (phi @ m % p) @ kernels.inv_mod(phi, p) % p
 
 
 def _span_dim(mats: list[NDArray[np.int64]], p: int) -> int:
@@ -332,14 +329,14 @@ def epsilon_certificate(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
             failures.append(name)
 
     winv = kernels.inv_mod(w, p)
-    e_alt = w @ e @ winv % p
+    e_alt = (w @ e % p) @ winv % p
 
     # -- structural conditions backing the curve arguments --
     check("phi0-in-group", spec.is_group_element(phi0, p))
     check("reflection-in-group", spec.is_group_element(w, p))
     check("base-stratum", np.array_equal(_ad(phi0, e, p), q * e % p))
     check("orbit-type", jordan_partition(e, p) == base.orbit.parts)
-    check("reflection-fixes-phi0", np.array_equal(w @ phi0 @ winv % p, phi0))
+    check("reflection-fixes-phi0", np.array_equal((w @ phi0 % p) @ winv % p, phi0))
     check("grading-acts-by-two",
           np.array_equal((base.grading @ e - e @ base.grading) % p, 2 * e % p))
 
@@ -350,7 +347,7 @@ def epsilon_certificate(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
     for b in spec.lie_basis:
         img = (_ad(phi0, b % p, p) - b) % p
         stab_cols.append(img.reshape(-1))
-        back = (phi0_inv @ (b % p) @ phi0 - b) % p
+        back = ((phi0_inv @ (b % p) % p) @ phi0 - b) % p
         if back.any():
             orbit_vecs.append(back)
     stab_dim = kernels.nullity_mod(np.stack(stab_cols, axis=1), p)
@@ -371,7 +368,7 @@ def epsilon_certificate(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
         )
 
     # doubled torus: center and its reflection
-    torus_vecs = [z % p for z in center] + [w @ z @ winv % p for z in center]
+    torus_vecs = [z % p for z in center] + [(w @ z % p) @ winv % p for z in center]
     torus_span_dim = _span_dim(torus_vecs, p)
     for z in center:
         check("center-commutes", not ((z @ e - e @ z) % p).any())
@@ -389,7 +386,7 @@ def epsilon_certificate(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
     check("lowering-weight-zero", np.array_equal(_ad(phi0, e_neg, p), e_neg))
 
     # nilpotent-side directions: Levi weight-2 piece and its reflection
-    n_vecs = [v % p for v in levi_two] + [w @ v @ winv % p for v in levi_two]
+    n_vecs = [v % p for v in levi_two] + [(w @ v % p) @ winv % p for v in levi_two]
     n_span_dim = _span_dim(n_vecs, p)
     for v in n_vecs:
         check("eigen-q", np.array_equal(_ad(phi0, v, p), q * v % p))

@@ -28,11 +28,13 @@ from .arith import (
     implication_sweep,
     is_banal,
     is_considerate,
+    is_prime,
     multiplicative_order,
     order_capped,
 )
 from .classifier import classify_component, classify_product
 from .certificates import CertificateError, epsilon_certificate
+from .kernels import P_MAX
 from .orbits import (
     OrbitLabel,
     classical_orbits,
@@ -86,6 +88,14 @@ def _group_spec(name: str) -> GroupSpec:
     raise ValueError(
         "matrix realizations cover GL1..GL4 and GSp4, not %r" % name
     )
+
+
+def _check_field(p: int) -> None:
+    """Reject a modulus the matrix layer cannot compute over exactly."""
+    if not is_prime(p):
+        raise ValueError("p must be prime")
+    if p > P_MAX:
+        raise ValueError("p exceeds the int64-safe bound %d" % P_MAX)
 
 
 def _verdict_dict(v) -> dict:
@@ -483,6 +493,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(args)
         _fill_defaults(args)
+        if getattr(args, "p", None) is not None:  # verify * and certify
+            _check_field(args.p)
         inputs, results, failure = _HANDLERS[args.command](args)
     except (ValueError, CertificateError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -1,114 +1,67 @@
 """Exact linear algebra over prime fields.
 
-Matrices are numpy int64 arrays with entries reduced into [0, p). All
-elimination uses first-nonzero pivoting, so ranks, kernels and reduced
-forms are deterministic across runs and across the two execution paths.
-
-The batch routines are the hot path of the enumeration sweeps. They are
-numba-compiled when numba is importable; setting WDSMOOTH_NO_NUMBA=1
-forces the plain numpy fallback (the benchmark script compares both).
+Matrices are numpy int64 arrays with entries reduced into [0, p). Every
+elimination runs through one Gauss-Jordan routine on rows of Python
+ints, with first-nonzero pivoting, so ranks, kernels and reduced forms
+are deterministic and no product can overflow inside the elimination.
+Matrices come in through ``tolist()`` and results go back out as int64
+arrays.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 from numpy.typing import NDArray
 
-_FLAG = os.environ.get("WDSMOOTH_NO_NUMBA", "")
-NUMBA_REQUESTED = _FLAG in ("", "0")
-
-if NUMBA_REQUESTED:
-    try:
-        from numba import njit as _njit
-    except ImportError:
-        _njit = None
-else:
-    _njit = None
-
-NUMBA_ACTIVE = _njit is not None
+#: Largest modulus whose int64 matrix products stay exact. The longest
+#: inner product the package forms in int64 has K = 16 terms (a
+#: combination of up to n^2 = 16 kernel vectors for GL4), each term below
+#: (p - 1)^2. K (p - 1)^2 < 2^63 means p - 1 < 2^29.5, and the largest
+#: such p is 759,250,125.
+P_MAX = 759_250_125
 
 
-def _rref_core(a, p, pivots):
-    # In-place reduced row echelon form mod p. Returns the rank and fills
-    # pivots[r] with the pivot column of row r. Kept free of helper calls
-    # so the identical source runs compiled and interpreted.
-    m, n = a.shape
-    row = 0
+def _rref(rows: list[list[int]], p: int) -> list[int]:
+    # In-place reduced row echelon form of rows of ints in [0, p), p
+    # prime. Returns the pivot column of each nonzero row, in order.
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots: list[int] = []
+    r = 0
     for col in range(n):
-        if row == m:
+        if r == m:
             break
-        piv = -1
-        for r in range(row, m):
-            if a[r, col] != 0:
-                piv = r
+        for piv in range(r, m):
+            if rows[piv][col]:
                 break
-        if piv < 0:
+        else:
             continue
-        if piv != row:
-            for j in range(n):
-                tmp = a[row, j]
-                a[row, j] = a[piv, j]
-                a[piv, j] = tmp
-        base = a[row, col]
-        e = p - 2
-        inv = 1
-        while e > 0:  # Fermat inverse, p prime
-            if e & 1:
-                inv = inv * base % p
-            base = base * base % p
-            e >>= 1
-        for j in range(col, n):
-            a[row, j] = a[row, j] * inv % p
-        for r in range(m):
-            if r != row and a[r, col] != 0:
-                f = a[r, col]
-                for j in range(col, n):
-                    a[r, j] = (a[r, j] - f * a[row, j]) % p
-        pivots[row] = col
-        row += 1
-    return row
-
-
-def _batch_nullity_py(stack, p):
-    b, m, n = stack.shape
-    out = np.empty(b, dtype=np.int64)
-    pivots = np.empty(min(m, n), dtype=np.int64)
-    for i in range(b):
-        a = stack[i].copy()
-        out[i] = n - _rref_core(a, p, pivots)
-    return out
-
-
-if NUMBA_ACTIVE:
-    _rref_core_nb = _njit(cache=True)(_rref_core)
-
-    @_njit(cache=True)
-    def _batch_nullity_nb(stack, p):
-        b, m, n = stack.shape
-        out = np.empty(b, dtype=np.int64)
-        pivots = np.empty(min(m, n), dtype=np.int64)
-        for i in range(b):
-            a = stack[i].copy()
-            out[i] = n - _rref_core_nb(a, p, pivots)
-        return out
-
-    _active_rref = _rref_core_nb
-    _active_batch_nullity = _batch_nullity_nb
-else:
-    _active_rref = _rref_core
-    _active_batch_nullity = _batch_nullity_py
-
-#: implementations available for benchmarking, keyed by path name
-IMPLEMENTATIONS = {"numpy": _batch_nullity_py}
-if NUMBA_ACTIVE:
-    IMPLEMENTATIONS["numba"] = _batch_nullity_nb
+        row = rows[piv]
+        rows[piv] = rows[r]
+        inv = pow(row[col], p - 2, p)  # Fermat inverse
+        if inv != 1:
+            row = [x * inv % p for x in row]
+        rows[r] = row
+        for i in range(m):
+            if i != r:
+                f = rows[i][col]
+                if f:
+                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], row)]
+        pivots.append(col)
+        r += 1
+    return pivots
 
 
 def as_field(a, p: int) -> NDArray[np.int64]:
     """Coerce to an int64 array with entries reduced into [0, p)."""
     return np.asarray(a, dtype=np.int64) % p
+
+
+def _rows(a, p: int, ndim: int = 2) -> tuple[list, tuple[int, ...]]:
+    mat = as_field(a, p)
+    if mat.ndim != ndim:
+        raise ValueError("expected a %d-d array" % ndim)
+    return mat.tolist(), mat.shape
 
 
 def rref_mod(a, p: int) -> tuple[NDArray[np.int64], int, NDArray[np.int64]]:
@@ -118,30 +71,27 @@ def rref_mod(a, p: int) -> tuple[NDArray[np.int64], int, NDArray[np.int64]]:
         (rref, rank, pivot_columns). Deterministic: the first nonzero
         entry in each column is used as the pivot.
     """
-    mat = as_field(a, p).copy()
-    if mat.ndim != 2:
-        raise ValueError("expected a 2-d array")
-    pivots = np.empty(min(mat.shape), dtype=np.int64)
-    rank = int(_active_rref(mat, p, pivots))
-    return mat, rank, pivots[:rank].copy()
+    rows, shape = _rows(a, p)
+    pivots = _rref(rows, p)
+    red = np.array(rows, dtype=np.int64).reshape(shape)
+    return red, len(pivots), np.array(pivots, dtype=np.int64)
+
 
 def rank_mod(a, p: int) -> int:
-    return rref_mod(a, p)[1]
+    rows, _ = _rows(a, p)
+    return len(_rref(rows, p))
 
 
 def nullity_mod(a, p: int) -> int:
-    mat = as_field(a, p)
-    return mat.shape[1] - rank_mod(mat, p)
+    rows, shape = _rows(a, p)
+    return shape[1] - len(_rref(rows, p))
 
 
 def batch_nullity_mod(stack, p: int) -> NDArray[np.int64]:
     """Right-kernel dimension for each matrix in a (B, m, n) stack."""
-    arr = as_field(stack, p)
-    if arr.ndim != 3:
-        raise ValueError("expected a 3-d stack of matrices")
-    if arr.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    return _active_batch_nullity(arr, p)
+    mats, shape = _rows(stack, p, ndim=3)
+    n = shape[2]
+    return np.array([n - len(_rref(rows, p)) for rows in mats], dtype=np.int64)
 
 
 def nullspace_mod(a, p: int) -> NDArray[np.int64]:
@@ -151,30 +101,28 @@ def nullspace_mod(a, p: int) -> NDArray[np.int64]:
     each free column contributes the vector with a 1 there and the
     negated reduced column above the pivots.
     """
-    mat = as_field(a, p)
-    red, rank, pivots = rref_mod(mat, p)
-    n = mat.shape[1]
-    pivset = set(int(c) for c in pivots)
+    rows, (_, n) = _rows(a, p)
+    pivots = _rref(rows, p)
+    pivset = set(pivots)
     free = [c for c in range(n) if c not in pivset]
     basis = np.zeros((len(free), n), dtype=np.int64)
     for k, f in enumerate(free):
         basis[k, f] = 1
-        for r in range(rank):
-            basis[k, int(pivots[r])] = (-int(red[r, f])) % p
+        for r, c in enumerate(pivots):
+            basis[k, c] = -rows[r][f] % p
     return basis
 
 
 def inv_mod(a, p: int) -> NDArray[np.int64]:
     """Inverse of a square matrix mod p. Raises ValueError if singular."""
-    mat = as_field(a, p)
-    n = mat.shape[0]
-    if mat.shape != (n, n):
+    rows, shape = _rows(a, p)
+    n = shape[0]
+    if shape != (n, n):
         raise ValueError("expected a square matrix")
-    aug = np.concatenate([mat, np.eye(n, dtype=np.int64)], axis=1)
-    red, rank, _ = rref_mod(aug, p)
-    if rank < n or not np.array_equal(red[:, :n], np.eye(n, dtype=np.int64)):
+    aug = [row + [0] * i + [1] + [0] * (n - 1 - i) for i, row in enumerate(rows)]
+    if _rref(aug, p) != list(range(n)):
         raise ValueError("matrix is singular mod %d" % p)
-    return red[:, n:].copy()
+    return np.array([row[n:] for row in aug], dtype=np.int64).reshape(n, n)
 
 
 def matmul_mod(a, b, p: int) -> NDArray[np.int64]:

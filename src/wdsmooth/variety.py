@@ -139,7 +139,7 @@ class GroupSpec:
 
 def _similitude_factor(mat: NDArray[np.int64], p: int) -> tuple[int, bool]:
     omega = OMEGA4 % p
-    s = (mat.T @ omega @ mat) % p
+    s = (mat.T @ omega % p) @ mat % p
     mu = int(s[0, 3])
     return mu, bool(np.array_equal(s, mu * omega % p))
 
@@ -183,7 +183,7 @@ def sg_member(spec: GroupSpec, phi, n_mat, q: int, p: int) -> bool:
         return False
     if not _is_nilpotent(n_mat, p):
         return False
-    return bool(np.array_equal(phi @ n_mat % p, q * (n_mat @ phi) % p))
+    return bool(np.array_equal(phi @ n_mat % p, q * (n_mat @ phi % p) % p))
 
 
 def ad_matrix(phi, p: int) -> NDArray[np.int64]:
@@ -205,13 +205,14 @@ def tangent_matrix(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.in
     phi = kernels.as_field(phi, p)
     n_mat = kernels.as_field(n_mat, p)
     inv = kernels.inv_mod(phi, p)
-    cols = []
-    for b in spec.lie_basis:
-        bracket = (b @ n_mat - n_mat @ b) % p
-        cols.append(phi @ bracket @ inv % p)
-    for b in spec.lie_basis:
-        cols.append((phi @ (b % p) @ inv - q * b) % p)
-    return np.stack([c.reshape(-1) for c in cols], axis=1) % p
+    basis = spec.lie_basis
+    dim = basis.shape[0]
+    # the brackets [X, N] stacked over the Lie basis X, then the basis M
+    stack = np.concatenate([(basis @ n_mat - n_mat @ basis) % p, basis % p])
+    images = (phi @ stack % p) @ inv % p
+    images[dim:] = (images[dim:] - q * basis) % p
+    # column k of the map is the row-major vec of the k-th image
+    return images.reshape(2 * dim, -1).T
 
 
 @dataclass(frozen=True)
@@ -219,18 +220,15 @@ class TangentReport:
     point: SGPoint
     tangent_dim: int
     reference_dim: int
-    kernel_basis_size: int
 
 
 def tangent_dim(pt: SGPoint) -> TangentReport:
     """Tangent space dimension at a point, by exact elimination."""
     mat = tangent_matrix(pt.spec, pt.phi, pt.n_mat, pt.q, pt.p)
-    nullity = kernels.nullity_mod(mat, pt.p)
     return TangentReport(
         point=pt,
-        tangent_dim=nullity,
+        tangent_dim=kernels.nullity_mod(mat, pt.p),
         reference_dim=pt.spec.dim_g,
-        kernel_basis_size=nullity,
     )
 
 
@@ -384,8 +382,8 @@ def stratum_sample(
             g = _random_gsp4(rng, spec, p)
             pt = SGPoint(
                 spec=spec,
-                phi=g @ base_phi @ kernels.inv_mod(g, p) % p,
-                n_mat=g @ base_n @ kernels.inv_mod(g, p) % p,
+                phi=(g @ base_phi % p) @ kernels.inv_mod(g, p) % p,
+                n_mat=(g @ base_n % p) @ kernels.inv_mod(g, p) % p,
                 q=q,
                 p=p,
             )
@@ -399,7 +397,7 @@ def stratum_sample(
     while len(points) < count and attempts < 500 * count:
         attempts += 1
         g = _random_gl(rng, spec.n, p)
-        n_mat = g @ jordan @ kernels.inv_mod(g, p) % p
+        n_mat = (g @ jordan % p) @ kernels.inv_mod(g, p) % p
         # phi N - q N phi = 0 as a linear system on vec(phi)
         eye = np.eye(spec.n, dtype=np.int64)
         sys = (np.kron(eye, n_mat.T) - q * np.kron(n_mat, eye)) % p
@@ -525,7 +523,7 @@ def exp_bridge_check(pt: SGPoint) -> bool:
     if not np.array_equal(log_unipotent(sigma, p), pt.n_mat % p):
         return False
     inv = kernels.inv_mod(pt.phi, p)
-    lhs = pt.phi @ sigma @ inv % p
+    lhs = (pt.phi @ sigma % p) @ inv % p
     rhs = kernels.matpow_mod(sigma, pt.q % p, p)
     return bool(np.array_equal(lhs, rhs))
 
@@ -601,7 +599,7 @@ def bundle_count_check(
         z = int(rng.integers(1, p))
         diag = np.diag(np.array([z, z * q % p, z * q * q % p], dtype=np.int64))
         g = _random_gl(rng, 3, p)
-        phi = g @ diag @ kernels.inv_mod(g, p) % p
+        phi = (g @ diag % p) @ kernels.inv_mod(g, p) % p
         ad = ad_matrix(phi, p)
         sys = (ad - q * np.eye(9, dtype=np.int64)) % p
         d = kernels.nullity_mod(sys, p)
@@ -642,8 +640,8 @@ def conjugate_point(pt: SGPoint, g) -> SGPoint:
     ginv = kernels.inv_mod(g, pt.p)
     return SGPoint(
         spec=pt.spec,
-        phi=g @ pt.phi @ ginv % pt.p,
-        n_mat=g @ pt.n_mat @ ginv % pt.p,
+        phi=(g @ pt.phi % pt.p) @ ginv % pt.p,
+        n_mat=(g @ pt.n_mat % pt.p) @ ginv % pt.p,
         q=pt.q,
         p=pt.p,
     )

@@ -152,6 +152,24 @@ def test_certificate_stable_across_primes():
         assert (c.eps0, c.eps1, c.eps2, c.eps3) == (2, 1, 1, 1)
 
 
+def test_certificate_exact_near_the_int64_bound():
+    # every product chain is reduced, so a prime whose squares reach 2^58
+    # gives the same counts as a small one, without scanning the order of q
+    def counts(c):
+        return (c.lower_bound, c.component_dim, c.ambient_tangent_dim,
+                (c.eps0, c.eps1, c.eps2, c.eps3), c.failed_checks)
+
+    for spec, orbit, q in ((GL4, part(2, 1, 1), 4), (GSP4, part(2, 2), 3)):
+        big = epsilon_certificate(spec, orbit, q, 536_870_909)
+        assert big.certifies_singular
+        assert counts(big) == counts(epsilon_certificate(spec, orbit, q, 11))
+
+
+def test_phi0_rejects_composite_modulus():
+    with pytest.raises(CertificateError, match="p must be prime"):
+        build_phi0(GL3, part(2, 1), 4, 9)
+
+
 def test_certificate_mark_placement_matters():
     # marking the boundary between the two singleton blocks still yields
     # a fully verified certificate, but the bound is too weak to conclude

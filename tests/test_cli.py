@@ -5,6 +5,7 @@ import json
 import pytest
 
 import wdsmooth.cli as cli
+from wdsmooth.kernels import P_MAX
 
 
 def run(capsys, *argv):
@@ -186,6 +187,35 @@ def test_bad_usage_exits_one(capsys):
     assert run(capsys, "classify", "--group", "GL9", "--orbit", "2", "--q", "4")[0] == 1
     assert run(capsys, "nonsense")[0] == 1
     assert run(capsys)[0] == 1
+
+
+FIELD_COMMANDS = (
+    ("verify", "enumerate", "--q", "3"),
+    ("verify", "nilpotency", "--q", "3"),
+    ("verify", "tangent", "--group", "GL3", "--orbit", "2,1", "--q", "4"),
+    ("verify", "expbridge", "--group", "GL3", "--orbit", "3", "--q", "4"),
+    ("verify", "bundle", "--group", "GL3", "--q", "4"),
+    ("certify", "--group", "GL3", "--orbit", "2,1", "--q", "4"),
+)
+
+
+@pytest.mark.parametrize("argv", FIELD_COMMANDS, ids=lambda a: " ".join(a[:2]))
+@pytest.mark.parametrize("p, message", [
+    ("8", "p must be prime"),
+    ("9", "p must be prime"),
+    ("1", "p must be prime"),
+    ("2147483647", "p exceeds the int64-safe bound"),  # prime, 2^31 - 1
+    ("759250133", "p exceeds the int64-safe bound"),  # first prime past P_MAX
+])
+def test_field_guard(capsys, argv, p, message):
+    code, out, err = run(capsys, *argv, "--p", p)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: " + message)
+
+
+def test_largest_safe_bound_is_the_int64_limit():
+    # K (p - 1)^2 < 2^63 with K = 16 terms in the longest int64 inner product
+    assert 16 * (P_MAX - 1) ** 2 < 2**63 <= 16 * P_MAX**2
 
 
 def test_deterministic_reports(capsys):

@@ -1,11 +1,13 @@
-"""Exact linear algebra over prime fields, checked against a pure-Python oracle."""
-
-import os
+"""Exact linear algebra over prime fields, checked against a pure-Python
+oracle, sympy's GF(p) matrices and hypothesis properties."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
-from wdsmooth import kernels
 from wdsmooth.kernels import (
     as_field,
     batch_nullity_mod,
@@ -148,20 +150,121 @@ def test_as_field_normalizes_negatives():
     assert np.array_equal(as_field(a, 7), np.array([[6, 1], [0, 5]]))
 
 
-def test_implementations_agree():
-    impls = kernels.IMPLEMENTATIONS
-    assert "numpy" in impls
-    if not kernels.NUMBA_ACTIVE:
-        pytest.skip("numba disabled in this run")
-    rng = np.random.default_rng(23)
-    for p in (3, 11):
-        batch = rng.integers(0, p, size=(30, 6, 9)).astype(np.int64)
-        results = {name: impl(batch.copy(), p) for name, impl in impls.items()}
-        assert np.array_equal(results["numpy"], results["numba"])
+def gf(mat, p):
+    """The same matrix as a sympy DomainMatrix over GF(p)."""
+    rows = np.asarray(mat, dtype=np.int64).tolist()
+    return DomainMatrix([[GF(p)(x) for x in row] for row in rows],
+                        np.shape(mat), GF(p))
 
 
-def test_env_flag_is_honored():
-    # the flag is read at import time; here we only check the recorded state
-    flag = os.environ.get("WDSMOOTH_NO_NUMBA", "")
-    if flag and flag != "0":
-        assert not kernels.NUMBA_ACTIVE
+def from_gf(dm, p):
+    return np.array([[int(x) % p for x in row] for row in dm.to_list()],
+                    dtype=np.int64).reshape(dm.shape)
+
+
+#: a prime below kernels.P_MAX; int64 products of its residues need care
+LARGE_P = 536_870_909
+
+
+def low_rank(rng, shape, rank, p):
+    # the product of an m x rank and a rank x n factor, on Python ints
+    m, n = shape
+    u = random_mat(rng, (m, rank), p).astype(object)
+    v = random_mat(rng, (rank, n), p).astype(object)
+    return (u @ v % p).astype(np.int64).reshape(m, n)
+
+
+def oracle_cases():
+    """Random and adversarial matrices: zero, 1 x n and n x 1, 16 x 32,
+    p = 2, a p whose squares reach 2^58, and rank-deficient products."""
+    rng = np.random.default_rng(29)
+    for p in (2, 3, 11, 101, LARGE_P):
+        yield np.zeros((3, 5), dtype=np.int64), p
+        yield random_mat(rng, (1, 7), p), p
+        yield random_mat(rng, (7, 1), p), p
+        yield random_mat(rng, (16, 32), p), p
+        for rank in (0, 1, 5, 12):
+            yield low_rank(rng, (16, 32), rank, p), p
+            yield low_rank(rng, (16, 22), rank, p), p
+        for _ in range(6):
+            m, n = rng.integers(1, 10, size=2)
+            yield random_mat(rng, (m, n), p), p
+
+
+@pytest.mark.parametrize("a, p", list(oracle_cases()))
+def test_rref_rank_nullspace_match_sympy(a, p):
+    red, rank, pivots = rref_mod(a, p)
+    want_red, want_pivots = gf(a, p).rref()
+    assert np.array_equal(red, from_gf(want_red, p))
+    assert pivots.tolist() == list(want_pivots)
+    assert rank == rank_mod(a, p) == gf(a, p).rank()
+    # sympy scales its kernel basis differently; both must span one space
+    basis = nullspace_mod(a, p)
+    assert basis.shape == (a.shape[1] - rank, a.shape[1])
+    if rank < a.shape[1]:
+        want = gf(a, p).nullspace().rref()[0]
+        assert np.array_equal(from_gf(gf(basis, p).rref()[0], p), from_gf(want, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 11, 101, LARGE_P])
+def test_inverse_matches_sympy(p):
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 4, 16):
+        found = 0
+        while found < 3:
+            a = random_mat(rng, (n, n), p)
+            if gf(a, p).rank() < n:
+                with pytest.raises(ValueError):
+                    inv_mod(a, p)
+                continue
+            found += 1
+            assert np.array_equal(inv_mod(a, p), from_gf(gf(a, p).inv(), p))
+
+
+@pytest.mark.parametrize("p", [2, 7, 11])
+def test_batch_nullity_matches_sympy(p):
+    rng = np.random.default_rng(37)
+    stack = np.stack([low_rank(rng, (9, 18), int(r), p)
+                      for r in rng.integers(0, 10, size=24)])
+    want = [18 - gf(a, p).rank() for a in stack]
+    assert batch_nullity_mod(stack, p).tolist() == want
+    assert batch_nullity_mod(stack[:0], p).shape == (0,)
+
+
+PRIME = st.sampled_from([2, 3, 5, 7, 11, 13, 101])
+
+
+@st.composite
+def matrices(draw, max_side=8):
+    p = draw(PRIME)
+    m = draw(st.integers(1, max_side))
+    n = draw(st.integers(1, max_side))
+    cells = draw(st.lists(st.integers(0, p - 1), min_size=m * n, max_size=m * n))
+    return np.array(cells, dtype=np.int64).reshape(m, n), p
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.data())
+def test_rank_is_invariant_under_row_operations(mp, data):
+    a, p = mp
+    m = a.shape[0]
+    ops = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1),
+                                       st.integers(1, p - 1)),
+                             max_size=12))
+    b = a.copy()
+    for i, j, c in ops:
+        if i == j:
+            b[i] = b[i] * c % p  # scale a row by a unit
+        else:
+            b[i] = (b[i] + c * b[j]) % p  # add a multiple of another row
+    b = b[data.draw(st.permutations(range(m)))]
+    assert rank_mod(b, p) == rank_mod(a, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(PRIME, st.integers(0, 6), st.integers(1, 6), st.integers(1, 9), st.data())
+def test_batch_nullity_equals_single_nullity(p, batch, m, n, data):
+    cells = data.draw(st.lists(st.integers(0, p - 1), min_size=batch * m * n,
+                               max_size=batch * m * n))
+    stack = np.array(cells, dtype=np.int64).reshape(batch, m, n)
+    assert batch_nullity_mod(stack, p).tolist() == [nullity_mod(a, p) for a in stack]

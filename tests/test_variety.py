@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from wdsmooth.kernels import matmul_mod, rank_mod
+from wdsmooth.kernels import inv_mod, matmul_mod, rank_mod
 from wdsmooth.orbits import OrbitLabel
 from wdsmooth.variety import (
     OMEGA4,
@@ -275,3 +275,44 @@ def test_conjugate_point_stays_member():
     moved = conjugate_point(pt, g)
     assert sg_member(GL3, moved.phi, moved.n_mat, 4, 11)
     assert tangent_dim(moved).tangent_dim == tangent_dim(pt).tangent_dim
+
+
+# ------------------------------------------------------- int64 exactness
+
+#: a prime below kernels.P_MAX whose squares reach 2^58
+P_LARGE = 536_870_909
+
+
+def exact_inverse(m, p):
+    inv = inv_mod(m, p).astype(object)
+    assert np.array_equal(m.astype(object) @ inv % p, np.eye(len(m), dtype=object))
+    return inv
+
+
+def exact_tangent_matrix(spec, phi, n_mat, q, p):
+    # the defining formula on Python ints, one basis element at a time
+    phi, n_mat = phi.astype(object), n_mat.astype(object)
+    inv = exact_inverse(phi, p)
+    cols = [phi @ (b @ n_mat - n_mat @ b) @ inv % p for b in spec.lie_basis.astype(object)]
+    cols += [(phi @ b @ inv - q * b) % p for b in spec.lie_basis.astype(object)]
+    return np.stack([c.reshape(-1) for c in cols], axis=1)
+
+
+@pytest.mark.parametrize("p", [11, P_LARGE])
+@pytest.mark.parametrize("spec, parts, q", [
+    (GroupSpec.gl(4), (2, 1, 1), 4),
+    (GSP4, (2, 2), 3),
+])
+def test_products_stay_exact(spec, parts, q, p):
+    pts = stratum_sample(spec, p, q, OrbitLabel.partition(parts), 3, seed=5)
+    assert len(pts) == 3
+    for pt in pts:
+        assert sg_member(spec, pt.phi, pt.n_mat, q, p)
+        got = tangent_matrix(spec, pt.phi, pt.n_mat, q, p)
+        assert np.array_equal(got, exact_tangent_matrix(spec, pt.phi, pt.n_mat, q, p))
+        g = pts[0].phi  # an element of the group, so the conjugate stays a point
+        moved = conjugate_point(pt, g)
+        ginv = exact_inverse(g, p)
+        for before, after in ((pt.phi, moved.phi), (pt.n_mat, moved.n_mat)):
+            assert np.array_equal(after, g.astype(object) @ before.astype(object) @ ginv % p)
+        assert sg_member(spec, moved.phi, moved.n_mat, q, p)
