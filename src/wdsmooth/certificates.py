@@ -38,6 +38,8 @@ from .orbits import OrbitLabel
 from .variety import (
     GroupSpec,
     SGPoint,
+    _gsp4_base_phi,
+    _gsp4_rep,
     _jordan_nilpotent,
     jordan_partition,
     tangent_dim,
@@ -151,23 +153,16 @@ def build_phi0(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
         raise CertificateError("partition does not sum to the matrix size")
     n = spec.n
     boundaries = set(np.cumsum(parts[:-1]).tolist())
-    if len(parts) == 1:
-        if marked is not None:
-            raise CertificateError("a single-block orbit has no boundary to mark")
-        exps = list(range(n - 1, -1, -1))
-        phi0 = np.diag(np.array([pow(q, a, p) for a in exps], dtype=np.int64))
-        return BasePoint(
-            spec=spec, orbit=OrbitLabel.partition(parts), p=p, q=q,
-            phi0=phi0, e_mat=_jordan_nilpotent(parts), marked=None,
-            grading=_gl_grading(parts), levi_basis=_gl_levi_basis(parts),
-            reflection=None,
-        )
-    if marked is None:
-        marked = parts[0]
-    if marked not in boundaries:
-        raise CertificateError(
-            "marked position %d is not a block boundary %s" % (marked, sorted(boundaries))
-        )
+    if len(parts) == 1 and marked is not None:
+        raise CertificateError("a single-block orbit has no boundary to mark")
+    if len(parts) > 1:
+        if marked is None:
+            marked = parts[0]
+        if marked not in boundaries:
+            raise CertificateError(
+                "marked position %d is not a block boundary %s" % (marked, sorted(boundaries))
+            )
+    # with no marked boundary every step is q: exponents n - 1, ..., 0
     exps = [0] * n
     for i in range(n - 2, -1, -1):
         step = 0 if (i + 1) == marked else 1
@@ -177,33 +172,27 @@ def build_phi0(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
         spec=spec, orbit=OrbitLabel.partition(parts), p=p, q=q,
         phi0=phi0, e_mat=_jordan_nilpotent(parts), marked=marked,
         grading=_gl_grading(parts), levi_basis=_gl_levi_basis(parts),
-        reflection=_transposition(n, marked - 1, marked),
+        reflection=None if marked is None else _transposition(n, marked - 1, marked),
     )
 
 
 def _build_gsp4(spec: GroupSpec, parts: tuple[int, ...], q: int, p: int) -> BasePoint:
-    qinv = pow(q, -1, p)
+    # phi0 and e are the stratum sampler's GSp4 base point
     if parts == (4,):
-        q2, q3 = pow(q, 2, p), pow(q, 3, p)
-        phi0 = np.diag(np.array([q3, q2, q, 1], dtype=np.int64))
-        e = (spec.lie_basis[3] + spec.lie_basis[4]) % p
-        grading = np.diag(np.array([3, 1, -1, -3], dtype=np.int64))
-        return BasePoint(
-            spec=spec, orbit=OrbitLabel.partition(parts), p=p, q=q,
-            phi0=phi0, e_mat=e, marked=None, grading=grading,
-            levi_basis=spec.lie_basis.copy(), reflection=None,
-        )
-    if parts == (2, 2):
-        phi0 = np.diag(np.array([q, 1, 1, qinv], dtype=np.int64)) % p
-        e = spec.lie_basis[3] % p
+        marked, grading = None, np.diag(np.array([3, 1, -1, -3], dtype=np.int64))
+        levi, reflection = spec.lie_basis.copy(), None
+    elif parts == (2, 2):
+        marked, grading = 2, _GSP4_GRADING
         levi = np.stack([spec.lie_basis[k] for k in _GSP4_LEVI_INDICES])
-        return BasePoint(
-            spec=spec, orbit=OrbitLabel.partition(parts), p=p, q=q,
-            phi0=phi0, e_mat=e, marked=2, grading=_GSP4_GRADING,
-            levi_basis=levi, reflection=_GSP4_REFLECTION.copy(),
+        reflection = _GSP4_REFLECTION.copy()
+    else:
+        raise CertificateError(
+            "no base point construction for GSp4 orbit %r" % (parts,)
         )
-    raise CertificateError(
-        "no base point construction for GSp4 orbit %r" % (parts,)
+    return BasePoint(
+        spec=spec, orbit=OrbitLabel.partition(parts), p=p, q=q,
+        phi0=_gsp4_base_phi(parts, q, p), e_mat=_gsp4_rep(spec, parts, p),
+        marked=marked, grading=grading, levi_basis=levi, reflection=reflection,
     )
 
 
@@ -273,10 +262,6 @@ class EpsilonCertificate:
         }
 
 
-def _ad(phi: NDArray[np.int64], m: NDArray[np.int64], p: int) -> NDArray[np.int64]:
-    return (phi @ m % p) @ kernels.inv_mod(phi, p) % p
-
-
 def _span_dim(mats: list[NDArray[np.int64]], p: int) -> int:
     if not mats:
         return 0
@@ -328,13 +313,18 @@ def epsilon_certificate(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
         if not ok:
             failures.append(name)
 
+    phi0_inv = kernels.inv_mod(phi0, p)
+
+    def ad0(m: NDArray[np.int64]) -> NDArray[np.int64]:
+        return (phi0 @ m % p) @ phi0_inv % p
+
     winv = kernels.inv_mod(w, p)
     e_alt = (w @ e % p) @ winv % p
 
     # -- structural conditions backing the curve arguments --
     check("phi0-in-group", spec.is_group_element(phi0, p))
     check("reflection-in-group", spec.is_group_element(w, p))
-    check("base-stratum", np.array_equal(_ad(phi0, e, p), q * e % p))
+    check("base-stratum", np.array_equal(ad0(e), q * e % p))
     check("orbit-type", jordan_partition(e, p) == base.orbit.parts)
     check("reflection-fixes-phi0", np.array_equal((w @ phi0 % p) @ winv % p, phi0))
     check("grading-acts-by-two",
@@ -343,9 +333,8 @@ def epsilon_certificate(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
     # stabilizer of phi0 inside the Lie algebra
     stab_cols = []
     orbit_vecs = []
-    phi0_inv = kernels.inv_mod(phi0, p)
     for b in spec.lie_basis:
-        img = (_ad(phi0, b % p, p) - b) % p
+        img = (ad0(b % p) - b) % p
         stab_cols.append(img.reshape(-1))
         back = ((phi0_inv @ (b % p) % p) @ phi0 - b) % p
         if back.any():
@@ -373,7 +362,7 @@ def epsilon_certificate(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
     for z in center:
         check("center-commutes", not ((z @ e - e @ z) % p).any())
     for z in torus_vecs:
-        check("torus-fixed-by-phi0", np.array_equal(_ad(phi0, z, p), z))
+        check("torus-fixed-by-phi0", np.array_equal(ad0(z), z))
 
     # unipotent direction: lowering vector at the marked position
     if spec.kind == "GL":
@@ -383,13 +372,13 @@ def epsilon_certificate(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
     else:
         e_neg = spec.lie_basis[8] % p
     check("lowering-commutes", not ((e_neg @ e - e @ e_neg) % p).any())
-    check("lowering-weight-zero", np.array_equal(_ad(phi0, e_neg, p), e_neg))
+    check("lowering-weight-zero", np.array_equal(ad0(e_neg), e_neg))
 
     # nilpotent-side directions: Levi weight-2 piece and its reflection
     n_vecs = [v % p for v in levi_two] + [(w @ v % p) @ winv % p for v in levi_two]
     n_span_dim = _span_dim(n_vecs, p)
     for v in n_vecs:
-        check("eigen-q", np.array_equal(_ad(phi0, v, p), q * v % p))
+        check("eigen-q", np.array_equal(ad0(v), q * v % p))
         check("in-lie-algebra", spec.in_lie_algebra(v, p))
         # v + s e (or its reflection) realizes the orbit for some unit s
         anchor = e if jordan_partition((v + e) % p, p) == base.orbit.parts else e_alt

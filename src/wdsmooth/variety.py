@@ -144,11 +144,12 @@ def _similitude_factor(mat: NDArray[np.int64], p: int) -> tuple[int, bool]:
     return mu, bool(np.array_equal(s, mu * omega % p))
 
 
-def _is_nilpotent(n_mat: NDArray[np.int64], p: int) -> bool:
+def _is_nilpotent(n_mat: NDArray[np.int64], p: int):
+    """N^n == 0, for one (n, n) matrix or elementwise over a (B, n, n) stack."""
     power = n_mat % p
-    for _ in range(n_mat.shape[0] - 1):
+    for _ in range(n_mat.shape[-1] - 1):
         power = power @ n_mat % p
-    return not power.any()
+    return ~power.any(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -253,12 +254,45 @@ def _inv_2x2_batch(mats: NDArray[np.int64], p: int) -> NDArray[np.int64]:
     return out * inv_dets[:, None, None] % p
 
 
+def _gl2_solutions(p: int, q: int):
+    """Yield (phi, nilpotent, other) for every phi in GL(2, F_p), in
+    lexicographic order: the nonzero solutions N of Ad(phi) N = q N,
+    split into two (k, 2, 2) stacks by whether N is nilpotent.
+
+    Each stack keeps the order of the combinations of the canonical
+    kernel basis (a 1 in each free column) with coefficients
+    1 .. p^d - 1 in base p, first coordinate fastest; that basis makes
+    them distinct and nonzero.
+    """
+    phis = _all_invertible_2x2(p)
+    invs = _inv_2x2_batch(phis, p)
+    # Ad(phi) - q on gl_2 in vec coordinates, batched
+    ad = np.einsum("bik,blj->bijkl", phis, invs).reshape(-1, 4, 4) % p
+    ad = (ad - q * np.eye(4, dtype=np.int64)) % p
+    nullities = kernels.batch_nullity_mod(ad, p)
+    empty = np.zeros((0, 2, 2), dtype=np.int64)
+    coeffs = {}
+    for phi, sys, d in zip(phis, ad, nullities.tolist()):
+        if d == 0:
+            yield phi, empty, empty
+            continue
+        if d not in coeffs:
+            k = np.arange(1, p**d, dtype=np.int64)
+            coeffs[d] = k[:, None] // p ** np.arange(d, dtype=np.int64) % p
+        sols = (coeffs[d] @ kernels.nullspace_mod(sys, p) % p).reshape(-1, 2, 2)
+        nilpotent = _is_nilpotent(sols, p)
+        yield phi, sols[nilpotent], sols[~nilpotent]
+
+
 def enumerate_sg(spec: GroupSpec, p: int, q: int) -> list[SGPoint]:
     """Exhaustively enumerate the pair variety for GL(2), p <= 13.
 
     For each invertible phi the N side is the kernel of Ad(phi) - q
     intersected with the nilpotent cone, which is enumerated exactly.
-    Points come out in lexicographic phi order, then lexicographic N.
+    Points come out in lexicographic phi order; for each phi, N = 0
+    first, then the nonzero N ordered by their coordinates in the
+    canonical kernel basis, read as base-p numbers with the first
+    coordinate least significant.
     """
     if spec.kind != "GL" or spec.n != 2:
         raise ValueError("full enumeration is only supported for GL(2)")
@@ -267,44 +301,13 @@ def enumerate_sg(spec: GroupSpec, p: int, q: int) -> list[SGPoint]:
     q = q % p
     if q == 0:
         raise ValueError("q must be a unit mod p")
-    phis = _all_invertible_2x2(p)
-    invs = _inv_2x2_batch(phis, p)
-    # Ad(phi) - q on gl_2 in vec coordinates, batched
-    ad = np.einsum("bik,blj->bijkl", phis, invs).reshape(-1, 4, 4) % p
-    ad = (ad - q * np.eye(4, dtype=np.int64)) % p
-    nullities = kernels.batch_nullity_mod(ad, p)
+    zero = np.zeros((2, 2), dtype=np.int64)
     points: list[SGPoint] = []
-    for idx in range(phis.shape[0]):
-        phi = phis[idx]
-        points.append(SGPoint(spec=spec, phi=phi, n_mat=np.zeros((2, 2), dtype=np.int64), q=q, p=p))
-        d = int(nullities[idx])
-        if d == 0:
-            continue
-        basis = kernels.nullspace_mod(ad[idx], p)
-        seen = set()
-        for coeffs in _nonzero_tuples(d, p):
-            vec = np.zeros(4, dtype=np.int64)
-            for c, row in zip(coeffs, basis):
-                vec = (vec + c * row) % p
-            key = tuple(int(x) for x in vec)
-            if key in seen or not any(key):
-                continue
-            seen.add(key)
-            n_mat = vec.reshape(2, 2)
-            if _is_nilpotent(n_mat, p):
-                points.append(SGPoint(spec=spec, phi=phi, n_mat=n_mat, q=q, p=p))
+    for phi, nilpotent, _ in _gl2_solutions(p, q):
+        points.append(SGPoint(spec=spec, phi=phi, n_mat=zero, q=q, p=p))
+        points.extend(SGPoint(spec=spec, phi=phi, n_mat=n_mat, q=q, p=p)
+                      for n_mat in nilpotent)
     return points
-
-
-def _nonzero_tuples(d: int, p: int):
-    idx = np.zeros(d, dtype=np.int64)
-    total = p**d
-    for k in range(1, total):
-        carry = k
-        for i in range(d):
-            idx[i] = carry % p
-            carry //= p
-        yield tuple(int(x) for x in idx)
 
 
 def _jordan_nilpotent(parts: tuple[int, ...]) -> NDArray[np.int64]:
@@ -372,27 +375,15 @@ def stratum_sample(
         raise ValueError("stratum sampling needs a partition orbit label")
     q = q % p
     rng = np.random.default_rng(seed)
-    points: list[SGPoint] = []
     if spec.kind == "GSp4":
         base_n = _gsp4_rep(spec, orbit.parts, p)
-        base_phi = _gsp4_base_phi(orbit.parts, q, p)
-        attempts = 0
-        while len(points) < count and attempts < 200 * count:
-            attempts += 1
-            g = _random_gsp4(rng, spec, p)
-            pt = SGPoint(
-                spec=spec,
-                phi=(g @ base_phi % p) @ kernels.inv_mod(g, p) % p,
-                n_mat=(g @ base_n % p) @ kernels.inv_mod(g, p) % p,
-                q=q,
-                p=p,
-            )
-            points.append(pt)
-        return points
+        base = SGPoint(spec=spec, phi=_gsp4_base_phi(orbit.parts, q, p),
+                       n_mat=base_n, q=q, p=p)
+        return [conjugate_point(base, _random_gsp4(rng, spec, p)) for _ in range(count)]
     if sum(orbit.parts) != spec.n:
         raise ValueError("partition does not sum to the matrix size")
     jordan = _jordan_nilpotent(orbit.parts)
-    dim = spec.n * spec.n
+    points: list[SGPoint] = []
     attempts = 0
     while len(points) < count and attempts < 500 * count:
         attempts += 1
@@ -451,33 +442,16 @@ def nilpotency_redundancy_check(spec: GroupSpec, p: int, q: int) -> RedundancyRe
     if p > 13:
         raise ValueError("redundancy scan is capped at p = 13")
     q = q % p
-    phis = _all_invertible_2x2(p)
-    invs = _inv_2x2_batch(phis, p)
-    ad = np.einsum("bik,blj->bijkl", phis, invs).reshape(-1, 4, 4) % p
-    ad = (ad - q * np.eye(4, dtype=np.int64)) % p
-    nullities = kernels.batch_nullity_mod(ad, p)
     checked = 0
     bad = 0
     wphi = None
     wn = None
-    for idx in range(phis.shape[0]):
-        d = int(nullities[idx])
-        if d == 0:
-            continue
-        basis = kernels.nullspace_mod(ad[idx], p)
-        for coeffs in _nonzero_tuples(d, p):
-            vec = np.zeros(4, dtype=np.int64)
-            for c, row in zip(coeffs, basis):
-                vec = (vec + c * row) % p
-            if not vec.any():
-                continue
-            checked += 1
-            n_mat = vec.reshape(2, 2)
-            if not _is_nilpotent(n_mat, p):
-                bad += 1
-                if wphi is None:
-                    wphi = phis[idx].copy()
-                    wn = n_mat.copy()
+    for phi, nilpotent, other in _gl2_solutions(p, q):
+        checked += len(nilpotent) + len(other)
+        bad += len(other)
+        if wphi is None and len(other):
+            wphi = phi.copy()
+            wn = other[0].copy()
     return RedundancyReport(
         p=p, q=q, pairs_checked=checked, non_nilpotent_count=bad,
         witness_phi=wphi, witness_n=wn,
@@ -646,21 +620,3 @@ def conjugate_point(pt: SGPoint, g) -> SGPoint:
         p=pt.p,
     )
 
-
-_CERTIFICATE_NAMES = (
-    "BasePoint",
-    "CertificateError",
-    "EpsilonCertificate",
-    "build_phi0",
-    "epsilon_certificate",
-)
-
-
-def __getattr__(name: str):
-    # the certificate builders operate on GroupSpec points and are
-    # reachable from here as well; resolved lazily to avoid a cycle
-    if name in _CERTIFICATE_NAMES:
-        from . import certificates
-
-        return getattr(certificates, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wdsmooth.kernels import inv_mod, matmul_mod, rank_mod
 from wdsmooth.orbits import OrbitLabel
@@ -25,6 +27,7 @@ from wdsmooth.variety import (
     tangent_dim,
     tangent_matrix,
 )
+from wdsmooth.variety import _jordan_nilpotent, _random_gsp4
 
 GL2 = GroupSpec.gl(2)
 GL3 = GroupSpec.gl(3)
@@ -183,6 +186,38 @@ def test_enumeration_guards():
         enumerate_sg(GL3, 7, 4)
     with pytest.raises(ValueError):
         enumerate_sg(GL2, 17, 4)
+    with pytest.raises(ValueError, match="only supported for GL"):
+        nilpotency_redundancy_check(GL3, 7, 4)
+    with pytest.raises(ValueError, match="capped at p = 13"):
+        nilpotency_redundancy_check(GL2, 17, 4)
+
+
+def brute_force_solutions(p, q):
+    """Every (phi, N) in GL2(F_p) x gl2(F_p) with phi N = q N phi, N != 0:
+    (number of invertible phi, nilpotent count, non-nilpotent count)."""
+    cells = np.stack(np.meshgrid(*[np.arange(p)] * 4, indexing="ij"), -1).reshape(-1, 2, 2)
+    dets = (cells[:, 0, 0] * cells[:, 1, 1] - cells[:, 0, 1] * cells[:, 1, 0]) % p
+    phis, ns = cells[dets != 0], cells[1:]  # cells[0] is N = 0
+    phi, n = phis[:, None], ns[None]
+    solves = ~((phi @ n - q * (n @ phi)) % p).any(axis=(-2, -1))
+    nilpotent = ~((ns @ ns) % p).any(axis=(-2, -1))
+    return len(phis), int((solves & nilpotent).sum()), int((solves & ~nilpotent).sum())
+
+
+@pytest.mark.parametrize("p, q", [(p, q) for p in (2, 3, 5) for q in range(1, p)])
+def test_gl2_walk_matches_brute_force(p, q):
+    phis, nilpotent, non_nilpotent = brute_force_solutions(p, q)
+    pts = enumerate_sg(GL2, p, q)
+    assert len(pts) == phis + nilpotent
+    assert sum(1 for pt in pts if pt.n_mat.any()) == nilpotent
+    rep = nilpotency_redundancy_check(GL2, p, q)
+    assert rep.pairs_checked == nilpotent + non_nilpotent
+    assert rep.non_nilpotent_count == non_nilpotent
+    assert (rep.witness_phi is not None) == (non_nilpotent > 0)
+    if rep.witness_phi is not None:
+        w_phi, w_n = rep.witness_phi, rep.witness_n
+        assert np.array_equal(w_phi @ w_n % p, q * (w_n @ w_phi) % p)
+        assert (w_n @ w_n % p).any()
 
 
 # ---------------------------------------------------------------- redundancy
@@ -267,6 +302,53 @@ def test_jordan_partition():
     assert jordan_partition(j, 7) == (2, 1)
     full = arr([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     assert jordan_partition(full, 7) == (3,)
+
+
+PARTITIONS = [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1),
+              (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
+def invertible(data, n, p):
+    cells = data.draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
+    g = np.array(cells, dtype=np.int64).reshape(n, n)
+    assume(rank_mod(g, p) == n)
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PARTITIONS), st.sampled_from([2, 3, 5, 7, 11]), st.data())
+def test_jordan_partition_is_a_conjugation_invariant(parts, p, data):
+    j = _jordan_nilpotent(parts)
+    g = invertible(data, len(j), p)
+    assert jordan_partition((g @ j % p) @ inv_mod(g, p) % p, p) == parts
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(GL2, (2,)), (GL3, (2, 1)), (GroupSpec.gl(4), (2, 2)),
+                        (GSP4, (2, 2)), (GSP4, (4,))]),
+       st.sampled_from([(7, 3), (11, 4), (13, 2)]), st.integers(0, 2**16), st.data())
+def test_conjugate_point_keeps_samples_in_the_variety(case, pq, seed, data):
+    spec, parts = case
+    p, q = pq
+    pts = stratum_sample(spec, p, q, OrbitLabel.partition(parts), 1, seed=seed)
+    assume(pts)
+    if spec.kind == "GSp4":
+        g = _random_gsp4(np.random.default_rng(seed + 1), spec, p)
+    else:
+        g = invertible(data, spec.n, p)
+    moved = conjugate_point(pts[0], g)
+    assert sg_member(spec, moved.phi, moved.n_mat, q, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([5, 7, 11, 13]), st.data())
+def test_log_inverts_exp(n, p, data):
+    # a strictly upper triangular matrix, conjugated: a general nilpotent N
+    upper = data.draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
+    u = np.triu(np.array(upper, dtype=np.int64).reshape(n, n), 1)
+    g = invertible(data, n, p)
+    n_mat = (g @ u % p) @ inv_mod(g, p) % p
+    assert np.array_equal(log_unipotent(exp_nilpotent(n_mat, p), p), n_mat)
 
 
 def test_conjugate_point_stays_member():
