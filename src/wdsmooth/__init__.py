@@ -63,7 +63,6 @@ from .rootsys import (
 from .variety import (
     GroupSpec,
     SGPoint,
-    TangentReport,
     bundle_count_check,
     enumerate_sg,
     exp_bridge_check,
@@ -121,7 +120,6 @@ __all__ = [
     "parse_group",
     "GroupSpec",
     "SGPoint",
-    "TangentReport",
     "bundle_count_check",
     "enumerate_sg",
     "exp_bridge_check",

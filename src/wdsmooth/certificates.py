@@ -38,6 +38,7 @@ from .orbits import OrbitLabel
 from .variety import (
     GroupSpec,
     SGPoint,
+    _gl_basis,
     _gsp4_base_phi,
     _gsp4_rep,
     _jordan_nilpotent,
@@ -87,17 +88,9 @@ def _gl_grading(parts: tuple[int, ...]) -> NDArray[np.int64]:
 
 
 def _gl_levi_basis(parts: tuple[int, ...]) -> NDArray[np.int64]:
-    n = sum(parts)
-    mats = []
-    pos = 0
-    for part in parts:
-        for i in range(pos, pos + part):
-            for j in range(pos, pos + part):
-                m = np.zeros((n, n), dtype=np.int64)
-                m[i, j] = 1
-                mats.append(m)
-        pos += part
-    return np.stack(mats)
+    # the matrix units E_ij with i and j in the same Jordan block
+    block = np.repeat(np.arange(len(parts)), parts)
+    return _gl_basis(sum(parts))[(block[:, None] == block).reshape(-1)]
 
 
 def _transposition(n: int, i: int, j: int) -> NDArray[np.int64]:
@@ -262,35 +255,19 @@ class EpsilonCertificate:
         }
 
 
-def _span_dim(mats: list[NDArray[np.int64]], p: int) -> int:
-    if not mats:
+def _span_dim(mats: NDArray[np.int64], p: int) -> int:
+    if not len(mats):
         return 0
-    return kernels.rank_mod(np.stack([m.reshape(-1) % p for m in mats]), p)
+    return kernels.rank_mod(mats.reshape(len(mats), -1), p)
 
 
-def _graded_piece(levi_basis: NDArray[np.int64], grading: NDArray[np.int64],
-                  weight: int, p: int) -> list[NDArray[np.int64]]:
-    """Basis of the weight space of ad(grading) inside the Levi span."""
-    cols = []
-    for b in levi_basis:
-        br = (grading @ b - b @ grading - weight * b) % p
-        cols.append(br.reshape(-1))
-    coeffs = kernels.nullspace_mod(np.stack(cols, axis=1), p)
-    return [
-        np.tensordot(c, levi_basis, axes=1) % p for c in coeffs
-    ]
-
-
-def _levi_center(levi_basis: NDArray[np.int64], p: int) -> list[NDArray[np.int64]]:
-    cols = []
-    for b in levi_basis:
-        rows = []
-        for other in levi_basis:
-            br = (b @ other - other @ b) % p
-            rows.append(br.reshape(-1))
-        cols.append(np.concatenate(rows))
-    coeffs = kernels.nullspace_mod(np.stack(cols, axis=1), p)
-    return [np.tensordot(c, levi_basis, axes=1) % p for c in coeffs]
+def _kernel_span(images: NDArray[np.int64], basis: NDArray[np.int64],
+                 p: int) -> NDArray[np.int64]:
+    """Basis of the kernel of a linear map on span(basis), as a stack of
+    combinations of the basis; images[k] is the image of basis[k]."""
+    k = len(basis)
+    coeffs = kernels.nullspace_mod(images.reshape(k, -1).T, p)
+    return (coeffs @ basis.reshape(k, -1) % p).reshape(-1, *basis.shape[1:])
 
 
 def epsilon_certificate(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
@@ -319,34 +296,35 @@ def epsilon_certificate(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
         return (phi0 @ m % p) @ phi0_inv % p
 
     winv = kernels.inv_mod(w, p)
-    e_alt = (w @ e % p) @ winv % p
+
+    def reflect(m: NDArray[np.int64]) -> NDArray[np.int64]:
+        return (w @ m % p) @ winv % p
+
+    e_alt = reflect(e)
 
     # -- structural conditions backing the curve arguments --
     check("phi0-in-group", spec.is_group_element(phi0, p))
     check("reflection-in-group", spec.is_group_element(w, p))
     check("base-stratum", np.array_equal(ad0(e), q * e % p))
     check("orbit-type", jordan_partition(e, p) == base.orbit.parts)
-    check("reflection-fixes-phi0", np.array_equal((w @ phi0 % p) @ winv % p, phi0))
+    check("reflection-fixes-phi0", np.array_equal(reflect(phi0), phi0))
     check("grading-acts-by-two",
           np.array_equal((base.grading @ e - e @ base.grading) % p, 2 * e % p))
 
     # stabilizer of phi0 inside the Lie algebra
-    stab_cols = []
-    orbit_vecs = []
-    for b in spec.lie_basis:
-        img = (ad0(b % p) - b) % p
-        stab_cols.append(img.reshape(-1))
-        back = ((phi0_inv @ (b % p) % p) @ phi0 - b) % p
-        if back.any():
-            orbit_vecs.append(back)
-    stab_dim = kernels.nullity_mod(np.stack(stab_cols, axis=1), p)
+    basis = spec.lie_basis % p
+    stab_dim = len(_kernel_span((ad0(basis) - basis) % p, basis, p))
+    back = ((phi0_inv @ basis % p) @ phi0 - basis) % p
+    orbit_vecs = back[back.any(axis=(1, 2))]
     orbit_dim = _span_dim(orbit_vecs, p)
     check("orbit-rank", orbit_dim == spec.dim_g - stab_dim)
 
-    # Levi grading pieces and center
-    levi_zero = _graded_piece(base.levi_basis, base.grading, 0, p)
-    levi_two = _graded_piece(base.levi_basis, base.grading, 2, p)
-    center = _levi_center(base.levi_basis, p)
+    # Levi grading pieces (weights 0 and 2 of ad(grading)) and center
+    levi, h = base.levi_basis, base.grading
+    graded = (h @ levi - levi @ h) % p
+    levi_zero = _kernel_span(graded, levi, p)
+    levi_two = _kernel_span((graded - 2 * levi) % p, levi, p)
+    center = _kernel_span((levi[:, None] @ levi - levi @ levi[:, None]) % p, levi, p)
     levi_zero_dim = len(levi_zero)
     levi_two_dim = len(levi_two)
     center_dim = len(center)
@@ -357,7 +335,7 @@ def epsilon_certificate(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
         )
 
     # doubled torus: center and its reflection
-    torus_vecs = [z % p for z in center] + [(w @ z % p) @ winv % p for z in center]
+    torus_vecs = np.concatenate([center, reflect(center)])
     torus_span_dim = _span_dim(torus_vecs, p)
     for z in center:
         check("center-commutes", not ((z @ e - e @ z) % p).any())
@@ -375,7 +353,7 @@ def epsilon_certificate(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
     check("lowering-weight-zero", np.array_equal(ad0(e_neg), e_neg))
 
     # nilpotent-side directions: Levi weight-2 piece and its reflection
-    n_vecs = [v % p for v in levi_two] + [(w @ v % p) @ winv % p for v in levi_two]
+    n_vecs = np.concatenate([levi_two, reflect(levi_two)])
     n_span_dim = _span_dim(n_vecs, p)
     for v in n_vecs:
         check("eigen-q", np.array_equal(ad0(v), q * v % p))
@@ -388,7 +366,7 @@ def epsilon_certificate(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
         )
         check("degenerates-from-orbit", realized)
 
-    phi_vecs = orbit_vecs + torus_vecs + [e_neg]
+    phi_vecs = np.concatenate([orbit_vecs, torus_vecs, e_neg[None]])
     phi_span_dim = _span_dim(phi_vecs, p)
     check(
         "phi-direct-sum",
@@ -408,7 +386,7 @@ def epsilon_certificate(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
     ambient = tangent_dim(
         SGPoint(spec=spec, phi=phi0,
                 n_mat=np.zeros((spec.n, spec.n), dtype=np.int64), q=q, p=p)
-    ).tangent_dim
+    )
     check("within-ambient-tangent", lower <= ambient)
 
     return EpsilonCertificate(

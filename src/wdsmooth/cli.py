@@ -226,7 +226,7 @@ def _cmd_verify(args) -> tuple[dict, dict, str | None]:
         spec = GroupSpec.gl(2)
         pts = enumerate_sg(spec, args.p, args.q)
         members = all(sg_member(spec, pt.phi, pt.n_mat, pt.q, pt.p) for pt in pts)
-        dims = Counter(tangent_dim(pt).tangent_dim for pt in pts)
+        dims = Counter(tangent_dim(pt) for pt in pts)
         nonzero = sum(1 for pt in pts if pt.n_mat.any())
         results = {
             "points": len(pts),
@@ -241,7 +241,7 @@ def _cmd_verify(args) -> tuple[dict, dict, str | None]:
         spec = _group_spec(args.group)
         orbit = _parse_orbit(args.orbit)
         pts = stratum_sample(spec, args.p, args.q, orbit, args.samples, seed=args.seed)
-        dims = [tangent_dim(pt).tangent_dim for pt in pts]
+        dims = [tangent_dim(pt) for pt in pts]
         generic_smooth = bool(pts) and min(dims) == spec.dim_g
         results = {
             "samples": len(pts),

@@ -31,7 +31,6 @@ __all__ = [
     "grading_dims",
     "check_distinguished_criterion",
     "exposed_roots",
-    "verify_exposed_weight_two",
     "exposed_root_sweep",
     "smooth_bound_r",
 ]
@@ -369,28 +368,6 @@ def exposed_roots(levi: LeviSubset) -> frozenset[int]:
         if any(j not in levi.subset for j in rs.neighbors(i)):
             out.add(i)
     return frozenset(out)
-
-
-def verify_exposed_weight_two(
-    levi: LeviSubset,
-    factor_diagrams: Sequence[WeightedDynkinDiagram],
-) -> bool:
-    """Check that every exposed root carries label 2.
-
-    Args:
-        factor_diagrams: one diagram per factor of the Levi, aligned
-            with levi.factors and indexed in the factor's Bourbaki order.
-    """
-    if len(factor_diagrams) != len(levi.factors):
-        raise ValueError("need one diagram per factor")
-    exposed = exposed_roots(levi)
-    for (dt, emb), diag in zip(levi.factors, factor_diagrams):
-        if len(diag.labels) != dt.rank:
-            raise ValueError("diagram rank mismatch for factor %s" % dt.name)
-        for k, ambient_index in enumerate(emb):
-            if ambient_index in exposed and diag.labels[k] != 2:
-                return False
-    return True
 
 
 def exposed_root_sweep(ambients: Iterable[RootSystem]) -> list[tuple[str, tuple[int, ...], str, str]]:

@@ -21,8 +21,6 @@ __all__ = [
     "RootSystem",
     "LeviSubset",
     "build_root_system",
-    "coxeter_number",
-    "fundamental_degrees",
     "levi_factors",
     "simple_reflection_weights",
     "parse_group",
@@ -320,14 +318,6 @@ def build_root_system(t: DynkinType) -> RootSystem:
     )
     _CACHE[t] = rs
     return rs
-
-
-def coxeter_number(rs: RootSystem) -> int:
-    return rs.coxeter_number
-
-
-def fundamental_degrees(rs: RootSystem) -> tuple[int, ...]:
-    return rs.fundamental_degrees
 
 
 def simple_reflection_weights(rs: RootSystem, i: int, v) -> tuple[int, ...]:

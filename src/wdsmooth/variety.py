@@ -23,7 +23,6 @@ from .orbits import OrbitLabel
 __all__ = [
     "GroupSpec",
     "SGPoint",
-    "TangentReport",
     "RedundancyReport",
     "BundleReport",
     "OMEGA4",
@@ -187,12 +186,22 @@ def sg_member(spec: GroupSpec, phi, n_mat, q: int, p: int) -> bool:
     return bool(np.array_equal(phi @ n_mat % p, q * (n_mat @ phi % p) % p))
 
 
-def ad_matrix(phi, p: int) -> NDArray[np.int64]:
-    """Matrix of Ad(phi) on gl_n in row-major vec coordinates."""
-    phi = kernels.as_field(phi, p)
-    inv = kernels.inv_mod(phi, p)
-    # vec(phi X phi^{-1}) = (phi kron inv^T) vec(X)
-    return np.kron(phi, inv.T) % p
+def _unit_q(q: int, p: int) -> int:
+    """q reduced mod p; raises unless it is a unit."""
+    q = q % p
+    if q == 0:
+        raise ValueError("q must be a unit mod p")
+    return q
+
+
+def _ad_minus_q(phis: NDArray[np.int64], invs: NDArray[np.int64], q: int,
+                p: int) -> NDArray[np.int64]:
+    """Ad(phi) - q on gl_n in row-major vec coordinates, for a (B, n, n)
+    stack of phi and their inverses: a (B, n^2, n^2) stack."""
+    b, n, _ = phis.shape
+    # vec(phi X phi^{-1})[i, j] = sum over k, l of phi[i, k] X[k, l] inv[l, j]
+    ad = np.einsum("bik,blj->bijkl", phis, invs).reshape(b, n * n, n * n) % p
+    return (ad - q * np.eye(n * n, dtype=np.int64)) % p
 
 
 def tangent_matrix(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.int64]:
@@ -216,21 +225,9 @@ def tangent_matrix(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.in
     return images.reshape(2 * dim, -1).T
 
 
-@dataclass(frozen=True)
-class TangentReport:
-    point: SGPoint
-    tangent_dim: int
-    reference_dim: int
-
-
-def tangent_dim(pt: SGPoint) -> TangentReport:
+def tangent_dim(pt: SGPoint) -> int:
     """Tangent space dimension at a point, by exact elimination."""
-    mat = tangent_matrix(pt.spec, pt.phi, pt.n_mat, pt.q, pt.p)
-    return TangentReport(
-        point=pt,
-        tangent_dim=kernels.nullity_mod(mat, pt.p),
-        reference_dim=pt.spec.dim_g,
-    )
+    return kernels.nullity_mod(tangent_matrix(pt.spec, pt.phi, pt.n_mat, pt.q, pt.p), pt.p)
 
 
 def _all_invertible_2x2(p: int) -> NDArray[np.int64]:
@@ -265,10 +262,7 @@ def _gl2_solutions(p: int, q: int):
     them distinct and nonzero.
     """
     phis = _all_invertible_2x2(p)
-    invs = _inv_2x2_batch(phis, p)
-    # Ad(phi) - q on gl_2 in vec coordinates, batched
-    ad = np.einsum("bik,blj->bijkl", phis, invs).reshape(-1, 4, 4) % p
-    ad = (ad - q * np.eye(4, dtype=np.int64)) % p
+    ad = _ad_minus_q(phis, _inv_2x2_batch(phis, p), q, p)
     nullities = kernels.batch_nullity_mod(ad, p)
     empty = np.zeros((0, 2, 2), dtype=np.int64)
     coeffs = {}
@@ -298,9 +292,7 @@ def enumerate_sg(spec: GroupSpec, p: int, q: int) -> list[SGPoint]:
         raise ValueError("full enumeration is only supported for GL(2)")
     if p > 13:
         raise ValueError("full enumeration is capped at p = 13")
-    q = q % p
-    if q == 0:
-        raise ValueError("q must be a unit mod p")
+    q = _unit_q(q, p)
     zero = np.zeros((2, 2), dtype=np.int64)
     points: list[SGPoint] = []
     for phi, nilpotent, _ in _gl2_solutions(p, q):
@@ -371,9 +363,9 @@ def stratum_sample(
     by random group elements built from torus and root elements. The
     generator is seeded, so samples are deterministic.
     """
+    q = _unit_q(q, p)
     if orbit.parts is None:
         raise ValueError("stratum sampling needs a partition orbit label")
-    q = q % p
     rng = np.random.default_rng(seed)
     if spec.kind == "GSp4":
         base_n = _gsp4_rep(spec, orbit.parts, p)
@@ -437,11 +429,11 @@ class RedundancyReport:
 
 def nilpotency_redundancy_check(spec: GroupSpec, p: int, q: int) -> RedundancyReport:
     """Scan all phi in GL(2, F_p) and all solutions of Ad(phi) N = q N."""
+    q = _unit_q(q, p)
     if spec.kind != "GL" or spec.n != 2:
         raise ValueError("redundancy scan is only supported for GL(2)")
     if p > 13:
         raise ValueError("redundancy scan is capped at p = 13")
-    q = q % p
     checked = 0
     bad = 0
     wphi = None
@@ -530,57 +522,46 @@ def bundle_count_check(
     should number p^{n-1} each. GL(3): sample conjugates of
     z diag(1, q, q^2) with a seeded generator.
     """
-    q = q % p
+    q = _unit_q(q, p)
     if spec.kind != "GL" or spec.n not in (2, 3):
         raise ValueError("bundle check supports GL(2) and GL(3)")
-    expected = p ** (spec.n - 1)
-    counts: list[int] = []
     quad = 0
     if spec.n == 2:
-        split_pairs = set()
-        for z in range(1, p):
-            tr = z * (1 + q) % p
-            det = q * z * z % p
-            split_pairs.add((tr, det))
         phis = _all_invertible_2x2(p)
-        for phi in phis:
-            tr = int((phi[0, 0] + phi[1, 1]) % p)
-            det = int((phi[0, 0] * phi[1, 1] - phi[0, 1] * phi[1, 0]) % p)
-            is_split = (tr, det) in split_pairs
-            # irreducible characteristic polynomial with root multiset
-            # {z, qz} in F_{p^2} satisfies q tr^2 = (1+q)^2 det
-            disc = (tr * tr - 4 * det) % p
-            is_quad = (
-                not is_split
-                and disc != 0
-                and pow(disc, (p - 1) // 2, p) == p - 1
-                and q * tr * tr % p == (1 + q) ** 2 * det % p
-            )
-            if not is_split and not is_quad:
-                continue
-            if is_quad:
-                quad += 1
-            ad = ad_matrix(phi, p)
-            sys = (ad - q * np.eye(4, dtype=np.int64)) % p
-            d = kernels.nullity_mod(sys, p)
-            counts.append(p**d)
-        return BundleReport(
-            p=p, q=q, base_points=len(counts), expected_fiber=expected,
-            fiber_counts=tuple(counts), quadratic_extension_points=quad,
+        tr = (phis[:, 0, 0] + phis[:, 1, 1]) % p
+        det = (phis[:, 0, 0] * phis[:, 1, 1] - phis[:, 0, 1] * phis[:, 1, 0]) % p
+        z = np.arange(1, p, dtype=np.int64)
+        split_keys = z * (1 + q) % p * p + q * z % p * z % p
+        is_split = np.isin(tr * p + det, split_keys)
+        # irreducible characteristic polynomial with root multiset
+        # {z, qz} in F_{p^2} satisfies q tr^2 = (1+q)^2 det; at p = 2 the
+        # Euler criterion's exponent is 0, so every nonzero disc passes
+        disc = (tr * tr - 4 * det) % p
+        euler = np.array([pow(d, (p - 1) // 2, p) for d in range(p)], dtype=np.int64)
+        is_quad = (
+            ~is_split
+            & (disc != 0)
+            & (euler[disc] == p - 1)
+            & (q * tr % p * tr % p == (1 + q) ** 2 % p * det % p)
         )
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        z = int(rng.integers(1, p))
-        diag = np.diag(np.array([z, z * q % p, z * q * q % p], dtype=np.int64))
-        g = _random_gl(rng, 3, p)
-        phi = (g @ diag % p) @ kernels.inv_mod(g, p) % p
-        ad = ad_matrix(phi, p)
-        sys = (ad - q * np.eye(9, dtype=np.int64)) % p
-        d = kernels.nullity_mod(sys, p)
-        counts.append(p**d)
+        quad = int(is_quad.sum())
+        phis = phis[is_split | is_quad]
+        invs = _inv_2x2_batch(phis, p)
+    else:
+        rng = np.random.default_rng(seed)
+        phis = []
+        for _ in range(samples):
+            z = int(rng.integers(1, p))
+            diag = np.diag(np.array([z, z * q % p, z * q * q % p], dtype=np.int64))
+            g = _random_gl(rng, 3, p)
+            phis.append((g @ diag % p) @ kernels.inv_mod(g, p) % p)
+        phis = np.array(phis, dtype=np.int64).reshape(-1, 3, 3)
+        invs = np.array([kernels.inv_mod(phi, p) for phi in phis]).reshape(-1, 3, 3)
+    nullities = kernels.batch_nullity_mod(_ad_minus_q(phis, invs, q, p), p)
     return BundleReport(
-        p=p, q=q, base_points=len(counts), expected_fiber=expected,
-        fiber_counts=tuple(counts), quadratic_extension_points=0,
+        p=p, q=q, base_points=len(phis), expected_fiber=p ** (spec.n - 1),
+        fiber_counts=tuple(p**d for d in nullities.tolist()),
+        quadratic_extension_points=quad,
     )
 
 

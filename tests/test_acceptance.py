@@ -186,12 +186,12 @@ def test_criterion_08_open_stratum_smoothness():
     pts = enumerate_sg(gl2, 7, 4)
     nonzero = [pt for pt in pts if pt.n_mat.any()]
     assert len(nonzero) == 2016
-    assert all(tangent_dim(pt).tangent_dim == 4 for pt in nonzero)
+    assert all(tangent_dim(pt) == 4 for pt in nonzero)
 
     gl3 = GroupSpec.gl(3)
     samples = stratum_sample(gl3, 11, 4, OrbitLabel.partition((3,)), 50, seed=0)
     assert len(samples) >= 50
-    assert all(tangent_dim(pt).tangent_dim == 9 for pt in samples)
+    assert all(tangent_dim(pt) == 9 for pt in samples)
     ok(8, "open stratum smoothness")
 
 

@@ -5,14 +5,17 @@ import json
 import numpy as np
 import pytest
 
+from wdsmooth.arith import QContext
 from wdsmooth.certificates import (
     CertificateError,
     build_phi0,
     epsilon_certificate,
 )
+from wdsmooth.classifier import SINGULAR, SMOOTH, classify_component
 from wdsmooth.kernels import matmul_mod
-from wdsmooth.orbits import OrbitLabel
-from wdsmooth.variety import GroupSpec, tangent_dim, SGPoint
+from wdsmooth.orbits import OrbitLabel, classical_orbits
+from wdsmooth.rootsys import build_root_system, parse_group
+from wdsmooth.variety import GroupSpec, tangent_dim, SGPoint, stratum_sample
 
 GL3 = GroupSpec.gl(3)
 GL4 = GroupSpec.gl(4)
@@ -140,7 +143,7 @@ def test_certificate_bookkeeping_identity():
 def test_certificate_matches_ambient_tangent_report():
     cert = epsilon_certificate(GL3, part(2, 1), 4, 11)
     pt = SGPoint(GL3, cert.phi0, np.zeros((3, 3), dtype=np.int64), 4, 11)
-    assert tangent_dim(pt).tangent_dim == cert.ambient_tangent_dim
+    assert tangent_dim(pt) == cert.ambient_tangent_dim
 
 
 def test_certificate_stable_across_primes():
@@ -186,3 +189,30 @@ def test_certificate_rejects_distinguished():
         epsilon_certificate(GL3, part(3), 4, 11)
     with pytest.raises(CertificateError, match="distinguished"):
         epsilon_certificate(GSP4, part(4), 3, 11)
+
+
+# ------------------------------------------------- classifier <-> matrices
+
+AGREEMENT_FIELDS = ((7, 2), (7, 3), (11, 3), (11, 4), (13, 2), (13, 4), (13, 5))
+
+
+@pytest.mark.parametrize("p, q", AGREEMENT_FIELDS)
+@pytest.mark.parametrize("name", ["GL2", "GL3", "GL4", "GSp4"])
+def test_classifier_agrees_with_matrix_half(name, p, q):
+    # Smooth: some sampled point has tangent dimension dim g. Singular: the
+    # default-mark certificate certifies it wherever a base point exists.
+    # NotCovered makes no claim to check.
+    spec = GroupSpec.gsp4() if name == "GSp4" else GroupSpec.gl(int(name[2:]))
+    rs = build_root_system(parse_group(name))
+    for orbit in classical_orbits(rs):
+        status = classify_component(rs, orbit, QContext(q=q, l=p)).status
+        if status == SMOOTH:
+            dims = [tangent_dim(pt) for pt in stratum_sample(spec, p, q, orbit, 5, seed=0)]
+            assert dims and min(dims) == spec.dim_g, (orbit, dims)
+        elif status == SINGULAR:
+            try:
+                build_phi0(spec, orbit, q, p)
+            except CertificateError:
+                continue
+            cert = epsilon_certificate(spec, orbit, q, p)
+            assert cert.certifies_singular, (orbit, cert.failed_checks)

@@ -213,6 +213,24 @@ def test_field_guard(capsys, argv, p, message):
     assert err.startswith("error: " + message)
 
 
+UNIT_Q_COMMANDS = (
+    ("verify", "enumerate"),
+    ("verify", "nilpotency"),
+    ("verify", "tangent", "--group", "GL3", "--orbit", "2,1"),
+    ("verify", "tangent", "--group", "GSp4", "--orbit", "2,2"),
+    ("verify", "expbridge", "--group", "GL3", "--orbit", "3"),
+    ("verify", "bundle", "--group", "GL2"),
+    ("verify", "bundle", "--group", "GL3"),
+)
+
+
+@pytest.mark.parametrize("argv", UNIT_Q_COMMANDS, ids=lambda a: " ".join(a[1:4]))
+@pytest.mark.parametrize("q", ["0", "11"])
+def test_unit_q_guard(capsys, argv, q):
+    code, out, err = run(capsys, *argv, "--p", "11", "--q", q)
+    assert (code, out, err) == (1, "", "error: q must be a unit mod p\n")
+
+
 def test_largest_safe_bound_is_the_int64_limit():
     # K (p - 1)^2 < 2^63 with K = 16 terms in the longest int64 inner product
     assert 16 * (P_MAX - 1) ** 2 < 2**63 <= 16 * P_MAX**2

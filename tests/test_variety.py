@@ -13,7 +13,6 @@ from wdsmooth.variety import (
     OMEGA4,
     GroupSpec,
     SGPoint,
-    ad_matrix,
     bundle_count_check,
     conjugate_point,
     enumerate_sg,
@@ -27,7 +26,7 @@ from wdsmooth.variety import (
     tangent_dim,
     tangent_matrix,
 )
-from wdsmooth.variety import _jordan_nilpotent, _random_gsp4
+from wdsmooth.variety import _ad_minus_q, _jordan_nilpotent, _random_gl, _random_gsp4
 
 GL2 = GroupSpec.gl(2)
 GL3 = GroupSpec.gl(3)
@@ -90,17 +89,19 @@ def test_sgpoint_normalizes_and_freezes():
 # ------------------------------------------------------------------ tangents
 
 def test_ad_matrix_action():
-    p = 11
+    # _ad_minus_q(phi) vec(X) = vec(phi X phi^{-1} - q X), on stacks of phis
+    p, q = 11, 4
     rng = np.random.default_rng(0)
-    phi = arr([[2, 1], [1, 1]])
-    ad = ad_matrix(phi, p)
-    from wdsmooth.kernels import inv_mod
-    inv = inv_mod(phi, p)
-    for _ in range(5):
-        x = rng.integers(0, p, size=(2, 2)).astype(np.int64)
-        want = matmul_mod(matmul_mod(phi, x, p), inv, p)
-        got = (ad @ x.reshape(-1)) % p
-        assert np.array_equal(got, want.reshape(-1))
+    for n in (2, 3):
+        phis = np.stack([_random_gl(rng, n, p) for _ in range(6)])
+        invs = np.stack([inv_mod(phi, p) for phi in phis])
+        ad = _ad_minus_q(phis, invs, q, p)
+        assert ad.shape == (6, n * n, n * n)
+        for phi, inv, sys in zip(phis, invs, ad):
+            for _ in range(5):
+                x = rng.integers(0, p, size=(n, n)).astype(np.int64)
+                want = (matmul_mod(matmul_mod(phi, x, p), inv, p) - q * x) % p
+                assert np.array_equal(sys @ x.reshape(-1) % p, want.reshape(-1))
 
 
 def test_tangent_at_zero_n_counts_eigenspace():
@@ -108,10 +109,8 @@ def test_tangent_at_zero_n_counts_eigenspace():
     p, q = 11, 4
     phi = np.diag(arr([4, 1, 1]))
     pt = SGPoint(GL3, phi, np.zeros((3, 3), dtype=np.int64), q, p)
-    rep = tangent_dim(pt)
     # ratios 4/1 on two root lines: eigenvalue q twice
-    assert rep.tangent_dim == 9 + 2
-    assert rep.reference_dim == 9
+    assert tangent_dim(pt) == 9 + 2
 
 
 def test_tangent_matrix_shape():
@@ -124,7 +123,7 @@ def test_regular_stratum_tangents_are_smooth():
     pts = stratum_sample(GL3, 11, 4, OrbitLabel.partition((3,)), 12, seed=1)
     assert len(pts) == 12
     for pt in pts:
-        assert tangent_dim(pt).tangent_dim == 9
+        assert tangent_dim(pt) == 9
 
 
 def test_subregular_stratum_tangents():
@@ -132,7 +131,7 @@ def test_subregular_stratum_tangents():
     # their own 9-dimensional component; special phi (extra eigenvalue
     # coincidences) raise the tangent to 10, the branch-crossing locus
     pts = stratum_sample(GL3, 11, 4, OrbitLabel.partition((2, 1)), 20, seed=0)
-    dims = Counter(tangent_dim(pt).tangent_dim for pt in pts)
+    dims = Counter(tangent_dim(pt) for pt in pts)
     assert dict(dims) == {9: 13, 10: 7}
 
 
@@ -143,7 +142,7 @@ def test_gsp4_stratum_tangents():
         for pt in pts:
             assert GSP4.is_group_element(pt.phi, pt.p)
             assert jordan_partition(pt.n_mat, pt.p) == parts
-            assert tangent_dim(pt).tangent_dim == 11
+            assert tangent_dim(pt) == 11
 
 
 # --------------------------------------------------------------- enumeration
@@ -165,12 +164,12 @@ def test_enumeration_membership_and_tangents(gl2_f7_q4):
     pts = gl2_f7_q4
     for pt in pts:
         assert sg_member(GL2, pt.phi, pt.n_mat, pt.q, pt.p)
-    counts = Counter(tangent_dim(pt).tangent_dim for pt in pts)
+    counts = Counter(tangent_dim(pt) for pt in pts)
     assert dict(counts) == {4: 3696, 5: 336}
     # every nonzero-N point is a smooth point of a 4-dimensional model
     for pt in pts:
         if pt.n_mat.any():
-            assert tangent_dim(pt).tangent_dim == 4
+            assert tangent_dim(pt) == 4
 
 
 def test_enumeration_is_deterministic():
@@ -190,6 +189,19 @@ def test_enumeration_guards():
         nilpotency_redundancy_check(GL3, 7, 4)
     with pytest.raises(ValueError, match="capped at p = 13"):
         nilpotency_redundancy_check(GL2, 17, 4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda q: enumerate_sg(GL2, 7, q),
+    lambda q: nilpotency_redundancy_check(GL2, 7, q),
+    lambda q: stratum_sample(GL3, 7, q, OrbitLabel.partition((2, 1)), 3),
+    lambda q: bundle_count_check(GL2, 7, q),
+], ids=["enumerate_sg", "nilpotency_redundancy_check", "stratum_sample",
+        "bundle_count_check"])
+def test_unit_q_guard(call):
+    for q in (0, 7, -14):
+        with pytest.raises(ValueError, match="q must be a unit mod p"):
+            call(q)
 
 
 def brute_force_solutions(p, q):
@@ -287,6 +299,41 @@ def test_bundle_gl2_order_two_fails():
     assert not rep.ok
 
 
+def _bundle_gl2_brute_force(p, q):
+    # base points by the per-phi rule: eigenvalues {z, qz} over F_p, or
+    # an irreducible characteristic polynomial with q tr^2 = (1+q)^2 det;
+    # at p = 2, pow(disc, 0, 2) == 1 == p - 1 for every nonzero disc
+    split = {(z * (1 + q) % p, q * z * z % p) for z in range(1, p)}
+    xs = np.array(np.meshgrid(*[range(p)] * 4, indexing="ij")).reshape(4, -1).T
+    xs = xs.reshape(-1, 2, 2).astype(np.int64)
+    fibers, quad = [], 0
+    for a, b, c, d in np.ndindex(p, p, p, p):
+        tr, det = (a + d) % p, (a * d - b * c) % p
+        if det == 0:
+            continue
+        disc = (tr * tr - 4 * det) % p
+        is_split = (tr, det) in split
+        is_quad = (not is_split and disc != 0 and pow(disc, (p - 1) // 2, p) == p - 1
+                   and q * tr * tr % p == (1 + q) ** 2 * det % p)
+        if not (is_split or is_quad):
+            continue
+        quad += is_quad
+        # the fibre: every N in gl2(F_p) with phi N = q N phi
+        phi = arr([[a, b], [c, d]])
+        fibers.append(int((phi @ xs % p == q * xs @ phi % p).all(axis=(1, 2)).sum()))
+    return tuple(fibers), quad
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_bundle_gl2_matches_brute_force(p):
+    for q in range(1, p):
+        rep = bundle_count_check(GL2, p, q)
+        fibers, quad = _bundle_gl2_brute_force(p, q)
+        assert rep.fiber_counts == fibers
+        assert rep.quadratic_extension_points == quad
+        assert rep.base_points == len(fibers)
+
+
 def test_bundle_gl3_sampled():
     rep = bundle_count_check(GL3, 11, 3, samples=8, seed=7)
     assert rep.expected_fiber == 121
@@ -356,7 +403,7 @@ def test_conjugate_point_stays_member():
     g = arr([[1, 2, 0], [0, 1, 5], [0, 0, 1]])
     moved = conjugate_point(pt, g)
     assert sg_member(GL3, moved.phi, moved.n_mat, 4, 11)
-    assert tangent_dim(moved).tangent_dim == tangent_dim(pt).tangent_dim
+    assert tangent_dim(moved) == tangent_dim(pt)
 
 
 # ------------------------------------------------------- int64 exactness
