@@ -21,6 +21,8 @@ import json
 import sys
 from collections import Counter
 
+import numpy as np
+
 from . import __version__
 from .arith import (
     QContext,
@@ -225,7 +227,9 @@ def _cmd_verify(args) -> tuple[dict, dict, str | None]:
     if sub == "enumerate":
         spec = GroupSpec.gl(2)
         pts = enumerate_sg(spec, args.p, args.q)
-        members = all(sg_member(spec, pt.phi, pt.n_mat, pt.q, pt.p) for pt in pts)
+        phis = np.array([pt.phi for pt in pts]).reshape(-1, 2, 2)
+        n_mats = np.array([pt.n_mat for pt in pts]).reshape(-1, 2, 2)
+        members = bool(sg_member(spec, phis, n_mats, args.q, args.p).all())
         dims = Counter(tangent_dim(pt) for pt in pts)
         nonzero = sum(1 for pt in pts if pt.n_mat.any())
         results = {
@@ -495,6 +499,8 @@ def main(argv: list[str] | None = None) -> int:
         _fill_defaults(args)
         if getattr(args, "p", None) is not None:  # verify * and certify
             _check_field(args.p)
+        if getattr(args, "samples", 1) < 1:  # verify tangent|expbridge|bundle
+            raise ValueError("samples must be positive")
         inputs, results, failure = _HANDLERS[args.command](args)
     except (ValueError, CertificateError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -1,11 +1,14 @@
 """Exact linear algebra over prime fields.
 
-Matrices are numpy int64 arrays with entries reduced into [0, p). Every
-elimination runs through one Gauss-Jordan routine on rows of Python
-ints, with first-nonzero pivoting, so ranks, kernels and reduced forms
-are deterministic and no product can overflow inside the elimination.
-Matrices come in through ``tolist()`` and results go back out as int64
-arrays.
+Matrices are numpy int64 arrays with entries reduced into [0, p). The
+single-matrix entry points (``rref_mod``, ``rank_mod``, ``nullity_mod``,
+``nullspace_mod``, ``inv_mod``) run one Gauss-Jordan routine on rows of
+Python ints, with first-nonzero pivoting, so ranks, kernels and reduced
+forms are deterministic and no product can overflow inside the
+elimination; matrices come in through ``tolist()`` and results go back
+out as int64 arrays. ``batch_nullity_mod`` reduces a whole (B, m, n)
+stack at once in int64, one column at a time, for callers that hold
+real batches.
 """
 
 from __future__ import annotations
@@ -57,10 +60,10 @@ def as_field(a, p: int) -> NDArray[np.int64]:
     return np.asarray(a, dtype=np.int64) % p
 
 
-def _rows(a, p: int, ndim: int = 2) -> tuple[list, tuple[int, ...]]:
+def _rows(a, p: int) -> tuple[list, tuple[int, ...]]:
     mat = as_field(a, p)
-    if mat.ndim != ndim:
-        raise ValueError("expected a %d-d array" % ndim)
+    if mat.ndim != 2:
+        raise ValueError("expected a 2-d array")
     return mat.tolist(), mat.shape
 
 
@@ -87,11 +90,51 @@ def nullity_mod(a, p: int) -> int:
     return shape[1] - len(_rref(rows, p))
 
 
+def _inverse_mod(x: NDArray[np.int64], p: int) -> NDArray[np.int64]:
+    # Fermat inverse x^(p-2) of every entry, by binary powering; each
+    # product is of two residues, so below (p - 1)^2 < 2^63 for p <= P_MAX
+    out = np.ones_like(x)
+    base = x
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
 def batch_nullity_mod(stack, p: int) -> NDArray[np.int64]:
-    """Right-kernel dimension for each matrix in a (B, m, n) stack."""
-    mats, shape = _rows(stack, p, ndim=3)
-    n = shape[2]
-    return np.array([n - len(_rref(rows, p)) for rows in mats], dtype=np.int64)
+    """Right-kernel dimension for each matrix in a (B, m, n) stack.
+
+    The stack is reduced one column at a time: each matrix takes as its
+    pivot the largest entry of the column among its rows not yet used as
+    pivot rows, and one rank-1 update with the pivot row scaled to a
+    leading 1 clears the column from those rows (the pivot row included;
+    it is never read again). Entries stay in [0, p), so the products in
+    the update are below (p - 1)^2 < 2^63 for p <= P_MAX and never
+    overflow int64. A column with no pivot is all zero in the unused
+    rows, so its update changes nothing.
+    """
+    a = as_field(stack, p)
+    if a.ndim != 3:
+        raise ValueError("expected a 3-d array")
+    b, m, n = a.shape
+    which = np.arange(b)
+    used = np.zeros((b, m), dtype=bool)
+    rank = np.zeros(b, dtype=np.int64)
+    for col in range(n if b and m else 0):
+        column = np.where(used, 0, a[:, :, col])
+        piv = column.argmax(axis=1)
+        val = column[which, piv]
+        found = val != 0
+        if not found.any():
+            continue
+        row = a[which, piv, col + 1:] * _inverse_mod(val, p)[:, None] % p
+        a[:, :, col + 1:] = (a[:, :, col + 1:] - column[:, :, None] * row[:, None, :]) % p
+        used[which, piv] |= found
+        rank += found
+    return n - rank
 
 
 def nullspace_mod(a, p: int) -> NDArray[np.int64]:

@@ -112,35 +112,49 @@ class GroupSpec:
     def name(self) -> str:
         return "GSp4" if self.kind == "GSp4" else "GL%d" % self.n
 
-    def is_group_element(self, m, p: int) -> bool:
-        mat = kernels.as_field(m, p)
-        if mat.shape != (self.n, self.n):
-            return False
-        if kernels.rank_mod(mat, p) < self.n:
-            return False
-        if self.kind == "GL":
-            return True
-        mu, ok = _similitude_factor(mat, p)
-        return ok and mu != 0
+    def is_group_element(self, m, p: int):
+        """Whether m is invertible (and a similitude for GSp4): a bool for
+        one (n, n) matrix, a bool array for a (B, n, n) stack."""
+        return _per_matrix(self.n, lambda mats: self._group_mask(mats, p),
+                           kernels.as_field(m, p))
 
-    def in_lie_algebra(self, x, p: int) -> bool:
-        mat = kernels.as_field(x, p)
-        if mat.shape != (self.n, self.n):
-            return False
+    def in_lie_algebra(self, x, p: int):
+        """Whether x lies in the Lie algebra: a bool for one (n, n) matrix,
+        a bool array for a (B, n, n) stack."""
+        return _per_matrix(self.n, lambda mats: self._lie_mask(mats, p),
+                           kernels.as_field(x, p))
+
+    def _group_mask(self, mats: NDArray[np.int64], p: int) -> NDArray[np.bool_]:
+        ok = kernels.batch_nullity_mod(mats, p) == 0
+        if self.kind == "GSp4":
+            # g^T Omega g must be a nonzero multiple mu of Omega
+            omega = OMEGA4 % p
+            s = (mats.transpose(0, 2, 1) @ omega % p) @ mats % p
+            mu = s[:, 0, 3]
+            ok &= (mu != 0) & (s == mu[:, None, None] * omega % p).all(axis=(1, 2))
+        return ok
+
+    def _lie_mask(self, mats: NDArray[np.int64], p: int) -> NDArray[np.bool_]:
         if self.kind == "GL":
-            return True
+            return np.ones(len(mats), dtype=bool)
         # X^T Omega + Omega X must be a multiple of Omega
         omega = OMEGA4 % p
-        y = (mat.T @ omega + omega @ mat) % p
-        c = int(y[0, 3])
-        return bool(np.array_equal(y, c * omega % p))
+        y = (mats.transpose(0, 2, 1) @ omega + omega @ mats) % p
+        c = y[:, 0, 3]
+        return (y == c[:, None, None] * omega % p).all(axis=(1, 2))
 
 
-def _similitude_factor(mat: NDArray[np.int64], p: int) -> tuple[int, bool]:
-    omega = OMEGA4 % p
-    s = (mat.T @ omega % p) @ mat % p
-    mu = int(s[0, 3])
-    return mu, bool(np.array_equal(s, mu * omega % p))
+def _per_matrix(n: int, mask, *mats: NDArray[np.int64]):
+    """Apply mask, a (B, n, n) stacks -> (B,) bools test, to arrays of one
+    shape: a bool for (n, n) matrices, the bool array for (B, n, n)
+    stacks. Arrays of any other or of unequal shapes are not members."""
+    shape = mats[0].shape
+    stacked = len(shape) == 3
+    if (len(shape) not in (2, 3) or shape[-2:] != (n, n)
+            or any(m.shape != shape for m in mats)):
+        return np.zeros(shape[0], dtype=bool) if stacked else False
+    out = mask(*(m.reshape(-1, n, n) for m in mats))
+    return out if stacked else bool(out[0])
 
 
 def _is_nilpotent(n_mat: NDArray[np.int64], p: int):
@@ -168,22 +182,22 @@ class SGPoint:
         self.n_mat.setflags(write=False)
 
 
-def sg_member(spec: GroupSpec, phi, n_mat, q: int, p: int) -> bool:
+def sg_member(spec: GroupSpec, phi, n_mat, q: int, p: int):
     """Exact membership test for the pair variety.
 
     Checks: phi invertible (and a similitude for GSp4), N in the Lie
     algebra and nilpotent, and phi N = q N phi (equivalent to the
-    adjoint condition without forming an inverse).
+    adjoint condition without forming an inverse). Takes one phi and one
+    N and returns a bool, or (B, n, n) stacks of both and returns a bool
+    array.
     """
-    phi = kernels.as_field(phi, p)
-    n_mat = kernels.as_field(n_mat, p)
-    if not spec.is_group_element(phi, p):
-        return False
-    if not spec.in_lie_algebra(n_mat, p):
-        return False
-    if not _is_nilpotent(n_mat, p):
-        return False
-    return bool(np.array_equal(phi @ n_mat % p, q * (n_mat @ phi % p) % p))
+    q = q % p
+
+    def mask(phis, ns):
+        return (spec._group_mask(phis, p) & spec._lie_mask(ns, p) & _is_nilpotent(ns, p)
+                & (phis @ ns % p == q * (ns @ phis % p) % p).all(axis=(1, 2)))
+
+    return _per_matrix(spec.n, mask, kernels.as_field(phi, p), kernels.as_field(n_mat, p))
 
 
 def _unit_q(q: int, p: int) -> int:
@@ -207,20 +221,23 @@ def _ad_minus_q(phis: NDArray[np.int64], invs: NDArray[np.int64], q: int,
 def tangent_matrix(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.int64]:
     """Differential of the defining equation at (phi, N).
 
-    In the chart phi * exp(eps X), N + eps M with X, M running over the
-    Lie algebra basis, the equation Ad(phi) N = q N differentiates to
-    (X, M) -> Ad(phi)([X, N] + M) - q M. Returns the (n^2, 2 dim_g)
-    matrix of that map; the tangent space is its kernel.
+    The equation is phi N = q N phi, the inverse-free form of
+    Ad(phi) N = q N that ``sg_member`` checks. In the chart
+    phi * exp(eps X), N + eps M with X, M running over the Lie algebra
+    basis it differentiates to (X, M) -> phi([X, N] + M) - q M phi, which
+    is the differential of the adjoint form right-multiplied by the
+    invertible phi, so the kernel is the same. Returns the
+    (n^2, 2 dim_g) matrix of that map; the tangent space is its kernel.
     """
     phi = kernels.as_field(phi, p)
     n_mat = kernels.as_field(n_mat, p)
-    inv = kernels.inv_mod(phi, p)
+    q = q % p
     basis = spec.lie_basis
     dim = basis.shape[0]
     # the brackets [X, N] stacked over the Lie basis X, then the basis M
     stack = np.concatenate([(basis @ n_mat - n_mat @ basis) % p, basis % p])
-    images = (phi @ stack % p) @ inv % p
-    images[dim:] = (images[dim:] - q * basis) % p
+    images = phi @ stack % p
+    images[dim:] = (images[dim:] - q * (basis @ phi % p)) % p
     # column k of the map is the row-major vec of the k-th image
     return images.reshape(2 * dim, -1).T
 
@@ -549,14 +566,19 @@ def bundle_count_check(
         invs = _inv_2x2_batch(phis, p)
     else:
         rng = np.random.default_rng(seed)
-        phis = []
+        phis, invs = [], []
         for _ in range(samples):
             z = int(rng.integers(1, p))
-            diag = np.diag(np.array([z, z * q % p, z * q * q % p], dtype=np.int64))
+            d = np.array([z, z * q % p, z * q * q % p], dtype=np.int64)
+            d_inv = np.array([pow(int(x), -1, p) for x in d], dtype=np.int64)
             g = _random_gl(rng, 3, p)
-            phis.append((g @ diag % p) @ kernels.inv_mod(g, p) % p)
+            ginv = kernels.inv_mod(g, p)
+            # phi = g diag(d) g^-1, so phi^-1 = g diag(d^-1) g^-1; g * d
+            # scales the columns of g, which is g diag(d)
+            phis.append((g * d % p) @ ginv % p)
+            invs.append((g * d_inv % p) @ ginv % p)
         phis = np.array(phis, dtype=np.int64).reshape(-1, 3, 3)
-        invs = np.array([kernels.inv_mod(phi, p) for phi in phis]).reshape(-1, 3, 3)
+        invs = np.array(invs, dtype=np.int64).reshape(-1, 3, 3)
     nullities = kernels.batch_nullity_mod(_ad_minus_q(phis, invs, q, p), p)
     return BundleReport(
         p=p, q=q, base_points=len(phis), expected_fiber=p ** (spec.n - 1),

@@ -231,6 +231,28 @@ def test_unit_q_guard(capsys, argv, q):
     assert (code, out, err) == (1, "", "error: q must be a unit mod p\n")
 
 
+SAMPLES_COMMANDS = (
+    ("verify", "tangent", "--group", "GL3", "--orbit", "2,1"),
+    ("verify", "expbridge", "--group", "GL3", "--orbit", "2,1"),
+    ("verify", "bundle", "--group", "GL3"),
+)
+
+
+@pytest.mark.parametrize("argv", SAMPLES_COMMANDS, ids=lambda a: " ".join(a[1:4]))
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_samples_must_be_positive(capsys, argv, samples):
+    code, out, err = run(capsys, *argv, "--p", "7", "--q", "3", "--samples", samples)
+    assert (code, out, err) == (1, "", "error: samples must be positive\n")
+
+
+def test_samples_from_config_must_be_positive(tmp_path, capsys):
+    cfg = tmp_path / "wd.cfg"
+    cfg.write_text("samples=0\n")
+    code, out, err = run(capsys, "verify", "bundle", "--group", "GL3", "--p", "7",
+                         "--q", "3", "--config", str(cfg))
+    assert (code, out, err) == (1, "", "error: samples must be positive\n")
+
+
 def test_largest_safe_bound_is_the_int64_limit():
     # K (p - 1)^2 < 2^63 with K = 16 terms in the longest int64 inner product
     assert 16 * (P_MAX - 1) ** 2 < 2**63 <= 16 * P_MAX**2

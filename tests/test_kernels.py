@@ -231,6 +231,43 @@ def test_batch_nullity_matches_sympy(p):
     assert batch_nullity_mod(stack[:0], p).shape == (0,)
 
 
+def mixed_stack(rng, batch, shape, p):
+    """Members of every rank whose pivots sit in different rows and
+    columns: low-rank products with a random number of leading columns
+    cleared and their rows shuffled."""
+    m, n = shape
+    out = []
+    for _ in range(batch):
+        a = low_rank(rng, shape, int(rng.integers(0, min(m, n) + 1)), p)
+        a[:, :rng.integers(0, n)] = 0
+        out.append(a[rng.permutation(m)])
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("p", [2, 7, LARGE_P])
+@pytest.mark.parametrize("shape", [(4, 8), (9, 18), (16, 22), (8, 4)])
+def test_batch_nullity_on_mixed_stacks_matches_sympy(p, shape):
+    rng = np.random.default_rng(41)
+    stack = mixed_stack(rng, 30, shape, p)
+    ranks = [gf(a, p).rank() for a in stack]
+    assert len(set(ranks)) > 2
+    got = batch_nullity_mod(stack, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == [shape[1] - r for r in ranks]
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 5), (3, 0, 5), (3, 4, 0), (0, 0, 0)])
+def test_batch_nullity_on_empty_shapes(shape):
+    got = batch_nullity_mod(np.zeros(shape, dtype=np.int64), 7)
+    assert got.dtype == np.int64
+    assert got.tolist() == [shape[2]] * shape[0]
+
+
+def test_batch_nullity_rejects_a_single_matrix():
+    with pytest.raises(ValueError):
+        batch_nullity_mod(np.eye(3, dtype=np.int64), 7)
+
+
 PRIME = st.sampled_from([2, 3, 5, 7, 11, 13, 101])
 
 
@@ -262,9 +299,18 @@ def test_rank_is_invariant_under_row_operations(mp, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(PRIME, st.integers(0, 6), st.integers(1, 6), st.integers(1, 9), st.data())
+@given(PRIME, st.integers(2, 6), st.integers(1, 6), st.integers(1, 9), st.data())
 def test_batch_nullity_equals_single_nullity(p, batch, m, n, data):
-    cells = data.draw(st.lists(st.integers(0, p - 1), min_size=batch * m * n,
-                               max_size=batch * m * n))
-    stack = np.array(cells, dtype=np.int64).reshape(batch, m, n)
+    # each member is a product of an m x r and an r x n factor, so ranks
+    # below min(m, n) are drawn as often as full ones
+    def factor(rows, cols):
+        cells = data.draw(st.lists(st.integers(0, p - 1), min_size=rows * cols,
+                                   max_size=rows * cols))
+        return np.array(cells, dtype=np.int64).reshape(rows, cols)
+
+    members = []
+    for _ in range(batch):
+        r = data.draw(st.integers(0, min(m, n)))
+        members.append(factor(m, r) @ factor(r, n) % p)
+    stack = np.stack(members)
     assert batch_nullity_mod(stack, p).tolist() == [nullity_mod(a, p) for a in stack]

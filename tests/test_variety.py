@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wdsmooth.kernels import inv_mod, matmul_mod, rank_mod
-from wdsmooth.orbits import OrbitLabel
+from wdsmooth.kernels import batch_nullity_mod, inv_mod, matmul_mod, rank_mod
+from wdsmooth.orbits import OrbitLabel, classical_orbits
+from wdsmooth.rootsys import build_root_system, parse_group
 from wdsmooth.variety import (
     OMEGA4,
     GroupSpec,
@@ -78,6 +79,70 @@ def test_sg_member():
     assert sg_member(GL2, np.diag(arr([5, 2])), n * 0, 4, 7)  # N = 0, any phi
     # non-nilpotent N rejected even when the linear equation holds
     assert not sg_member(GL2, np.diag(arr([1, 6])), arr([[0, 1], [1, 0]]), 6, 7)
+
+
+def membership_cases(spec, q, p):
+    """(phi, N, expected) triples over one group and one q: sampled points,
+    and pairs that fail exactly one condition where q allows it."""
+    n = spec.n
+    parts_list = ([(4,), (2, 2), (2, 1, 1), (1, 1, 1, 1)] if spec.kind == "GSp4"
+                  else [pt for pt in PARTITIONS if sum(pt) == n])
+    cases = []
+    for parts in parts_list:
+        for pt in stratum_sample(spec, p, q, OrbitLabel.partition(parts), 2, seed=0):
+            cases.append((pt.phi, pt.n_mat, True))
+            if pt.n_mat.any():
+                # phi^-1 N = q^-1 N phi^-1: the wrong orientation unless q^2 = 1
+                cases.append((inv_mod(pt.phi, p), pt.n_mat, q * q % p == 1))
+    zero = np.zeros((n, n), dtype=np.int64)
+    singular = np.eye(n, dtype=np.int64)
+    singular[-1, -1] = 0
+    cases.append((singular, zero, False))
+    # N^2 = 1 anticommutes with phi: solves the equation for q = -1 only
+    if spec.kind == "GSp4":
+        phi = np.diag(arr([1, -1, -1, 1]))
+        non_nilpotent = (spec.lie_basis[3] + spec.lie_basis[7]) % p
+        cases.append((np.diag(arr([1, 2, 3, 4])), zero, False))  # not a similitude
+        # E_10 is not in gsp4; diag(1, q, 1, q) is a similitude with phi N = q N phi
+        outside = arr([[0] * 4, [1, 0, 0, 0], [0] * 4, [0] * 4])
+        cases.append((np.diag(arr([1, q, 1, q])), outside, False))
+    else:
+        phi = np.eye(n, dtype=np.int64)
+        phi[1, 1] = -1
+        non_nilpotent = zero.copy()
+        non_nilpotent[0, 1] = non_nilpotent[1, 0] = 1
+    assert np.array_equal(phi @ non_nilpotent % p, -non_nilpotent @ phi % p)
+    cases.append((phi, non_nilpotent, False))
+    return cases
+
+
+@pytest.mark.parametrize("spec", [GL2, GL3, GroupSpec.gl(4), GSP4], ids=lambda s: s.name)
+@pytest.mark.parametrize("q", [3, 4, 10])
+def test_sg_member_on_stacks(spec, q):
+    p = 11
+    cases = membership_cases(spec, q, p)
+    phis = np.stack([c[0] for c in cases])
+    n_mats = np.stack([c[1] for c in cases])
+    single = [sg_member(spec, phi, n_mat, q, p) for phi, n_mat, _ in cases]
+    assert all(type(s) is bool for s in single)
+    assert single == [c[2] for c in cases]
+    assert any(single) and not all(single)
+    stacked = sg_member(spec, phis, n_mats, q, p)
+    assert stacked.dtype == bool and stacked.tolist() == single
+    # the group and Lie algebra tests on stacks agree with their single calls
+    assert spec.is_group_element(phis, p).tolist() == [
+        spec.is_group_element(phi, p) for phi in phis]
+    assert spec.in_lie_algebra(n_mats, p).tolist() == [
+        spec.in_lie_algebra(n_mat, p) for n_mat in n_mats]
+    # a stack of the wrong matrix size, or of unequal shapes, has no members
+    wrong = np.zeros((len(cases), spec.n + 1, spec.n + 1), dtype=np.int64)
+    assert sg_member(spec, wrong, wrong, q, p).tolist() == [False] * len(cases)
+    assert sg_member(spec, phis, n_mats[:-1], q, p).tolist() == [False] * len(cases)
+    assert spec.is_group_element(wrong, p).tolist() == [False] * len(cases)
+    assert sg_member(spec, wrong[0], wrong[0], q, p) is False
+    assert sg_member(spec, phis[0], n_mats, q, p) is False
+    assert spec.in_lie_algebra(wrong[0], p) is False
+    assert sg_member(spec, phis[:0], n_mats[:0], q, p).shape == (0,)
 
 
 def test_sgpoint_normalizes_and_freezes():
@@ -406,6 +471,46 @@ def test_conjugate_point_stays_member():
     assert tangent_dim(moved) == tangent_dim(pt)
 
 
+# ------------------------------------------- inverse-free tangent matrix
+
+def adjoint_tangent_matrix(spec, phi, n_mat, q, p):
+    # the differential of Ad(phi) N = q N: (X, M) -> Ad(phi)([X, N] + M) - q M
+    inv = inv_mod(phi, p)
+    basis = spec.lie_basis
+    dim = len(basis)
+    stack = np.concatenate([(basis @ n_mat - n_mat @ basis) % p, basis % p])
+    images = (phi @ stack % p) @ inv % p
+    images[dim:] = (images[dim:] - q * basis) % p
+    return images.reshape(2 * dim, -1).T
+
+
+def assert_adjoint_form_agrees(pts):
+    # nullities of the adjoint form through the stack kernel, of the
+    # inverse-free form through tangent_dim's single-matrix kernel
+    old = np.stack([adjoint_tangent_matrix(pt.spec, pt.phi, pt.n_mat, pt.q, pt.p)
+                    for pt in pts])
+    assert batch_nullity_mod(old, pts[0].p).tolist() == [tangent_dim(pt) for pt in pts]
+
+
+#: the (p, q) fields of the classifier agreement sweep in test_certificates.py
+AGREEMENT_FIELDS = ((7, 2), (7, 3), (11, 3), (11, 4), (13, 2), (13, 4), (13, 5))
+
+
+@pytest.mark.parametrize("p, q", AGREEMENT_FIELDS)
+@pytest.mark.parametrize("name", ["GL2", "GL3", "GL4", "GSp4"])
+def test_tangent_dims_match_adjoint_form_on_samples(name, p, q):
+    spec = GSP4 if name == "GSp4" else GroupSpec.gl(int(name[2:]))
+    for orbit in classical_orbits(build_root_system(parse_group(name))):
+        pts = stratum_sample(spec, p, q, orbit, 5, seed=0)
+        if pts:
+            assert_adjoint_form_agrees(pts)
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_tangent_dims_match_adjoint_form_on_enumeration(q):
+    assert_adjoint_form_agrees(enumerate_sg(GL2, 7, q))
+
+
 # ------------------------------------------------------- int64 exactness
 
 #: a prime below kernels.P_MAX whose squares reach 2^58
@@ -419,11 +524,11 @@ def exact_inverse(m, p):
 
 
 def exact_tangent_matrix(spec, phi, n_mat, q, p):
-    # the defining formula on Python ints, one basis element at a time
+    # (X, M) -> phi([X, N] + M) - q M phi on Python ints, one basis element
+    # at a time
     phi, n_mat = phi.astype(object), n_mat.astype(object)
-    inv = exact_inverse(phi, p)
-    cols = [phi @ (b @ n_mat - n_mat @ b) @ inv % p for b in spec.lie_basis.astype(object)]
-    cols += [(phi @ b @ inv - q * b) % p for b in spec.lie_basis.astype(object)]
+    cols = [phi @ (b @ n_mat - n_mat @ b) % p for b in spec.lie_basis.astype(object)]
+    cols += [(phi @ b - q * b @ phi) % p for b in spec.lie_basis.astype(object)]
     return np.stack([c.reshape(-1) for c in cols], axis=1)
 
 
