@@ -62,7 +62,6 @@ from .rootsys import (
 )
 from .variety import (
     GroupSpec,
-    SGPoint,
     bundle_count_check,
     enumerate_sg,
     exp_bridge_check,
@@ -119,7 +118,6 @@ __all__ = [
     "levi_factors",
     "parse_group",
     "GroupSpec",
-    "SGPoint",
     "bundle_count_check",
     "enumerate_sg",
     "exp_bridge_check",

@@ -37,7 +37,6 @@ from .arith import is_prime, order_capped
 from .orbits import OrbitLabel
 from .variety import (
     GroupSpec,
-    SGPoint,
     _gl_basis,
     _gsp4_base_phi,
     _gsp4_rep,
@@ -383,10 +382,8 @@ def epsilon_certificate(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
         lower == spec.dim_g + eps1 + eps2 + eps3 - eps0,
     )
 
-    ambient = tangent_dim(
-        SGPoint(spec=spec, phi=phi0,
-                n_mat=np.zeros((spec.n, spec.n), dtype=np.int64), q=q, p=p)
-    )
+    zero = np.zeros((spec.n, spec.n), dtype=np.int64)
+    ambient = tangent_dim(spec, phi0, zero, q, p)
     check("within-ambient-tangent", lower <= ambient)
 
     return EpsilonCertificate(

@@ -21,8 +21,6 @@ import json
 import sys
 from collections import Counter
 
-import numpy as np
-
 from . import __version__
 from .arith import (
     QContext,
@@ -30,13 +28,11 @@ from .arith import (
     implication_sweep,
     is_banal,
     is_considerate,
-    is_prime,
     multiplicative_order,
     order_capped,
 )
 from .classifier import classify_component, classify_product
 from .certificates import CertificateError, epsilon_certificate
-from .kernels import P_MAX
 from .orbits import (
     OrbitLabel,
     classical_orbits,
@@ -52,6 +48,7 @@ from .rootsys import RootSystem, build_root_system, parse_group
 from .tables import PROVENANCE
 from .variety import (
     GroupSpec,
+    _field,
     bundle_count_check,
     enumerate_sg,
     exp_bridge_check,
@@ -90,14 +87,6 @@ def _group_spec(name: str) -> GroupSpec:
     raise ValueError(
         "matrix realizations cover GL1..GL4 and GSp4, not %r" % name
     )
-
-
-def _check_field(p: int) -> None:
-    """Reject a modulus the matrix layer cannot compute over exactly."""
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    if p > P_MAX:
-        raise ValueError("p exceeds the int64-safe bound %d" % P_MAX)
 
 
 def _verdict_dict(v) -> dict:
@@ -227,11 +216,9 @@ def _cmd_verify(args) -> tuple[dict, dict, str | None]:
     if sub == "enumerate":
         spec = GroupSpec.gl(2)
         pts = enumerate_sg(spec, args.p, args.q)
-        phis = np.array([pt.phi for pt in pts]).reshape(-1, 2, 2)
-        n_mats = np.array([pt.n_mat for pt in pts]).reshape(-1, 2, 2)
-        members = bool(sg_member(spec, phis, n_mats, args.q, args.p).all())
-        dims = Counter(tangent_dim(pt) for pt in pts)
-        nonzero = sum(1 for pt in pts if pt.n_mat.any())
+        members = bool(sg_member(spec, pts[:, 0], pts[:, 1], args.q, args.p).all())
+        dims = Counter(tangent_dim(spec, phi, n_mat, args.q, args.p) for phi, n_mat in pts)
+        nonzero = int(pts[:, 1].any(axis=(1, 2)).sum())
         results = {
             "points": len(pts),
             "zero_points": len(pts) - nonzero,
@@ -245,8 +232,8 @@ def _cmd_verify(args) -> tuple[dict, dict, str | None]:
         spec = _group_spec(args.group)
         orbit = _parse_orbit(args.orbit)
         pts = stratum_sample(spec, args.p, args.q, orbit, args.samples, seed=args.seed)
-        dims = [tangent_dim(pt) for pt in pts]
-        generic_smooth = bool(pts) and min(dims) == spec.dim_g
+        dims = [tangent_dim(spec, phi, n_mat, args.q, args.p) for phi, n_mat in pts]
+        generic_smooth = len(pts) > 0 and min(dims) == spec.dim_g
         results = {
             "samples": len(pts),
             "tangent_dims": dims,
@@ -281,7 +268,8 @@ def _cmd_verify(args) -> tuple[dict, dict, str | None]:
         spec = _group_spec(args.group)
         orbit = _parse_orbit(args.orbit)
         pts = stratum_sample(spec, args.p, args.q, orbit, args.samples, seed=args.seed)
-        ok = bool(pts) and all(exp_bridge_check(pt) for pt in pts)
+        ok = len(pts) > 0 and all(exp_bridge_check(phi, n_mat, args.q, args.p)
+                                  for phi, n_mat in pts)
         results = {"samples": len(pts), "all_pass": ok}
         inputs = {
             "group": args.group, "orbit": args.orbit, "p": args.p,
@@ -498,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
         _apply_config(args)
         _fill_defaults(args)
         if getattr(args, "p", None) is not None:  # verify * and certify
-            _check_field(args.p)
+            _field(args.p)
         if getattr(args, "samples", 1) < 1:  # verify tangent|expbridge|bundle
             raise ValueError("samples must be positive")
         inputs, results, failure = _HANDLERS[args.command](args)

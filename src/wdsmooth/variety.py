@@ -5,6 +5,13 @@ algebra, and Ad(phi) N = q N. Supported realizations: GL(n) for n <= 4,
 and GSp4 for the similitude form Omega = antidiag(1, 1, -1, -1), i.e.
 g^T Omega g = mu(g) Omega with mu a unit.
 
+A set of B points is one int64 array of shape (B, 2, n, n) with entries
+in [0, p): ``pts[:, 0]`` holds the phis and ``pts[:, 1]`` the Ns, which
+is the stack form ``sg_member`` takes. ``enumerate_sg`` and
+``stratum_sample`` return that array; the per-point functions
+(``tangent_dim``, ``exp_bridge_check``) take one phi and one N with q and
+p, like ``tangent_matrix``.
+
 All computations are exact over F_p; tangent dimensions come from the
 kernel of the defining map's differential, evaluated by deterministic
 Gaussian elimination.
@@ -18,11 +25,11 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import kernels
+from .arith import is_prime
 from .orbits import OrbitLabel
 
 __all__ = [
     "GroupSpec",
-    "SGPoint",
     "RedundancyReport",
     "BundleReport",
     "OMEGA4",
@@ -165,23 +172,6 @@ def _is_nilpotent(n_mat: NDArray[np.int64], p: int):
     return ~power.any(axis=(-2, -1))
 
 
-@dataclass(frozen=True)
-class SGPoint:
-    """A point (phi, N) of the pair variety over F_p with scalar q."""
-
-    spec: GroupSpec
-    phi: NDArray[np.int64]
-    n_mat: NDArray[np.int64]
-    q: int
-    p: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phi", kernels.as_field(self.phi, self.p))
-        object.__setattr__(self, "n_mat", kernels.as_field(self.n_mat, self.p))
-        self.phi.setflags(write=False)
-        self.n_mat.setflags(write=False)
-
-
 def sg_member(spec: GroupSpec, phi, n_mat, q: int, p: int):
     """Exact membership test for the pair variety.
 
@@ -198,6 +188,14 @@ def sg_member(spec: GroupSpec, phi, n_mat, q: int, p: int):
                 & (phis @ ns % p == q * (ns @ phis % p) % p).all(axis=(1, 2)))
 
     return _per_matrix(spec.n, mask, kernels.as_field(phi, p), kernels.as_field(n_mat, p))
+
+
+def _field(p: int) -> None:
+    """Reject a modulus the matrix layer cannot compute over exactly."""
+    if not is_prime(p):
+        raise ValueError("p must be prime")
+    if p > kernels.P_MAX:
+        raise ValueError("p exceeds the int64-safe bound %d" % kernels.P_MAX)
 
 
 def _unit_q(q: int, p: int) -> int:
@@ -242,9 +240,9 @@ def tangent_matrix(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.in
     return images.reshape(2 * dim, -1).T
 
 
-def tangent_dim(pt: SGPoint) -> int:
-    """Tangent space dimension at a point, by exact elimination."""
-    return kernels.nullity_mod(tangent_matrix(pt.spec, pt.phi, pt.n_mat, pt.q, pt.p), pt.p)
+def tangent_dim(spec: GroupSpec, phi, n_mat, q: int, p: int) -> int:
+    """Tangent space dimension at (phi, N), by exact elimination."""
+    return kernels.nullity_mod(tangent_matrix(spec, phi, n_mat, q, p), p)
 
 
 def _all_invertible_2x2(p: int) -> NDArray[np.int64]:
@@ -259,7 +257,7 @@ def _all_invertible_2x2(p: int) -> NDArray[np.int64]:
 
 def _inv_2x2_batch(mats: NDArray[np.int64], p: int) -> NDArray[np.int64]:
     dets = (mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]) % p
-    inv_dets = np.array([pow(int(d), -1, p) for d in dets], dtype=np.int64)
+    inv_dets = kernels._inverse_mod(dets, p)
     out = np.empty_like(mats)
     out[:, 0, 0] = mats[:, 1, 1]
     out[:, 1, 1] = mats[:, 0, 0]
@@ -295,28 +293,29 @@ def _gl2_solutions(p: int, q: int):
         yield phi, sols[nilpotent], sols[~nilpotent]
 
 
-def enumerate_sg(spec: GroupSpec, p: int, q: int) -> list[SGPoint]:
+def enumerate_sg(spec: GroupSpec, p: int, q: int) -> NDArray[np.int64]:
     """Exhaustively enumerate the pair variety for GL(2), p <= 13.
 
     For each invertible phi the N side is the kernel of Ad(phi) - q
     intersected with the nilpotent cone, which is enumerated exactly.
-    Points come out in lexicographic phi order; for each phi, N = 0
-    first, then the nonzero N ordered by their coordinates in the
-    canonical kernel basis, read as base-p numbers with the first
-    coordinate least significant.
+    Returns the (B, 2, 2, 2) point array. Points come out in
+    lexicographic phi order; for each phi, N = 0 first, then the nonzero
+    N ordered by their coordinates in the canonical kernel basis, read
+    as base-p numbers with the first coordinate least significant.
     """
+    _field(p)
     if spec.kind != "GL" or spec.n != 2:
         raise ValueError("full enumeration is only supported for GL(2)")
     if p > 13:
         raise ValueError("full enumeration is capped at p = 13")
     q = _unit_q(q, p)
-    zero = np.zeros((2, 2), dtype=np.int64)
-    points: list[SGPoint] = []
+    zero = np.zeros((1, 2, 2), dtype=np.int64)
+    phis, n_mats = [], []
     for phi, nilpotent, _ in _gl2_solutions(p, q):
-        points.append(SGPoint(spec=spec, phi=phi, n_mat=zero, q=q, p=p))
-        points.extend(SGPoint(spec=spec, phi=phi, n_mat=n_mat, q=q, p=p)
-                      for n_mat in nilpotent)
-    return points
+        phis.append(phi)
+        n_mats.append(np.concatenate([zero, nilpotent]))
+    counts = [len(ns) for ns in n_mats]
+    return np.stack([np.repeat(phis, counts, axis=0), np.concatenate(n_mats)], axis=1)
 
 
 def _jordan_nilpotent(parts: tuple[int, ...]) -> NDArray[np.int64]:
@@ -371,28 +370,32 @@ def stratum_sample(
     orbit: OrbitLabel,
     count: int,
     seed: int = 0,
-) -> list[SGPoint]:
+) -> NDArray[np.int64]:
     """Sample points (phi, N) with N in a fixed nilpotent orbit.
 
     GL(n): conjugate the Jordan form by random invertible matrices and
     solve the linear equation phi N = q N phi for phi exactly, sampling
     invertible solutions from the kernel. GSp4: conjugate a base point
     by random group elements built from torus and root elements. The
-    generator is seeded, so samples are deterministic.
+    generator is seeded, so samples are deterministic. Returns the
+    (B, 2, n, n) point array, B <= count: a GL(n) sampler that finds no
+    invertible solution in its attempts returns fewer points.
     """
+    _field(p)
+    if count < 1:
+        raise ValueError("samples must be positive")
     q = _unit_q(q, p)
     if orbit.parts is None:
         raise ValueError("stratum sampling needs a partition orbit label")
     rng = np.random.default_rng(seed)
     if spec.kind == "GSp4":
-        base_n = _gsp4_rep(spec, orbit.parts, p)
-        base = SGPoint(spec=spec, phi=_gsp4_base_phi(orbit.parts, q, p),
-                       n_mat=base_n, q=q, p=p)
-        return [conjugate_point(base, _random_gsp4(rng, spec, p)) for _ in range(count)]
+        base = np.stack([_gsp4_base_phi(orbit.parts, q, p), _gsp4_rep(spec, orbit.parts, p)])
+        return np.stack([conjugate_point(base, _random_gsp4(rng, spec, p), p)
+                         for _ in range(count)])
     if sum(orbit.parts) != spec.n:
         raise ValueError("partition does not sum to the matrix size")
     jordan = _jordan_nilpotent(orbit.parts)
-    points: list[SGPoint] = []
+    points = []
     attempts = 0
     while len(points) < count and attempts < 500 * count:
         attempts += 1
@@ -408,9 +411,9 @@ def stratum_sample(
             coeffs = rng.integers(0, p, size=basis.shape[0]).astype(np.int64)
             phi = (coeffs @ basis % p).reshape(spec.n, spec.n)
             if kernels.rank_mod(phi, p) == spec.n:
-                points.append(SGPoint(spec=spec, phi=phi, n_mat=n_mat, q=q, p=p))
+                points.append((phi, n_mat))
                 break
-    return points
+    return np.array(points, dtype=np.int64).reshape(-1, 2, spec.n, spec.n)
 
 
 def _gsp4_base_phi(parts: tuple[int, ...], q: int, p: int) -> NDArray[np.int64]:
@@ -446,6 +449,7 @@ class RedundancyReport:
 
 def nilpotency_redundancy_check(spec: GroupSpec, p: int, q: int) -> RedundancyReport:
     """Scan all phi in GL(2, F_p) and all solutions of Ad(phi) N = q N."""
+    _field(p)
     q = _unit_q(q, p)
     if spec.kind != "GL" or spec.n != 2:
         raise ValueError("redundancy scan is only supported for GL(2)")
@@ -498,17 +502,17 @@ def log_unipotent(u, p: int) -> NDArray[np.int64]:
     return out
 
 
-def exp_bridge_check(pt: SGPoint) -> bool:
+def exp_bridge_check(phi, n_mat, q: int, p: int) -> bool:
     """Translate (phi, N) to (phi, sigma) with sigma = exp(N) and check
-    phi sigma phi^{-1} = sigma^q, plus log(exp(N)) = N."""
-    p = pt.p
-    sigma = exp_nilpotent(pt.n_mat, p)
-    if not np.array_equal(log_unipotent(sigma, p), pt.n_mat % p):
+    phi sigma = sigma^q phi, plus log(exp(N)) = N. For invertible phi the
+    first is phi sigma phi^{-1} = sigma^q without forming the inverse."""
+    phi = kernels.as_field(phi, p)
+    n_mat = kernels.as_field(n_mat, p)
+    sigma = exp_nilpotent(n_mat, p)
+    if not np.array_equal(log_unipotent(sigma, p), n_mat):
         return False
-    inv = kernels.inv_mod(pt.phi, p)
-    lhs = (pt.phi @ sigma % p) @ inv % p
-    rhs = kernels.matpow_mod(sigma, pt.q % p, p)
-    return bool(np.array_equal(lhs, rhs))
+    rhs = kernels.matpow_mod(sigma, q % p, p) @ phi % p
+    return bool(np.array_equal(phi @ sigma % p, rhs))
 
 
 @dataclass(frozen=True)
@@ -539,6 +543,9 @@ def bundle_count_check(
     should number p^{n-1} each. GL(3): sample conjugates of
     z diag(1, q, q^2) with a seeded generator.
     """
+    _field(p)
+    if samples < 1:
+        raise ValueError("samples must be positive")
     q = _unit_q(q, p)
     if spec.kind != "GL" or spec.n not in (2, 3):
         raise ValueError("bundle check supports GL(2) and GL(3)")
@@ -570,7 +577,7 @@ def bundle_count_check(
         for _ in range(samples):
             z = int(rng.integers(1, p))
             d = np.array([z, z * q % p, z * q * q % p], dtype=np.int64)
-            d_inv = np.array([pow(int(x), -1, p) for x in d], dtype=np.int64)
+            d_inv = kernels._inverse_mod(d, p)
             g = _random_gl(rng, 3, p)
             ginv = kernels.inv_mod(g, p)
             # phi = g diag(d) g^-1, so phi^-1 = g diag(d^-1) g^-1; g * d
@@ -611,15 +618,10 @@ def jordan_partition(n_mat, p: int) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def conjugate_point(pt: SGPoint, g) -> SGPoint:
-    """Act by simultaneous conjugation; the variety is stable under it."""
-    g = kernels.as_field(g, pt.p)
-    ginv = kernels.inv_mod(g, pt.p)
-    return SGPoint(
-        spec=pt.spec,
-        phi=(g @ pt.phi % pt.p) @ ginv % pt.p,
-        n_mat=(g @ pt.n_mat % pt.p) @ ginv % pt.p,
-        q=pt.q,
-        p=pt.p,
-    )
+def conjugate_point(pt, g, p: int) -> NDArray[np.int64]:
+    """g M g^{-1} for each (n, n) matrix M of pt, a (..., n, n) array. On a
+    (2, n, n) point (phi, N) this is simultaneous conjugation, under which
+    the variety is stable."""
+    g = kernels.as_field(g, p)
+    return (g @ kernels.as_field(pt, p) % p) @ kernels.inv_mod(g, p) % p
 

@@ -184,14 +184,14 @@ def test_criterion_07_nilpotency_redundancy():
 def test_criterion_08_open_stratum_smoothness():
     gl2 = GroupSpec.gl(2)
     pts = enumerate_sg(gl2, 7, 4)
-    nonzero = [pt for pt in pts if pt.n_mat.any()]
+    nonzero = [pt for pt in pts if pt[1].any()]
     assert len(nonzero) == 2016
-    assert all(tangent_dim(pt) == 4 for pt in nonzero)
+    assert all(tangent_dim(gl2, phi, n_mat, 4, 7) == 4 for phi, n_mat in nonzero)
 
     gl3 = GroupSpec.gl(3)
     samples = stratum_sample(gl3, 11, 4, OrbitLabel.partition((3,)), 50, seed=0)
     assert len(samples) >= 50
-    assert all(tangent_dim(pt) == 9 for pt in samples)
+    assert all(tangent_dim(gl3, phi, n_mat, 4, 11) == 9 for phi, n_mat in samples)
     ok(8, "open stratum smoothness")
 
 
@@ -239,7 +239,7 @@ def test_criterion_10_singularity_certificates():
 
 def test_criterion_11_exp_bridge():
     pts = enumerate_sg(GroupSpec.gl(2), 7, 4)
-    passed = sum(1 for pt in pts if exp_bridge_check(pt))
+    passed = sum(1 for phi, n_mat in pts if exp_bridge_check(phi, n_mat, 4, 7))
     assert passed == len(pts) == 4032
     ok(11, "exponential bridge")
 

@@ -15,7 +15,7 @@ from wdsmooth.classifier import SINGULAR, SMOOTH, classify_component
 from wdsmooth.kernels import matmul_mod
 from wdsmooth.orbits import OrbitLabel, classical_orbits
 from wdsmooth.rootsys import build_root_system, parse_group
-from wdsmooth.variety import GroupSpec, tangent_dim, SGPoint, stratum_sample
+from wdsmooth.variety import GroupSpec, tangent_dim, stratum_sample
 
 GL3 = GroupSpec.gl(3)
 GL4 = GroupSpec.gl(4)
@@ -142,8 +142,8 @@ def test_certificate_bookkeeping_identity():
 
 def test_certificate_matches_ambient_tangent_report():
     cert = epsilon_certificate(GL3, part(2, 1), 4, 11)
-    pt = SGPoint(GL3, cert.phi0, np.zeros((3, 3), dtype=np.int64), 4, 11)
-    assert tangent_dim(pt) == cert.ambient_tangent_dim
+    zero = np.zeros((3, 3), dtype=np.int64)
+    assert tangent_dim(GL3, cert.phi0, zero, 4, 11) == cert.ambient_tangent_dim
 
 
 def test_certificate_stable_across_primes():
@@ -207,7 +207,8 @@ def test_classifier_agrees_with_matrix_half(name, p, q):
     for orbit in classical_orbits(rs):
         status = classify_component(rs, orbit, QContext(q=q, l=p)).status
         if status == SMOOTH:
-            dims = [tangent_dim(pt) for pt in stratum_sample(spec, p, q, orbit, 5, seed=0)]
+            dims = [tangent_dim(spec, phi, n_mat, q, p)
+                    for phi, n_mat in stratum_sample(spec, p, q, orbit, 5, seed=0)]
             assert dims and min(dims) == spec.dim_g, (orbit, dims)
         elif status == SINGULAR:
             try:

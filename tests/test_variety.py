@@ -7,13 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wdsmooth.kernels import batch_nullity_mod, inv_mod, matmul_mod, rank_mod
+from wdsmooth.kernels import batch_nullity_mod, inv_mod, matmul_mod, matpow_mod, rank_mod
 from wdsmooth.orbits import OrbitLabel, classical_orbits
 from wdsmooth.rootsys import build_root_system, parse_group
 from wdsmooth.variety import (
     OMEGA4,
     GroupSpec,
-    SGPoint,
     bundle_count_check,
     conjugate_point,
     enumerate_sg,
@@ -27,7 +26,14 @@ from wdsmooth.variety import (
     tangent_dim,
     tangent_matrix,
 )
-from wdsmooth.variety import _ad_minus_q, _jordan_nilpotent, _random_gl, _random_gsp4
+from wdsmooth import variety
+from wdsmooth.variety import (
+    _ad_minus_q,
+    _gl2_solutions,
+    _jordan_nilpotent,
+    _random_gl,
+    _random_gsp4,
+)
 
 GL2 = GroupSpec.gl(2)
 GL3 = GroupSpec.gl(3)
@@ -89,11 +95,11 @@ def membership_cases(spec, q, p):
                   else [pt for pt in PARTITIONS if sum(pt) == n])
     cases = []
     for parts in parts_list:
-        for pt in stratum_sample(spec, p, q, OrbitLabel.partition(parts), 2, seed=0):
-            cases.append((pt.phi, pt.n_mat, True))
-            if pt.n_mat.any():
+        for phi, n_mat in stratum_sample(spec, p, q, OrbitLabel.partition(parts), 2, seed=0):
+            cases.append((phi, n_mat, True))
+            if n_mat.any():
                 # phi^-1 N = q^-1 N phi^-1: the wrong orientation unless q^2 = 1
-                cases.append((inv_mod(pt.phi, p), pt.n_mat, q * q % p == 1))
+                cases.append((inv_mod(phi, p), n_mat, q * q % p == 1))
     zero = np.zeros((n, n), dtype=np.int64)
     singular = np.eye(n, dtype=np.int64)
     singular[-1, -1] = 0
@@ -145,10 +151,31 @@ def test_sg_member_on_stacks(spec, q):
     assert sg_member(spec, phis[:0], n_mats[:0], q, p).shape == (0,)
 
 
-def test_sgpoint_normalizes_and_freezes():
-    pt = SGPoint(GL2, np.diag(arr([4, 1])) - 7, arr([[0, 1], [0, 0]]), 4, 7)
-    assert pt.phi.flags.writeable is False
-    assert np.array_equal(pt.phi, np.diag(arr([4, 1])))  # reduced mod p
+@pytest.mark.parametrize("spec, p, make", [
+    (GL2, 5, lambda: enumerate_sg(GL2, 5, 2)),
+    (GL3, 11, lambda: stratum_sample(GL3, 11, 4, OrbitLabel.partition((2, 1)), 4)),
+    (GSP4, 11, lambda: stratum_sample(GSP4, 11, 3, OrbitLabel.partition((2, 2)), 4)),
+], ids=["enumerate_sg", "stratum_sample-GL3", "stratum_sample-GSp4"])
+def test_point_sets_are_reduced_int64_arrays(spec, p, make):
+    pts = make()
+    assert pts.dtype == np.int64
+    assert pts.ndim == 4 and len(pts) > 0 and pts.shape[1:] == (2, spec.n, spec.n)
+    assert ((pts >= 0) & (pts < p)).all()
+
+
+def test_enumeration_keeps_the_walk_order():
+    # per phi of the walk, N = 0 first, then its nilpotent solutions in order
+    zero = np.zeros((2, 2), dtype=np.int64)
+    want = [np.stack([phi, n_mat]) for phi, nilpotent, _ in _gl2_solutions(5, 2)
+            for n_mat in [zero, *nilpotent]]
+    assert np.array_equal(enumerate_sg(GL2, 5, 2), np.stack(want))
+
+
+def test_sampler_with_no_solutions_returns_an_empty_point_array(monkeypatch):
+    monkeypatch.setattr(variety.kernels, "nullspace_mod",
+                        lambda a, p: np.zeros((0, a.shape[1]), dtype=np.int64))
+    pts = stratum_sample(GL3, 7, 3, OrbitLabel.partition((2, 1)), 1)
+    assert pts.dtype == np.int64 and pts.shape == (0, 2, 3, 3)
 
 
 # ------------------------------------------------------------------ tangents
@@ -173,9 +200,8 @@ def test_tangent_at_zero_n_counts_eigenspace():
     # at N = 0 the tangent splits: all of g plus ker(Ad(phi) - q)
     p, q = 11, 4
     phi = np.diag(arr([4, 1, 1]))
-    pt = SGPoint(GL3, phi, np.zeros((3, 3), dtype=np.int64), q, p)
     # ratios 4/1 on two root lines: eigenvalue q twice
-    assert tangent_dim(pt) == 9 + 2
+    assert tangent_dim(GL3, phi, np.zeros((3, 3), dtype=np.int64), q, p) == 9 + 2
 
 
 def test_tangent_matrix_shape():
@@ -187,8 +213,8 @@ def test_tangent_matrix_shape():
 def test_regular_stratum_tangents_are_smooth():
     pts = stratum_sample(GL3, 11, 4, OrbitLabel.partition((3,)), 12, seed=1)
     assert len(pts) == 12
-    for pt in pts:
-        assert tangent_dim(pt) == 9
+    for phi, n_mat in pts:
+        assert tangent_dim(GL3, phi, n_mat, 4, 11) == 9
 
 
 def test_subregular_stratum_tangents():
@@ -196,7 +222,7 @@ def test_subregular_stratum_tangents():
     # their own 9-dimensional component; special phi (extra eigenvalue
     # coincidences) raise the tangent to 10, the branch-crossing locus
     pts = stratum_sample(GL3, 11, 4, OrbitLabel.partition((2, 1)), 20, seed=0)
-    dims = Counter(tangent_dim(pt) for pt in pts)
+    dims = Counter(tangent_dim(GL3, phi, n_mat, 4, 11) for phi, n_mat in pts)
     assert dict(dims) == {9: 13, 10: 7}
 
 
@@ -204,10 +230,10 @@ def test_gsp4_stratum_tangents():
     for parts, seed in (((2, 2), 3), ((4,), 4)):
         pts = stratum_sample(GSP4, 11, 3, OrbitLabel.partition(parts), 6, seed=seed)
         assert len(pts) == 6
-        for pt in pts:
-            assert GSP4.is_group_element(pt.phi, pt.p)
-            assert jordan_partition(pt.n_mat, pt.p) == parts
-            assert tangent_dim(pt) == 11
+        for phi, n_mat in pts:
+            assert GSP4.is_group_element(phi, 11)
+            assert jordan_partition(n_mat, 11) == parts
+            assert tangent_dim(GSP4, phi, n_mat, 3, 11) == 11
 
 
 # --------------------------------------------------------------- enumeration
@@ -220,29 +246,28 @@ def gl2_f7_q4():
 def test_enumeration_counts_frozen(gl2_f7_q4):
     pts = gl2_f7_q4
     assert len(pts) == 4032
-    zero = sum(1 for pt in pts if not pt.n_mat.any())
+    zero = sum(1 for n_mat in pts[:, 1] if not n_mat.any())
     assert zero == 2016  # |GL2(F7)| = 2016: one zero-N point per phi
     assert len(pts) - zero == 2016
 
 
 def test_enumeration_membership_and_tangents(gl2_f7_q4):
     pts = gl2_f7_q4
-    for pt in pts:
-        assert sg_member(GL2, pt.phi, pt.n_mat, pt.q, pt.p)
-    counts = Counter(tangent_dim(pt) for pt in pts)
+    for phi, n_mat in pts:
+        assert sg_member(GL2, phi, n_mat, 4, 7)
+    counts = Counter(tangent_dim(GL2, phi, n_mat, 4, 7) for phi, n_mat in pts)
     assert dict(counts) == {4: 3696, 5: 336}
     # every nonzero-N point is a smooth point of a 4-dimensional model
-    for pt in pts:
-        if pt.n_mat.any():
-            assert tangent_dim(pt) == 4
+    for phi, n_mat in pts:
+        if n_mat.any():
+            assert tangent_dim(GL2, phi, n_mat, 4, 7) == 4
 
 
 def test_enumeration_is_deterministic():
     a = enumerate_sg(GL2, 5, 2)
     b = enumerate_sg(GL2, 5, 2)
     assert len(a) == len(b)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.phi, y.phi) and np.array_equal(x.n_mat, y.n_mat)
+    assert np.array_equal(a, b)
 
 
 def test_enumeration_guards():
@@ -256,17 +281,41 @@ def test_enumeration_guards():
         nilpotency_redundancy_check(GL2, 17, 4)
 
 
+#: the library entry points that check p and q before any work
+GUARDED = [
+    lambda p, q: enumerate_sg(GL2, p, q),
+    lambda p, q: nilpotency_redundancy_check(GL2, p, q),
+    lambda p, q: stratum_sample(GL3, p, q, OrbitLabel.partition((2, 1)), 3),
+    lambda p, q: bundle_count_check(GL2, p, q),
+]
+GUARDED_IDS = ["enumerate_sg", "nilpotency_redundancy_check", "stratum_sample",
+               "bundle_count_check"]
+
+
+@pytest.mark.parametrize("call", GUARDED, ids=GUARDED_IDS)
+def test_field_guard(call):
+    for p, message in ((9, "p must be prime"), (1, "p must be prime"),
+                       (759250133, "p exceeds the int64-safe bound")):  # first prime past P_MAX
+        with pytest.raises(ValueError, match=message):
+            call(p, 2)
+
+
 @pytest.mark.parametrize("call", [
-    lambda q: enumerate_sg(GL2, 7, q),
-    lambda q: nilpotency_redundancy_check(GL2, 7, q),
-    lambda q: stratum_sample(GL3, 7, q, OrbitLabel.partition((2, 1)), 3),
-    lambda q: bundle_count_check(GL2, 7, q),
-], ids=["enumerate_sg", "nilpotency_redundancy_check", "stratum_sample",
-        "bundle_count_check"])
+    lambda n: stratum_sample(GL3, 7, 3, OrbitLabel.partition((2, 1)), n),
+    lambda n: stratum_sample(GSP4, 7, 3, OrbitLabel.partition((2, 2)), n),
+    lambda n: bundle_count_check(GL3, 7, 3, samples=n),
+], ids=["stratum_sample-GL3", "stratum_sample-GSp4", "bundle_count_check"])
+def test_sample_count_guard(call):
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            call(n)
+
+
+@pytest.mark.parametrize("call", GUARDED, ids=GUARDED_IDS)
 def test_unit_q_guard(call):
     for q in (0, 7, -14):
         with pytest.raises(ValueError, match="q must be a unit mod p"):
-            call(q)
+            call(7, q)
 
 
 def brute_force_solutions(p, q):
@@ -286,7 +335,7 @@ def test_gl2_walk_matches_brute_force(p, q):
     phis, nilpotent, non_nilpotent = brute_force_solutions(p, q)
     pts = enumerate_sg(GL2, p, q)
     assert len(pts) == phis + nilpotent
-    assert sum(1 for pt in pts if pt.n_mat.any()) == nilpotent
+    assert sum(1 for n_mat in pts[:, 1] if n_mat.any()) == nilpotent
     rep = nilpotency_redundancy_check(GL2, p, q)
     assert rep.pairs_checked == nilpotent + non_nilpotent
     assert rep.non_nilpotent_count == non_nilpotent
@@ -338,10 +387,47 @@ def test_exp_requires_large_characteristic():
 
 
 def test_exp_bridge_on_samples():
-    for pt in stratum_sample(GL3, 11, 4, OrbitLabel.partition((3,)), 6, seed=5):
-        assert exp_bridge_check(pt)
-    for pt in stratum_sample(GSP4, 11, 3, OrbitLabel.partition((2, 2)), 4, seed=6):
-        assert exp_bridge_check(pt)
+    for phi, n_mat in stratum_sample(GL3, 11, 4, OrbitLabel.partition((3,)), 6, seed=5):
+        assert exp_bridge_check(phi, n_mat, 4, 11)
+    for phi, n_mat in stratum_sample(GSP4, 11, 3, OrbitLabel.partition((2, 2)), 4, seed=6):
+        assert exp_bridge_check(phi, n_mat, 3, 11)
+
+
+def conjugation_bridge_check(phi, n_mat, q, p):
+    # the conjugation form: phi sigma phi^{-1} = sigma^q, log(exp(N)) = N
+    sigma = exp_nilpotent(n_mat, p)
+    lhs = (phi @ sigma % p) @ inv_mod(phi, p) % p
+    return (np.array_equal(log_unipotent(sigma, p), n_mat % p)
+            and np.array_equal(lhs, matpow_mod(sigma, q % p, p)))
+
+
+def assert_bridge_forms_agree(pts, q, wrong_q, p):
+    # with the right q every point passes; with a q' != q mod p, exp(N)^q
+    # and exp(N)^q' differ for N != 0 (exp(N) has order p), so exactly the
+    # N = 0 points pass
+    for phi, n_mat in pts:
+        assert exp_bridge_check(phi, n_mat, q, p) is True
+        assert conjugation_bridge_check(phi, n_mat, q, p) is True
+        wrong = exp_bridge_check(phi, n_mat, wrong_q, p)
+        assert wrong is conjugation_bridge_check(phi, n_mat, wrong_q, p)
+        assert wrong is not bool(n_mat.any())
+
+
+@pytest.mark.parametrize("spec, parts, p, q", [
+    (GL3, (3,), 11, 4),
+    (GL3, (2, 1), 7, 3),
+    (GroupSpec.gl(4), (2, 2), 11, 4),
+    (GSP4, (2, 2), 11, 3),
+    (GSP4, (4,), 13, 2),
+])
+def test_exp_bridge_matches_conjugation_form_on_samples(spec, parts, p, q):
+    pts = stratum_sample(spec, p, q, OrbitLabel.partition(parts), 5, seed=2)
+    assert len(pts) == 5
+    assert_bridge_forms_agree(pts, q, q + 1, p)
+
+
+def test_exp_bridge_matches_conjugation_form_on_enumeration(gl2_f7_q4):
+    assert_bridge_forms_agree(gl2_f7_q4, 4, 2, 7)
 
 
 # -------------------------------------------------------------------- bundle
@@ -443,13 +529,13 @@ def test_conjugate_point_keeps_samples_in_the_variety(case, pq, seed, data):
     spec, parts = case
     p, q = pq
     pts = stratum_sample(spec, p, q, OrbitLabel.partition(parts), 1, seed=seed)
-    assume(pts)
+    assume(len(pts) > 0)
     if spec.kind == "GSp4":
         g = _random_gsp4(np.random.default_rng(seed + 1), spec, p)
     else:
         g = invertible(data, spec.n, p)
-    moved = conjugate_point(pts[0], g)
-    assert sg_member(spec, moved.phi, moved.n_mat, q, p)
+    moved = conjugate_point(pts[0], g, p)
+    assert sg_member(spec, moved[0], moved[1], q, p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -466,9 +552,9 @@ def test_log_inverts_exp(n, p, data):
 def test_conjugate_point_stays_member():
     pt = stratum_sample(GL3, 11, 4, OrbitLabel.partition((2, 1)), 1, seed=8)[0]
     g = arr([[1, 2, 0], [0, 1, 5], [0, 0, 1]])
-    moved = conjugate_point(pt, g)
-    assert sg_member(GL3, moved.phi, moved.n_mat, 4, 11)
-    assert tangent_dim(moved) == tangent_dim(pt)
+    moved = conjugate_point(pt, g, 11)
+    assert sg_member(GL3, moved[0], moved[1], 4, 11)
+    assert tangent_dim(GL3, *moved, 4, 11) == tangent_dim(GL3, *pt, 4, 11)
 
 
 # ------------------------------------------- inverse-free tangent matrix
@@ -484,12 +570,12 @@ def adjoint_tangent_matrix(spec, phi, n_mat, q, p):
     return images.reshape(2 * dim, -1).T
 
 
-def assert_adjoint_form_agrees(pts):
+def assert_adjoint_form_agrees(spec, pts, q, p):
     # nullities of the adjoint form through the stack kernel, of the
     # inverse-free form through tangent_dim's single-matrix kernel
-    old = np.stack([adjoint_tangent_matrix(pt.spec, pt.phi, pt.n_mat, pt.q, pt.p)
-                    for pt in pts])
-    assert batch_nullity_mod(old, pts[0].p).tolist() == [tangent_dim(pt) for pt in pts]
+    old = np.stack([adjoint_tangent_matrix(spec, phi, n_mat, q, p) for phi, n_mat in pts])
+    assert batch_nullity_mod(old, p).tolist() == [
+        tangent_dim(spec, phi, n_mat, q, p) for phi, n_mat in pts]
 
 
 #: the (p, q) fields of the classifier agreement sweep in test_certificates.py
@@ -502,13 +588,13 @@ def test_tangent_dims_match_adjoint_form_on_samples(name, p, q):
     spec = GSP4 if name == "GSp4" else GroupSpec.gl(int(name[2:]))
     for orbit in classical_orbits(build_root_system(parse_group(name))):
         pts = stratum_sample(spec, p, q, orbit, 5, seed=0)
-        if pts:
-            assert_adjoint_form_agrees(pts)
+        if len(pts):
+            assert_adjoint_form_agrees(spec, pts, q, p)
 
 
 @pytest.mark.parametrize("q", range(1, 7))
 def test_tangent_dims_match_adjoint_form_on_enumeration(q):
-    assert_adjoint_form_agrees(enumerate_sg(GL2, 7, q))
+    assert_adjoint_form_agrees(GL2, enumerate_sg(GL2, 7, q), q, 7)
 
 
 # ------------------------------------------------------- int64 exactness
@@ -541,12 +627,13 @@ def test_products_stay_exact(spec, parts, q, p):
     pts = stratum_sample(spec, p, q, OrbitLabel.partition(parts), 3, seed=5)
     assert len(pts) == 3
     for pt in pts:
-        assert sg_member(spec, pt.phi, pt.n_mat, q, p)
-        got = tangent_matrix(spec, pt.phi, pt.n_mat, q, p)
-        assert np.array_equal(got, exact_tangent_matrix(spec, pt.phi, pt.n_mat, q, p))
-        g = pts[0].phi  # an element of the group, so the conjugate stays a point
-        moved = conjugate_point(pt, g)
+        phi, n_mat = pt
+        assert sg_member(spec, phi, n_mat, q, p)
+        got = tangent_matrix(spec, phi, n_mat, q, p)
+        assert np.array_equal(got, exact_tangent_matrix(spec, phi, n_mat, q, p))
+        g = pts[0, 0]  # an element of the group, so the conjugate stays a point
+        moved = conjugate_point(pt, g, p)
         ginv = exact_inverse(g, p)
-        for before, after in ((pt.phi, moved.phi), (pt.n_mat, moved.n_mat)):
+        for before, after in zip(pt, moved):
             assert np.array_equal(after, g.astype(object) @ before.astype(object) @ ginv % p)
-        assert sg_member(spec, moved.phi, moved.n_mat, q, p)
+        assert sg_member(spec, moved[0], moved[1], q, p)
