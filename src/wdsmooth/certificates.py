@@ -130,6 +130,8 @@ def build_phi0(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
         raise CertificateError("certificates need a partition orbit label")
     if not is_prime(p):
         raise CertificateError("p must be prime")
+    if p > kernels.P_MAX:
+        raise CertificateError("p exceeds the int64-safe bound %d" % kernels.P_MAX)
     q = q % p
     if q == 0:
         raise CertificateError("q must be a unit mod p")

@@ -343,11 +343,16 @@ def _gsp4_rep(spec: GroupSpec, parts: tuple[int, ...], p: int) -> NDArray[np.int
     raise ValueError("unsupported GSp4 orbit %r" % (parts,))
 
 
-def _random_gl(rng: np.random.Generator, n: int, p: int) -> NDArray[np.int64]:
+def _random_gl(rng: np.random.Generator, n: int, p: int
+               ) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+    """A uniform random g in GL(n, F_p) and its inverse: draws (n, n)
+    matrices until one inverts, one elimination per draw."""
     while True:
         g = rng.integers(0, p, size=(n, n)).astype(np.int64)
-        if kernels.rank_mod(g, p) == n:
-            return g
+        try:
+            return g, kernels.inv_mod(g, p)
+        except ValueError:  # singular draw
+            continue
 
 
 def _random_gsp4(rng: np.random.Generator, spec: GroupSpec, p: int) -> NDArray[np.int64]:
@@ -399,8 +404,8 @@ def stratum_sample(
     attempts = 0
     while len(points) < count and attempts < 500 * count:
         attempts += 1
-        g = _random_gl(rng, spec.n, p)
-        n_mat = (g @ jordan % p) @ kernels.inv_mod(g, p) % p
+        g, ginv = _random_gl(rng, spec.n, p)
+        n_mat = (g @ jordan % p) @ ginv % p
         # phi N - q N phi = 0 as a linear system on vec(phi)
         eye = np.eye(spec.n, dtype=np.int64)
         sys = (np.kron(eye, n_mat.T) - q * np.kron(n_mat, eye)) % p
@@ -578,8 +583,7 @@ def bundle_count_check(
             z = int(rng.integers(1, p))
             d = np.array([z, z * q % p, z * q * q % p], dtype=np.int64)
             d_inv = kernels._inverse_mod(d, p)
-            g = _random_gl(rng, 3, p)
-            ginv = kernels.inv_mod(g, p)
+            g, ginv = _random_gl(rng, 3, p)
             # phi = g diag(d) g^-1, so phi^-1 = g diag(d^-1) g^-1; g * d
             # scales the columns of g, which is g diag(d)
             phis.append((g * d % p) @ ginv % p)

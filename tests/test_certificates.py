@@ -173,6 +173,12 @@ def test_phi0_rejects_composite_modulus():
         build_phi0(GL3, part(2, 1), 4, 9)
 
 
+@pytest.mark.parametrize("p", [759_250_133, 2**31 - 1])  # primes past P_MAX
+def test_certificate_rejects_p_past_the_int64_bound(p):
+    with pytest.raises(CertificateError, match="p exceeds the int64-safe bound 759250125"):
+        epsilon_certificate(GL3, part(2, 1), 4, p)
+
+
 def test_certificate_mark_placement_matters():
     # marking the boundary between the two singleton blocks still yields
     # a fully verified certificate, but the bound is too weak to conclude

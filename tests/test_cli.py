@@ -292,3 +292,76 @@ def test_report_json_is_sorted_and_newline_terminated(capsys):
     assert code == 0
     assert out.endswith("\n")
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+SWEEP_FLAGS = ("--families", "AB", "--rank-max", "2", "--q-max", "5")
+
+
+def test_sweep_config_matches_the_same_flags(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("families = AB\nrank-max = 2\nq_max = 5\n")
+    by_flags = run_json(capsys, "arith", "sweep", *SWEEP_FLAGS)
+    by_config = run_json(capsys, "arith", "sweep", "--config", str(cfg))
+    assert by_config["inputs"] == by_flags["inputs"] == {
+        "families": "AB", "rank_max": 2, "l_max": 13, "q_max": 5}
+    assert by_config["results"]["checked"] == by_flags["results"]["checked"]
+    # an explicit flag wins over the config
+    rep = run_json(capsys, "arith", "sweep", "--config", str(cfg), "--q-max", "7")
+    assert rep["inputs"]["q_max"] == 7 and rep["inputs"]["rank_max"] == 2
+
+
+#: one valid call per command path of the table
+VALID_CALLS = {
+    ("classify",): ("--group", "GL2", "--orbit", "2", "--s", "2"),
+    ("orbits",): ("--group", "GL3"),
+    ("wdd",): ("--group", "GL3", "--orbit", "2,1"),
+    ("arith", "considerate"): ("--group", "Sp6", "--q", "3", "--l", "11"),
+    ("arith", "banal"): ("--group", "Sp6", "--q", "3", "--l", "11"),
+    ("arith", "order"): ("--q", "3", "--l", "11"),
+    ("arith", "sweep"): SWEEP_FLAGS,
+    ("verify", "enumerate"): ("--p", "3", "--q", "2"),
+    ("verify", "tangent"): ("--group", "GL2", "--orbit", "2", "--p", "7", "--q", "3"),
+    ("verify", "nilpotency"): ("--p", "5", "--q", "2"),
+    ("verify", "expbridge"): ("--group", "GL2", "--orbit", "2", "--p", "7", "--q", "3"),
+    ("verify", "bundle"): ("--group", "GL2", "--p", "5", "--q", "2"),
+    ("certify",): ("--group", "GL3", "--orbit", "2,1", "--p", "11", "--s", "2"),
+}
+COMMAND_PATHS = [path for path, (_, handler, _) in cli._COMMANDS.items() if handler]
+
+
+def test_every_command_path_has_a_valid_call():
+    assert sorted(VALID_CALLS) == sorted(COMMAND_PATHS)
+
+
+@pytest.mark.parametrize("path", COMMAND_PATHS, ids=" ".join)
+def test_inputs_echo_the_command_flags(capsys, path):
+    rep = run_json(capsys, *path, *VALID_CALLS[path])
+    flags = cli._COMMANDS[path][2]
+    assert sorted(rep["inputs"]) == sorted(f.dest for f in flags if f.name != "--s")
+    assert rep["command"] == path[0]
+
+
+def test_config_values_take_the_flag_type(tmp_path, capsys):
+    cfg = tmp_path / "wd.cfg"
+    # rank-max belongs to arith sweep, so verify tangent ignores it
+    cfg.write_text("seed = 2\nsamples = 3\nrank-max = 1\n")
+    rep = run_json(capsys, "verify", "tangent", "--group", "GL2", "--orbit", "2",
+                   "--p", "7", "--q", "3", "--config", str(cfg))
+    assert rep["inputs"]["seed"] == 2 and rep["inputs"]["samples"] == 3
+    assert rep["results"]["samples"] == 3
+    # the same values given as flags print the same report
+    _, flags_out, _ = run(capsys, "verify", "tangent", "--group", "GL2", "--orbit", "2",
+                          "--p", "7", "--q", "3", "--seed", "2", "--samples", "3")
+    assert json.loads(flags_out) == rep
+
+
+@pytest.mark.parametrize("name", ["GL", "GLx", "GSp6", "Sp4"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "tangent", "--orbit", "2,1", "--p", "11", "--q", "4"),
+    ("verify", "bundle", "--p", "7", "--q", "3"),
+    ("certify", "--orbit", "2,1", "--p", "11", "--q", "4"),
+], ids=["verify tangent", "verify bundle", "certify"])
+def test_unknown_matrix_group(capsys, argv, name):
+    code, out, err = run(capsys, *argv, "--group", name)
+    assert (code, out) == (1, "")
+    assert err == "error: matrix realizations cover GL1..GL4 and GSp4, not %r\n" % name

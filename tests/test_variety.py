@@ -178,6 +178,21 @@ def test_sampler_with_no_solutions_returns_an_empty_point_array(monkeypatch):
     assert pts.dtype == np.int64 and pts.shape == (0, 2, 3, 3)
 
 
+def test_random_gl_pairs_and_draw_order():
+    # one inversion per draw returns (g, g^-1) and keeps the draws of a
+    # loop that rejects singular draws by rank
+    for n, p in ((2, 2), (3, 3), (3, 11)):
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(30):
+            g, ginv = _random_gl(rng, n, p)
+            assert np.array_equal(g @ ginv % p, np.eye(n, dtype=np.int64))
+            while True:
+                ref = ref_rng.integers(0, p, size=(n, n)).astype(np.int64)
+                if rank_mod(ref, p) == n:
+                    break
+            assert np.array_equal(g, ref)
+
+
 # ------------------------------------------------------------------ tangents
 
 def test_ad_matrix_action():
@@ -185,7 +200,7 @@ def test_ad_matrix_action():
     p, q = 11, 4
     rng = np.random.default_rng(0)
     for n in (2, 3):
-        phis = np.stack([_random_gl(rng, n, p) for _ in range(6)])
+        phis = np.stack([_random_gl(rng, n, p)[0] for _ in range(6)])
         invs = np.stack([inv_mod(phi, p) for phi in phis])
         ad = _ad_minus_q(phis, invs, q, p)
         assert ad.shape == (6, n * n, n * n)
