@@ -17,6 +17,7 @@ timestamps); --format table renders the same data as text. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -59,6 +60,8 @@ from .variety import (
 )
 
 SCHEMA_VERSION = "1"
+#: the report's provenance block; sorted, so that --format table lists it in order
+_PROVENANCE = dict(sorted(PROVENANCE.items())) | {"package": "wdsmooth %s" % __version__}
 
 
 def _parse_orbit(text: str) -> OrbitLabel:
@@ -113,8 +116,6 @@ def _verdict_dict(v) -> dict:
 
 
 def _classify(args) -> tuple[dict, str | None]:
-    if args.q is None:
-        raise ValueError("classify needs --q (or --s)")
     ctx = QContext(q=args.q, l=args.l)
     groups = [g for g in args.group.split("x") if g]
     orbit_texts = [o for o in args.orbit.split(";") if o]
@@ -305,7 +306,9 @@ def _certify(args) -> tuple[dict, str | None]:
 
 class _Flag(NamedTuple):
     """One flag: argparse parses it; an unset flag takes its value from
-    the config file (converted with ``type``), else from ``default``."""
+    the config file (converted with ``type``), else from ``default``.
+    argparse itself sets no default, so a flag given to a command group
+    is not overwritten by its subcommand's unset copy."""
 
     name: str
     type: Callable[[str], object] = str
@@ -383,10 +386,15 @@ _COMMANDS = {
 def _add_flags(parser: argparse.ArgumentParser, flags: tuple[_Flag, ...]) -> None:
     for flag in flags:
         parser.add_argument(flag.name, type=flag.type, required=flag.required,
-                            choices=flag.choices, help=flag.help)
+                            choices=flag.choices, help=flag.help,
+                            default=argparse.SUPPRESS)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing
+    returns a new namespace each call, and the leaves' defaults are the
+    handler functions and their immutable flag tuples."""
     # copying a parent's actions is cheaper than adding them anew to every parser
     common = argparse.ArgumentParser(add_help=False)
     _add_flags(common, _COMMON)
@@ -424,20 +432,23 @@ def _load_config(path: str) -> dict[str, str]:
 def _resolve(args: argparse.Namespace) -> dict:
     """Fill each flag left unset on the command line, first from the
     config file, then from the flag's default; --s sets q = s*s (mod p
-    when the command has --p) if q is still unset. Returns the report's
-    inputs: the command's flags without --s."""
+    when the command has --p) if q is still unset, and a command with
+    --s needs one of the two. Returns the report's inputs: the command's
+    flags without --s."""
     flags = {flag.dest: flag for flag in _COMMON + args.flags}
-    if args.config:
-        for key, text in _load_config(args.config).items():
+    config = getattr(args, "config", None)
+    if config:
+        for key, text in _load_config(config).items():
             flag = flags.get(key.replace("-", "_"))
-            if flag is not None and getattr(args, flag.dest) is None:
+            if flag is not None and getattr(args, flag.dest, None) is None:
                 setattr(args, flag.dest, flag.type(text))
     for flag in flags.values():
-        if getattr(args, flag.dest) is None:
+        if getattr(args, flag.dest, None) is None:
             setattr(args, flag.dest, flag.default)
-    s = getattr(args, "s", None)
-    if s is not None and args.q is None:
-        args.q = s * s % args.p if getattr(args, "p", None) else s * s
+    if "s" in flags and args.q is None:
+        if args.s is None:
+            raise ValueError("%s needs --q (or --s)" % args.command)
+        args.q = args.s * args.s % args.p if getattr(args, "p", None) else args.s * args.s
     return {flag.dest: getattr(args, flag.dest) for flag in args.flags if flag.name != "--s"}
 
 
@@ -481,18 +492,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         inputs = _resolve(args)
         results, failure = args.handler(args)
-    except (ValueError, CertificateError) as exc:
+        _emit({
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "inputs": inputs,
+            "results": results,
+            "provenance": _PROVENANCE,
+        }, args)
+    except (ValueError, CertificateError, OSError) as exc:
+        # OSError: a --config file that cannot be read, an --out path that cannot be written
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "inputs": inputs,
-        "results": results,
-        "provenance": dict(sorted(PROVENANCE.items()))
-        | {"package": "wdsmooth %s" % __version__},
-    }
-    _emit(report, args)
     if failure:
         print("check failed: %s" % failure, file=sys.stderr)
         return 2

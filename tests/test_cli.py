@@ -183,6 +183,11 @@ def test_check_failure_exit_code(capsys, monkeypatch):
     assert err.startswith("check failed:")
 
 
+def test_certify_needs_q(capsys):
+    code, out, err = run(capsys, "certify", "--group", "GL3", "--orbit", "2,1", "--p", "11")
+    assert (code, out, err) == (1, "", "error: certify needs --q (or --s)\n")
+
+
 def test_bad_usage_exits_one(capsys):
     assert run(capsys, "classify", "--group", "GL9", "--orbit", "2", "--q", "4")[0] == 1
     assert run(capsys, "nonsense")[0] == 1
@@ -365,3 +370,67 @@ def test_unknown_matrix_group(capsys, argv, name):
     code, out, err = run(capsys, *argv, "--group", name)
     assert (code, out) == (1, "")
     assert err == "error: matrix realizations cover GL1..GL4 and GSp4, not %r\n" % name
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_config_is_a_usage_error(tmp_path, capsys, kind):
+    path = tmp_path / "missing.cfg" if kind == "missing" else tmp_path
+    code, out, err = run(capsys, "classify", "--group", "GL3", "--orbit", "2,1",
+                         "--q", "4", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(path) in err
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "report.json"
+    code, out, err = run(capsys, "wdd", "--group", "GL3", "--orbit", "2,1",
+                         "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(target) in err
+
+
+def test_group_level_flags_are_honoured(tmp_path, capsys):
+    enumerate_ = ("enumerate", "--p", "5", "--q", "2")
+    _, leaf, _ = run(capsys, "verify", *enumerate_, "--format", "table")
+    code, group, _ = run(capsys, "verify", "--format", "table", *enumerate_)
+    assert code == 0 and group == leaf and not group.startswith("{")
+    # the flag given after the subcommand wins
+    rep = run_json(capsys, "verify", "--format", "table", *enumerate_, "--format", "json")
+    assert rep["inputs"] == {"p": 5, "q": 2}
+
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("families = AB\nrank-max = 2\nq_max = 5\n")
+    assert (run_json(capsys, "arith", "--config", str(cfg), "sweep")
+            == run_json(capsys, "arith", "sweep", *SWEEP_FLAGS))
+
+    target = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify", "--out", str(target), *enumerate_)
+    assert code == 0 and out == ""
+    assert json.loads(target.read_text())["inputs"] == {"p": 5, "q": 2}
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_repeated_calls_match_a_fresh_parser(tmp_path, capsys):
+    cfg = tmp_path / "wd.cfg"
+    cfg.write_text("q = 4\nl = 0\n")
+    calls = (
+        ("-h",),
+        ("classify", "--group", "GL3", "--orbit", "2,1", "--q", "4", "--bogus"),
+        ("classify", "--group", "GL9", "--orbit", "2", "--q", "4"),
+        ("classify", "--group", "Sp6", "--orbit", "4,2", "--s", "2"),
+        ("classify", "--group", "GL3", "--orbit", "2,1", "--config", str(cfg)),
+        ("verify", "--format", "table", "enumerate", "--p", "5", "--q", "2"),
+        ("classify", "--group", "GL3", "--orbit", "2,1", "--q", "4"),
+    )
+    # two passes through one parser, so every call also follows every other
+    reused = [run(capsys, *argv) for argv in calls * 2]
+    fresh = []
+    for argv in calls * 2:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [0, 1, 1, 0, 0, 0, 0] * 2
+    assert "usage: wdsmooth" in fresh[0][1] and fresh[2][2].startswith("error: ")
