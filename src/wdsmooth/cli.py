@@ -322,7 +322,8 @@ class _Flag(NamedTuple):
         return self.name[2:].replace("-", "_")
 
 
-#: flags of every command and command group; they are not report inputs
+#: flags of the top level, every command group and every command; they
+#: are not report inputs, and the one given last on the command line wins
 _COMMON = (
     _Flag("--config", help="key=value file supplying default flags"),
     _Flag("--format", default="json", choices=("json", "table"),
@@ -401,6 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wdsmooth",
         description="classify and verify smoothness of framed unipotent pair varieties",
+        parents=[common],
     )
     subparsers = {(): parser.add_subparsers(dest="command", required=True)}
     for path, (help_text, handler, flags) in _COMMANDS.items():

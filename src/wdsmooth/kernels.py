@@ -2,13 +2,14 @@
 
 Matrices are numpy int64 arrays with entries reduced into [0, p). The
 single-matrix entry points (``rref_mod``, ``rank_mod``, ``nullity_mod``,
-``nullspace_mod``, ``inv_mod``) run one Gauss-Jordan routine on rows of
+``nullspace_mod``, ``inv_mod``) run one elimination routine on rows of
 Python ints, with first-nonzero pivoting, so ranks, kernels and reduced
 forms are deterministic and no product can overflow inside the
-elimination; matrices come in through ``tolist()`` and results go back
-out as int64 arrays. ``batch_nullity_mod`` reduces a whole (B, m, n)
-stack at once in int64, one column at a time, for callers that hold
-real batches.
+elimination. ``rank_mod`` and ``nullity_mod`` read only the pivot count,
+so they stop at row echelon form; the others reduce fully (Gauss-Jordan).
+Matrices come in through ``tolist()`` and results go back out as int64
+arrays. ``batch_nullity_mod`` reduces a whole (B, m, n) stack at once in
+int64, one column at a time, for callers that hold real batches.
 """
 
 from __future__ import annotations
@@ -24,9 +25,13 @@ from numpy.typing import NDArray
 P_MAX = 759_250_125
 
 
-def _rref(rows: list[list[int]], p: int) -> list[int]:
-    # In-place reduced row echelon form of rows of ints in [0, p), p
-    # prime. Returns the pivot column of each nonzero row, in order.
+def _rref(rows: list[list[int]], p: int, full: bool = True) -> list[int]:
+    # In-place elimination of rows of ints in [0, p), p prime; returns the
+    # pivot column of each nonzero row, in order. full=True clears each
+    # pivot column from every other row (reduced row echelon form);
+    # full=False clears it only from the rows below, which is all a rank
+    # needs. The pivot row is zero left of its pivot, so every update
+    # starts at the pivot column.
     m = len(rows)
     n = len(rows[0]) if m else 0
     pivots: list[int] = []
@@ -41,15 +46,18 @@ def _rref(rows: list[list[int]], p: int) -> list[int]:
             continue
         row = rows[piv]
         rows[piv] = rows[r]
-        inv = pow(row[col], p - 2, p)  # Fermat inverse
-        if inv != 1:
-            row = [x * inv % p for x in row]
         rows[r] = row
-        for i in range(m):
+        tail = row[col:]
+        inv = pow(tail[0], p - 2, p)  # Fermat inverse
+        if inv != 1:
+            tail = [x * inv % p for x in tail]
+            row[col:] = tail
+        for i in range(0 if full else r + 1, m):
             if i != r:
-                f = rows[i][col]
+                other = rows[i]
+                f = other[col]
                 if f:
-                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], row)]
+                    other[col:] = [(x - f * y) % p for x, y in zip(other[col:], tail)]
         pivots.append(col)
         r += 1
     return pivots
@@ -82,12 +90,12 @@ def rref_mod(a, p: int) -> tuple[NDArray[np.int64], int, NDArray[np.int64]]:
 
 def rank_mod(a, p: int) -> int:
     rows, _ = _rows(a, p)
-    return len(_rref(rows, p))
+    return len(_rref(rows, p, full=False))
 
 
 def nullity_mod(a, p: int) -> int:
     rows, shape = _rows(a, p)
-    return shape[1] - len(_rref(rows, p))
+    return shape[1] - len(_rref(rows, p, full=False))
 
 
 def _inverse_mod(x: NDArray[np.int64], p: int) -> NDArray[np.int64]:

@@ -378,10 +378,14 @@ def stratum_sample(
 ) -> NDArray[np.int64]:
     """Sample points (phi, N) with N in a fixed nilpotent orbit.
 
-    GL(n): conjugate the Jordan form by random invertible matrices and
-    solve the linear equation phi N = q N phi for phi exactly, sampling
-    invertible solutions from the kernel. GSp4: conjugate a base point
-    by random group elements built from torus and root elements. The
+    GL(n): conjugate the Jordan form J by random invertible matrices g
+    and sample invertible solutions phi of phi N = q N phi, N = g J g^-1.
+    The system phi J = q J phi is solved exactly once per call; its
+    kernel basis, conjugated by g, spans the solutions for N, and its
+    RREF with the columns reversed is the canonical kernel basis that
+    ``nullspace_mod`` of N's own system would give, so the samples do
+    not depend on which of the two is eliminated. GSp4: conjugate a base
+    point by random group elements built from torus and root elements. The
     generator is seeded, so samples are deterministic. Returns the
     (B, 2, n, n) point array, B <= count: a GL(n) sampler that finds no
     invertible solution in its attempts returns fewer points.
@@ -399,26 +403,34 @@ def stratum_sample(
                          for _ in range(count)])
     if sum(orbit.parts) != spec.n:
         raise ValueError("partition does not sum to the matrix size")
+    n = spec.n
     jordan = _jordan_nilpotent(orbit.parts)
+    # phi J - q J phi = 0 as a linear system on vec(phi), solved once
+    eye = np.eye(n, dtype=np.int64)
+    sys = (np.kron(eye, jordan.T) - q * np.kron(jordan, eye)) % p
+    jordan_basis = kernels.nullspace_mod(sys, p)
+    d = jordan_basis.shape[0]
     points = []
     attempts = 0
-    while len(points) < count and attempts < 500 * count:
+    while d and len(points) < count and attempts < 500 * count:
         attempts += 1
-        g, ginv = _random_gl(rng, spec.n, p)
+        g, ginv = _random_gl(rng, n, p)
         n_mat = (g @ jordan % p) @ ginv % p
-        # phi N - q N phi = 0 as a linear system on vec(phi)
-        eye = np.eye(spec.n, dtype=np.int64)
-        sys = (np.kron(eye, n_mat.T) - q * np.kron(n_mat, eye)) % p
-        basis = kernels.nullspace_mod(sys, p)
-        if basis.shape[0] == 0:
-            continue
+        if d == n * n:
+            basis = jordan_basis  # N = 0: every phi solves; the identity
+        else:
+            # the solutions for N = g J g^-1 are g X g^-1; the canonical
+            # kernel basis is their RREF with the columns reversed
+            conj = (g @ jordan_basis.reshape(d, n, n) % p) @ ginv % p
+            conj = conj.reshape(d, n * n)
+            basis = kernels.rref_mod(conj[:, ::-1], p)[0][::-1, ::-1]
         for _ in range(40):
-            coeffs = rng.integers(0, p, size=basis.shape[0]).astype(np.int64)
-            phi = (coeffs @ basis % p).reshape(spec.n, spec.n)
-            if kernels.rank_mod(phi, p) == spec.n:
+            coeffs = rng.integers(0, p, size=d).astype(np.int64)
+            phi = (coeffs @ basis % p).reshape(n, n)
+            if kernels.rank_mod(phi, p) == n:
                 points.append((phi, n_mat))
                 break
-    return np.array(points, dtype=np.int64).reshape(-1, 2, spec.n, spec.n)
+    return np.array(points, dtype=np.int64).reshape(-1, 2, n, n)
 
 
 def _gsp4_base_phi(parts: tuple[int, ...], q: int, p: int) -> NDArray[np.int64]:

@@ -409,6 +409,25 @@ def test_group_level_flags_are_honoured(tmp_path, capsys):
     assert json.loads(target.read_text())["inputs"] == {"p": 5, "q": 2}
 
 
+def test_top_level_flags_are_honoured(tmp_path, capsys):
+    classify = ("classify", "--group", "GL3", "--orbit", "2,1", "--q", "4")
+    _, leaf, _ = run(capsys, *classify, "--format", "table")
+    code, top, _ = run(capsys, "--format", "table", *classify)
+    assert code == 0 and top == leaf and not top.startswith("{")
+    # the flag given after the subcommand wins
+    rep = run_json(capsys, "--format", "table", *classify, "--format", "json")
+    assert rep["results"]["status"] == "Singular"
+
+    cfg = tmp_path / "wd.cfg"
+    cfg.write_text("q = 4\n")
+    assert run_json(capsys, "--config", str(cfg), *classify[:-2]) == run_json(capsys, *classify)
+
+    target = tmp_path / "report.json"
+    code, out, _ = run(capsys, "--out", str(target), *classify)
+    assert code == 0 and out == ""
+    assert json.loads(target.read_text())["inputs"]["q"] == 4
+
+
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
 

@@ -176,7 +176,8 @@ def low_rank(rng, shape, rank, p):
 
 def oracle_cases():
     """Random and adversarial matrices: zero, 1 x n and n x 1, 16 x 32,
-    p = 2, a p whose squares reach 2^58, and rank-deficient products."""
+    p = 2, a p whose squares reach 2^58, and rank-deficient products,
+    wide and tall (the tall ones leave rows below the last pivot)."""
     rng = np.random.default_rng(29)
     for p in (2, 3, 11, 101, LARGE_P):
         yield np.zeros((3, 5), dtype=np.int64), p
@@ -189,6 +190,10 @@ def oracle_cases():
         for _ in range(6):
             m, n = rng.integers(1, 10, size=2)
             yield random_mat(rng, (m, n), p), p
+    for p in (2, 3, 11, 101, LARGE_P):
+        for rank in (1, 5, 12):
+            yield low_rank(rng, (32, 16), rank, p), p
+            yield low_rank(rng, (22, 16), rank, p), p
 
 
 @pytest.mark.parametrize("a, p", list(oracle_cases()))
@@ -198,6 +203,7 @@ def test_rref_rank_nullspace_match_sympy(a, p):
     assert np.array_equal(red, from_gf(want_red, p))
     assert pivots.tolist() == list(want_pivots)
     assert rank == rank_mod(a, p) == gf(a, p).rank()
+    assert nullity_mod(a, p) == a.shape[1] - gf(a, p).rank()
     # sympy scales its kernel basis differently; both must span one space
     basis = nullspace_mod(a, p)
     assert basis.shape == (a.shape[1] - rank, a.shape[1])

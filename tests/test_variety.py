@@ -7,7 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wdsmooth.kernels import batch_nullity_mod, inv_mod, matmul_mod, matpow_mod, rank_mod
+from wdsmooth.kernels import (
+    batch_nullity_mod,
+    inv_mod,
+    matmul_mod,
+    matpow_mod,
+    nullspace_mod,
+    rank_mod,
+    rref_mod,
+)
 from wdsmooth.orbits import OrbitLabel, classical_orbits
 from wdsmooth.rootsys import build_root_system, parse_group
 from wdsmooth.variety import (
@@ -176,6 +184,54 @@ def test_sampler_with_no_solutions_returns_an_empty_point_array(monkeypatch):
                         lambda a, p: np.zeros((0, a.shape[1]), dtype=np.int64))
     pts = stratum_sample(GL3, 7, 3, OrbitLabel.partition((2, 1)), 1)
     assert pts.dtype == np.int64 and pts.shape == (0, 2, 3, 3)
+
+
+def reference_stratum_sample(spec, p, q, parts, count, seed):
+    # one elimination of N's own system per attempt, draw for draw the
+    # loop that stratum_sample replaces
+    rng = np.random.default_rng(seed)
+    n, jordan = spec.n, _jordan_nilpotent(parts)
+    eye = np.eye(n, dtype=np.int64)
+    points = []
+    attempts = 0
+    while len(points) < count and attempts < 500 * count:
+        attempts += 1
+        g, ginv = _random_gl(rng, n, p)
+        n_mat = (g @ jordan % p) @ ginv % p
+        basis = nullspace_mod((np.kron(eye, n_mat.T) - q * np.kron(n_mat, eye)) % p, p)
+        if basis.shape[0] == 0:
+            continue
+        for _ in range(40):
+            coeffs = rng.integers(0, p, size=basis.shape[0]).astype(np.int64)
+            phi = (coeffs @ basis % p).reshape(n, n)
+            if rank_mod(phi, p) == n:
+                points.append((phi, n_mat))
+                break
+    return np.array(points, dtype=np.int64).reshape(-1, 2, n, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sampler_matches_a_per_attempt_elimination(n):
+    spec = GroupSpec.gl(n)
+    for orbit in classical_orbits(build_root_system(parse_group("GL%d" % n))):
+        for p, q in ((5, 2), (7, 3), (11, 4), (13, 5), (11, 1), (7, 6)):
+            for seed in range(4):
+                want = reference_stratum_sample(spec, p, q, orbit.parts, 3, seed)
+                assert np.array_equal(stratum_sample(spec, p, q, orbit, 3, seed=seed), want)
+
+
+def test_reversed_rref_of_a_conjugated_basis_is_the_canonical_kernel():
+    rng = np.random.default_rng(3)
+    for parts, p, q in (((2, 1), 7, 3), ((3, 1), 11, 4), ((2, 2), 13, 5), ((4,), 11, 1)):
+        n, jordan = sum(parts), _jordan_nilpotent(parts)
+        eye = np.eye(n, dtype=np.int64)
+        basis = nullspace_mod((np.kron(eye, jordan.T) - q * np.kron(jordan, eye)) % p, p)
+        for _ in range(5):
+            g, ginv = _random_gl(rng, n, p)
+            n_mat = (g @ jordan % p) @ ginv % p
+            conj = ((g @ basis.reshape(-1, n, n) % p) @ ginv % p).reshape(len(basis), n * n)
+            want = nullspace_mod((np.kron(eye, n_mat.T) - q * np.kron(n_mat, eye)) % p, p)
+            assert np.array_equal(rref_mod(conj[:, ::-1], p)[0][::-1, ::-1], want)
 
 
 def test_random_gl_pairs_and_draw_order():
