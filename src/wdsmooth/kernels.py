@@ -2,17 +2,23 @@
 
 Matrices are numpy int64 arrays with entries reduced into [0, p). The
 single-matrix entry points (``rref_mod``, ``rank_mod``, ``nullity_mod``,
-``nullspace_mod``, ``inv_mod``) run one elimination routine on rows of
-Python ints, with first-nonzero pivoting, so ranks, kernels and reduced
-forms are deterministic and no product can overflow inside the
-elimination. ``rank_mod`` and ``nullity_mod`` read only the pivot count,
-so they stop at row echelon form; the others reduce fully (Gauss-Jordan).
-Matrices come in through ``tolist()`` and results go back out as int64
-arrays. ``batch_nullity_mod`` reduces a whole (B, m, n) stack at once in
-int64, one column at a time, for callers that hold real batches.
+``nullspace_mod``, ``inv_mod``) run one elimination routine, with
+first-nonzero pivoting, so ranks, kernels and reduced forms are
+deterministic. It packs each row into one Python int, one bit field per
+entry, so clearing a column from a row is a single big-int update, and
+it reduces entries mod p only where a pivot is read and once at the end:
+the fields are wide enough that no intermediate value can carry from one
+entry into the next. ``rank_mod`` and ``nullity_mod`` read only the
+pivot count, so they stop at row echelon form; the others reduce fully
+(Gauss-Jordan). Matrices come in through ``tolist()`` and results go
+back out as int64 arrays. ``batch_nullity_mod`` reduces a whole
+(B, m, n) stack at once in int64, one column at a time, for callers that
+hold real batches.
 """
 
 from __future__ import annotations
+
+from operator import lshift
 
 import numpy as np
 from numpy.typing import NDArray
@@ -24,48 +30,87 @@ from numpy.typing import NDArray
 #: such p is 759,250,125.
 P_MAX = 759_250_125
 
+_INT64 = np.dtype(np.int64)
+
 
 def _rref(rows: list[list[int]], p: int, full: bool = True) -> list[int]:
-    # In-place elimination of rows of ints in [0, p), p prime; returns the
-    # pivot column of each nonzero row, in order. full=True clears each
-    # pivot column from every other row (reduced row echelon form);
-    # full=False clears it only from the rows below, which is all a rank
-    # needs. The pivot row is zero left of its pivot, so every update
-    # starts at the pivot column.
+    # Elimination of rows of ints in [0, p), p prime, with first-nonzero
+    # pivoting; returns the pivot column of each nonzero row, in order.
+    # full=True clears each pivot column from every other row and replaces
+    # rows by the reduced row echelon form; full=False clears it only from
+    # the rows below, which is all a rank needs, and leaves rows as given.
+    #
+    # Each row is packed into one int, entry c in bits [w c, w (c + 1)),
+    # so clearing a column from a row is one big-int update: a row whose
+    # entry there is f gains (-f inv % p) times the unscaled pivot row
+    # (inv the pivot's inverse), which makes that entry 0 mod p. On the
+    # way only pivot-column entries are reduced mod p (pivot candidates,
+    # the pivot, and f); with full=True every entry is reduced once at the
+    # end, when each nonzero row is scaled by its pivot's inverse. This is
+    # exact:
+    # - fields stay >= 0, since only nonnegative multiples are added, so
+    #   no field ever borrows from the next;
+    # - an update multiplies the largest field by at most p, so after k
+    #   pivots every field is below p^(k + 1); there are at most min(m, n)
+    #   pivots, so with w the bit length of p^(min(m, n) + 1) no field
+    #   ever carries into the next;
+    # - each field stays congruent mod p to its entry in the usual
+    #   Gauss-Jordan (which scales pivot rows to a leading 1) up to a unit,
+    #   so the pivot columns are the same, and the reduced row echelon
+    #   form is unique, so the result equals that of the usual method.
+    # A zero row stays zero and is never a pivot, so zero rows are left
+    # out of the elimination and come back as the last rows.
     m = len(rows)
     n = len(rows[0]) if m else 0
+    w = (p ** (min(m, n) + 1)).bit_length()
+    mask = (1 << w) - 1
+    shifts = range(0, w * n, w)
+    packed = [sum(map(lshift, row, shifts)) for row in rows if any(row)]
+    k = len(packed)
     pivots: list[int] = []
+    invs: list[int] = []
     r = 0
-    for col in range(n):
-        if r == m:
+    for col, sh in enumerate(shifts):
+        if r == k:
             break
-        for piv in range(r, m):
-            if rows[piv][col]:
+        for piv in range(r, k):
+            lead = (packed[piv] >> sh & mask) % p
+            if lead:
                 break
         else:
             continue
-        row = rows[piv]
-        rows[piv] = rows[r]
-        rows[r] = row
-        tail = row[col:]
-        inv = pow(tail[0], p - 2, p)  # Fermat inverse
-        if inv != 1:
-            tail = [x * inv % p for x in tail]
-            row[col:] = tail
-        for i in range(0 if full else r + 1, m):
-            if i != r:
-                other = rows[i]
-                f = other[col]
-                if f:
-                    other[col:] = [(x - f * y) % p for x, y in zip(other[col:], tail)]
+        v = packed[piv]
+        packed[piv] = packed[r]
+        packed[r] = v
+        inv = pow(lead, p - 2, p)  # Fermat inverse
+        for i in range(0 if full else piv + 1, k):
+            if r <= i <= piv:  # the pivot, and rows the scan found 0 mod p
+                continue
+            f = (packed[i] >> sh & mask) % p
+            if f:
+                packed[i] += (-f * inv % p) * v
         pivots.append(col)
+        invs.append(inv)
         r += 1
+    if full:
+        rows[:] = [[(v >> s & mask) * inv % p for s in shifts] for v, inv in zip(packed, invs)]
+        rows += [[0] * n for _ in range(m - r)]
     return pivots
 
 
 def as_field(a, p: int) -> NDArray[np.int64]:
-    """Coerce to an int64 array with entries reduced into [0, p)."""
-    return np.asarray(a, dtype=np.int64) % p
+    """Coerce to an int64 array with entries reduced into [0, p).
+
+    Floats are accepted only when every entry is an integer that int64
+    holds (``np.eye(n)`` is fine); anything else raises ValueError rather
+    than being truncated.
+    """
+    arr = np.asarray(a)
+    if arr.dtype is not _INT64:  # int64 input, the common case, needs no check
+        if arr.dtype.kind == "f" and not np.all((np.abs(arr) < 2.0**63) & (arr == np.trunc(arr))):
+            raise ValueError("expected integer entries")
+        arr = arr.astype(np.int64)
+    return arr % p
 
 
 def _rows(a, p: int) -> tuple[list, tuple[int, ...]]:
@@ -184,9 +229,10 @@ def matpow_mod(a, e: int, p: int) -> NDArray[np.int64]:
     """a**e mod p by binary powering, e >= 0."""
     if e < 0:
         raise ValueError("negative exponent; invert first")
-    n = a.shape[0]
-    result = np.eye(n, dtype=np.int64)
     base = as_field(a, p)
+    if base.ndim != 2 or base.shape[0] != base.shape[1]:
+        raise ValueError("expected a square matrix")
+    result = np.eye(len(base), dtype=np.int64)
     while e > 0:
         if e & 1:
             result = result @ base % p

@@ -47,6 +47,62 @@ def oracle_rank(mat, p):
     return rank
 
 
+def reference_rref(rows, p, full=True):
+    # the list-of-ints Gauss-Jordan the kernel used before it packed rows
+    # into ints, kept as the entry-for-entry reference: in place on rows
+    # of ints in [0, p); returns the pivot columns
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots = []
+    r = 0
+    for col in range(n):
+        if r == m:
+            break
+        for piv in range(r, m):
+            if rows[piv][col]:
+                break
+        else:
+            continue
+        row = rows[piv]
+        rows[piv] = rows[r]
+        rows[r] = row
+        tail = row[col:]
+        inv = pow(tail[0], p - 2, p)
+        if inv != 1:
+            tail = [x * inv % p for x in tail]
+            row[col:] = tail
+        for i in range(0 if full else r + 1, m):
+            if i != r:
+                other = rows[i]
+                f = other[col]
+                if f:
+                    other[col:] = [(x - f * y) % p for x, y in zip(other[col:], tail)]
+        pivots.append(col)
+        r += 1
+    return pivots
+
+
+def reference_nullspace(rows, pivots, p):
+    n = len(rows[0])
+    basis = []
+    for f in range(n):
+        if f not in pivots:
+            vec = [0] * n
+            vec[f] = 1
+            for row, c in zip(rows, pivots):
+                vec[c] = -row[f] % p
+            basis.append(vec)
+    return basis
+
+
+def reference_inverse(a, p):
+    n = len(a)
+    aug = [row + [0] * i + [1] + [0] * (n - 1 - i) for i, row in enumerate(a.tolist())]
+    if reference_rref(aug, p) != list(range(n)):
+        return None
+    return [row[n:] for row in aug]
+
+
 def random_mat(rng, shape, p):
     return rng.integers(0, p, size=shape).astype(np.int64)
 
@@ -150,6 +206,24 @@ def test_as_field_normalizes_negatives():
     assert np.array_equal(as_field(a, 7), np.array([[6, 1], [0, 5]]))
 
 
+def test_as_field_rejects_non_integral_floats():
+    for bad in ([[0.5, 2.7]], [[1.0, np.nan]], [[np.inf, 0.0]], [[2.0**64]]):
+        with pytest.raises(ValueError, match="integer entries"):
+            as_field(bad, 5)
+    with pytest.raises(ValueError, match="integer entries"):
+        rank_mod([[0.5, 2.7]], 5)
+    # integral floats, such as an identity built by numpy, still convert
+    assert np.array_equal(as_field(np.eye(3), 5), np.eye(3, dtype=np.int64))
+    assert as_field([[-2.0, 7.0]], 5).tolist() == [[3, 2]]
+
+
+def test_matpow_takes_lists_and_rejects_non_square():
+    assert matpow_mod([[1, 1], [0, 1]], 3, 5).tolist() == [[1, 3], [0, 1]]
+    for bad in (np.ones((2, 3), dtype=np.int64), np.ones(3, dtype=np.int64)):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            matpow_mod(bad, 2, 5)
+
+
 def gf(mat, p):
     """The same matrix as a sympy DomainMatrix over GF(p)."""
     rows = np.asarray(mat, dtype=np.int64).tolist()
@@ -164,6 +238,8 @@ def from_gf(dm, p):
 
 #: a prime below kernels.P_MAX; int64 products of its residues need care
 LARGE_P = 536_870_909
+#: the largest prime <= kernels.P_MAX: the widest entries the kernels accept
+TOP_P = 759_250_111
 
 
 def low_rank(rng, shape, rank, p):
@@ -174,10 +250,20 @@ def low_rank(rng, shape, rank, p):
     return (u @ v % p).astype(np.int64).reshape(m, n)
 
 
+def full_rank(rng, shape, p):
+    while True:
+        a = random_mat(rng, shape, p)
+        if oracle_rank(a, p) == min(shape):
+            return a
+
+
 def oracle_cases():
     """Random and adversarial matrices: zero, 1 x n and n x 1, 16 x 32,
     p = 2, a p whose squares reach 2^58, and rank-deficient products,
-    wide and tall (the tall ones leave rows below the last pivot)."""
+    wide and tall (the tall ones leave rows below the last pivot); then
+    the same at the largest p the kernels accept, and dense full-rank
+    32 x 32, 16 x 32 and 32 x 16 matrices, whose elimination takes the
+    most pivots and so grows the packed row entries the most."""
     rng = np.random.default_rng(29)
     for p in (2, 3, 11, 101, LARGE_P):
         yield np.zeros((3, 5), dtype=np.int64), p
@@ -194,6 +280,15 @@ def oracle_cases():
         for rank in (1, 5, 12):
             yield low_rank(rng, (32, 16), rank, p), p
             yield low_rank(rng, (22, 16), rank, p), p
+    yield np.zeros((3, 5), dtype=np.int64), TOP_P
+    yield random_mat(rng, (1, 7), TOP_P), TOP_P
+    yield random_mat(rng, (7, 1), TOP_P), TOP_P
+    for rank in (0, 1, 5, 12):
+        yield low_rank(rng, (16, 32), rank, TOP_P), TOP_P
+        yield low_rank(rng, (32, 16), rank, TOP_P), TOP_P
+    for p in (2, TOP_P):
+        for shape in ((32, 32), (16, 32), (32, 16)):
+            yield full_rank(rng, shape, p), p
 
 
 @pytest.mark.parametrize("a, p", list(oracle_cases()))
@@ -212,10 +307,10 @@ def test_rref_rank_nullspace_match_sympy(a, p):
         assert np.array_equal(from_gf(gf(basis, p).rref()[0], p), from_gf(want, p))
 
 
-@pytest.mark.parametrize("p", [2, 3, 11, 101, LARGE_P])
+@pytest.mark.parametrize("p", [2, 3, 11, 101, LARGE_P, TOP_P])
 def test_inverse_matches_sympy(p):
     rng = np.random.default_rng(31)
-    for n in (1, 2, 4, 16):
+    for n in (1, 2, 4, 16, 32):
         found = 0
         while found < 3:
             a = random_mat(rng, (n, n), p)
@@ -274,7 +369,7 @@ def test_batch_nullity_rejects_a_single_matrix():
         batch_nullity_mod(np.eye(3, dtype=np.int64), 7)
 
 
-PRIME = st.sampled_from([2, 3, 5, 7, 11, 13, 101])
+PRIME = st.sampled_from([2, 3, 5, 7, 11, 13, 101, TOP_P])
 
 
 @st.composite
@@ -320,3 +415,32 @@ def test_batch_nullity_equals_single_nullity(p, batch, m, n, data):
         members.append(factor(m, r) @ factor(r, n) % p)
     stack = np.stack(members)
     assert batch_nullity_mod(stack, p).tolist() == [nullity_mod(a, p) for a in stack]
+
+
+@settings(max_examples=150, deadline=None)
+@given(PRIME, st.integers(1, 12), st.integers(1, 12), st.data())
+def test_kernels_equal_the_reference_gauss_jordan(p, m, n, data):
+    def factor(rows, cols):
+        cells = data.draw(st.lists(st.integers(0, p - 1), min_size=rows * cols,
+                                   max_size=rows * cols))
+        return np.array(cells, dtype=np.int64).reshape(rows, cols)
+
+    # a product of an m x r and an r x n factor, so every rank is drawn; its
+    # r <= 12 int64 terms are each below p^2 < 2^59, so the sum (< 2^62.6) is exact
+    r = data.draw(st.integers(0, min(m, n)))
+    a = factor(m, r) @ factor(r, n) % p
+    rows = a.tolist()
+    pivots = reference_rref(rows, p)
+    red, rank, got_pivots = rref_mod(a, p)
+    assert red.tolist() == rows
+    assert got_pivots.tolist() == pivots
+    assert rank == rank_mod(a, p) == len(reference_rref(a.tolist(), p, full=False))
+    assert nullity_mod(a, p) == n - rank
+    assert nullspace_mod(a, p).tolist() == reference_nullspace(rows, pivots, p)
+    if m == n:
+        want = reference_inverse(a, p)
+        if want is None:
+            with pytest.raises(ValueError):
+                inv_mod(a, p)
+        else:
+            assert inv_mod(a, p).tolist() == want
