@@ -269,8 +269,7 @@ def _verify_nilpotency(args) -> tuple[dict, str | None]:
 
 def _verify_expbridge(args) -> tuple[dict, str | None]:
     _, pts = _stratum_points(args)
-    ok = len(pts) > 0 and all(exp_bridge_check(phi, n_mat, args.q, args.p)
-                              for phi, n_mat in pts)
+    ok = len(pts) > 0 and bool(exp_bridge_check(pts[:, 0], pts[:, 1], args.q, args.p).all())
     results = {"samples": len(pts), "all_pass": ok}
     return results, None if ok else (
         "unipotent translation of a sample fails the conjugation identity"

@@ -102,13 +102,18 @@ def as_field(a, p: int) -> NDArray[np.int64]:
     """Coerce to an int64 array with entries reduced into [0, p).
 
     Floats are accepted only when every entry is an integer that int64
-    holds (``np.eye(n)`` is fine); anything else raises ValueError rather
-    than being truncated.
+    holds (``np.eye(n)`` is fine), unsigned integers only below 2^63;
+    anything else, complex input included, raises ValueError rather than
+    being truncated or wrapped.
     """
     arr = np.asarray(a)
     if arr.dtype is not _INT64:  # int64 input, the common case, needs no check
-        if arr.dtype.kind == "f" and not np.all((np.abs(arr) < 2.0**63) & (arr == np.trunc(arr))):
+        kind = arr.dtype.kind
+        if kind == "c" or (kind == "f" and not np.all(
+                (np.abs(arr) < 2.0**63) & (arr == np.trunc(arr)))):
             raise ValueError("expected integer entries")
+        if kind == "u" and arr.size and arr.max() >= 2**63:
+            raise ValueError("expected integer entries below 2^63")
         arr = arr.astype(np.int64)
     return arr % p
 
@@ -221,18 +226,15 @@ def inv_mod(a, p: int) -> NDArray[np.int64]:
     return np.array([row[n:] for row in aug], dtype=np.int64).reshape(n, n)
 
 
-def matmul_mod(a, b, p: int) -> NDArray[np.int64]:
-    return as_field(a, p) @ as_field(b, p) % p
-
-
 def matpow_mod(a, e: int, p: int) -> NDArray[np.int64]:
-    """a**e mod p by binary powering, e >= 0."""
+    """a**e mod p by binary powering, e >= 0, for one (n, n) matrix or
+    each matrix of a (..., n, n) stack."""
     if e < 0:
         raise ValueError("negative exponent; invert first")
     base = as_field(a, p)
-    if base.ndim != 2 or base.shape[0] != base.shape[1]:
+    if base.ndim < 2 or base.shape[-2] != base.shape[-1]:
         raise ValueError("expected a square matrix")
-    result = np.eye(len(base), dtype=np.int64)
+    result = np.broadcast_to(np.eye(base.shape[-1], dtype=np.int64), base.shape).copy()
     while e > 0:
         if e & 1:
             result = result @ base % p

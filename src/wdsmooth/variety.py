@@ -8,9 +8,10 @@ g^T Omega g = mu(g) Omega with mu a unit.
 A set of B points is one int64 array of shape (B, 2, n, n) with entries
 in [0, p): ``pts[:, 0]`` holds the phis and ``pts[:, 1]`` the Ns, which
 is the stack form ``sg_member`` takes. ``enumerate_sg`` and
-``stratum_sample`` return that array; the per-point functions
-(``tangent_dim``, ``exp_bridge_check``) take one phi and one N with q and
-p, like ``tangent_matrix``.
+``stratum_sample`` return that array. ``tangent_dim`` takes one phi and
+one N with q and p, like ``tangent_matrix``; ``exp_bridge_check`` takes
+either one pair (a bool) or (B, n, n) stacks of phis and Ns (a bool
+array), like ``sg_member``.
 
 All computations are exact over F_p; tangent dimensions come from the
 kernel of the defining map's differential, evaluated by deterministic
@@ -19,6 +20,7 @@ Gaussian elimination.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -343,6 +345,21 @@ def _gsp4_rep(spec: GroupSpec, parts: tuple[int, ...], p: int) -> NDArray[np.int
     raise ValueError("unsupported GSp4 orbit %r" % (parts,))
 
 
+@functools.lru_cache(maxsize=128)
+def _jordan_system(parts: tuple[int, ...], q: int, p: int
+                   ) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+    """The Jordan nilpotent J of a partition and the canonical kernel basis
+    of phi J = q J phi, a linear system on vec(phi), as read-only arrays:
+    one elimination serves every sampler call on one (orbit, q, p)."""
+    n = sum(parts)
+    jordan = _jordan_nilpotent(parts)
+    eye = np.eye(n, dtype=np.int64)
+    basis = kernels.nullspace_mod((np.kron(eye, jordan.T) - q * np.kron(jordan, eye)) % p, p)
+    jordan.flags.writeable = False
+    basis.flags.writeable = False
+    return jordan, basis
+
+
 def _random_gl(rng: np.random.Generator, n: int, p: int
                ) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
     """A uniform random g in GL(n, F_p) and its inverse: draws (n, n)
@@ -355,17 +372,37 @@ def _random_gl(rng: np.random.Generator, n: int, p: int
             continue
 
 
-def _random_gsp4(rng: np.random.Generator, spec: GroupSpec, p: int) -> NDArray[np.int64]:
-    # torus element (t1, t2, mu) followed by unipotents from every root
-    t1, t2, mu = (int(rng.integers(1, p)) for _ in range(3))
-    t3 = mu * pow(t2, -1, p) % p
-    t4 = mu * pow(t1, -1, p) % p
-    g = np.diag(np.array([t1, t2, t3, t4], dtype=np.int64))
+def _random_gsp4_stack(rng: np.random.Generator, spec: GroupSpec, p: int, count: int
+                       ) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+    """count random GSp4 elements and their inverses, as two (count, 4, 4)
+    stacks: the torus element diag(t1, t2, mu / t2, mu / t1), of multiplier
+    mu, times (I + c x) for every root vector x of the basis.
+
+    The draws are one (count, 11) call. numpy draws with array bounds one
+    entry at a time in row order, so the generator's stream is that of 11
+    scalar draws per element, (t1, t2, mu) first, and the elements do not
+    depend on how many are drawn at once.
+    """
+    # (t1, t2, mu) from [1, p), then the 8 root coefficients from [0, p)
+    draws = rng.integers((1, 1, 1) + (0,) * 8, p, size=(count, 11))
+    t1, t2, mu = draws[:, :3].T
+    torus = np.stack([t1, t2, mu * kernels._inverse_mod(t2, p) % p,
+                      mu * kernels._inverse_mod(t1, p) % p], axis=1)
     eye = np.eye(4, dtype=np.int64)
-    for k in (3, 4, 5, 6, 7, 8, 9, 10):  # all root vectors in the basis
-        c = int(rng.integers(0, p))
-        g = g @ ((eye + c * spec.lie_basis[k]) % p) % p
-    return g % p
+    g = torus[:, :, None] * eye
+    for k, c in zip(range(3, 11), draws[:, 3:].T):  # all root vectors in the basis
+        g = g @ ((eye + c[:, None, None] * spec.lie_basis[k]) % p) % p
+    return g, _similitude_inverse(g, mu, OMEGA4, p)
+
+
+def _similitude_inverse(g, mu, omega: NDArray[np.int64], p: int) -> NDArray[np.int64]:
+    """Inverse of a similitude g of the form omega, g^T omega g = mu omega,
+    for one (n, n) matrix and its multiplier or a (B, n, n) stack and B
+    multipliers: g^-1 = mu^-1 omega^-1 g^T omega, with no elimination.
+    omega is a signed permutation matrix, so omega^-1 = omega^T."""
+    omega = omega % p
+    adjoint = (omega.T @ np.swapaxes(g, -1, -2) % p) @ omega % p
+    return adjoint * kernels._inverse_mod(np.asarray(mu), p)[..., None, None] % p
 
 
 def stratum_sample(
@@ -380,13 +417,14 @@ def stratum_sample(
 
     GL(n): conjugate the Jordan form J by random invertible matrices g
     and sample invertible solutions phi of phi N = q N phi, N = g J g^-1.
-    The system phi J = q J phi is solved exactly once per call; its
-    kernel basis, conjugated by g, spans the solutions for N, and its
-    RREF with the columns reversed is the canonical kernel basis that
-    ``nullspace_mod`` of N's own system would give, so the samples do
-    not depend on which of the two is eliminated. GSp4: conjugate a base
-    point by random group elements built from torus and root elements. The
-    generator is seeded, so samples are deterministic. Returns the
+    The system phi J = q J phi is solved once per (orbit, q, p) and the
+    solution kept; its kernel basis, conjugated by g, spans the solutions
+    for N, and its RREF with the columns reversed is the canonical kernel
+    basis that ``nullspace_mod`` of N's own system would give, so the
+    samples do not depend on which of the two is eliminated. GSp4:
+    conjugate a base point by random group elements built from torus and
+    root elements, all count of them built, inverted and applied as one
+    stack. The generator is seeded, so samples are deterministic. Returns the
     (B, 2, n, n) point array, B <= count: a GL(n) sampler that finds no
     invertible solution in its attempts returns fewer points.
     """
@@ -399,16 +437,12 @@ def stratum_sample(
     rng = np.random.default_rng(seed)
     if spec.kind == "GSp4":
         base = np.stack([_gsp4_base_phi(orbit.parts, q, p), _gsp4_rep(spec, orbit.parts, p)])
-        return np.stack([conjugate_point(base, _random_gsp4(rng, spec, p), p)
-                         for _ in range(count)])
+        g, ginv = _random_gsp4_stack(rng, spec, p, count)
+        return (g[:, None] @ base % p) @ ginv[:, None] % p
     if sum(orbit.parts) != spec.n:
         raise ValueError("partition does not sum to the matrix size")
     n = spec.n
-    jordan = _jordan_nilpotent(orbit.parts)
-    # phi J - q J phi = 0 as a linear system on vec(phi), solved once
-    eye = np.eye(n, dtype=np.int64)
-    sys = (np.kron(eye, jordan.T) - q * np.kron(jordan, eye)) % p
-    jordan_basis = kernels.nullspace_mod(sys, p)
+    jordan, jordan_basis = _jordan_system(tuple(orbit.parts), q, p)
     d = jordan_basis.shape[0]
     points = []
     attempts = 0
@@ -488,30 +522,40 @@ def nilpotency_redundancy_check(spec: GroupSpec, p: int, q: int) -> RedundancyRe
     )
 
 
+def _square_stack(a, p: int) -> NDArray[np.int64]:
+    """a as a reduced (..., n, n) array; raises unless its matrices are square."""
+    a = kernels.as_field(a, p)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError("expected a square matrix")
+    return a
+
+
 def exp_nilpotent(n_mat, p: int) -> NDArray[np.int64]:
-    """exp(N) for nilpotent N via the terminating series; needs p > n
-    so the factorials are invertible."""
-    n_mat = kernels.as_field(n_mat, p)
-    size = n_mat.shape[0]
+    """exp(N) for nilpotent N via the terminating series, for one (n, n)
+    matrix or each matrix of a (..., n, n) stack; needs p > n so the
+    factorials are invertible."""
+    n_mat = _square_stack(n_mat, p)
+    size = n_mat.shape[-1]
     if p <= size:
         raise ValueError("need p > matrix size for the exponential series")
-    out = np.eye(size, dtype=np.int64)
-    term = np.eye(size, dtype=np.int64)
+    out = term = np.broadcast_to(np.eye(size, dtype=np.int64), n_mat.shape)
     for k in range(1, size):
         term = term @ n_mat % p * pow(k, -1, p) % p
         out = (out + term) % p
-    return out
+    return out.copy()
 
 
 def log_unipotent(u, p: int) -> NDArray[np.int64]:
-    """log(u) for unipotent u via the terminating series."""
-    u = kernels.as_field(u, p)
-    size = u.shape[0]
+    """log(u) for unipotent u via the terminating series, for one (n, n)
+    matrix or each matrix of a (..., n, n) stack."""
+    u = _square_stack(u, p)
+    size = u.shape[-1]
     if p <= size:
         raise ValueError("need p > matrix size for the logarithm series")
-    a = (u - np.eye(size, dtype=np.int64)) % p
-    out = np.zeros((size, size), dtype=np.int64)
-    term = np.eye(size, dtype=np.int64)
+    eye = np.eye(size, dtype=np.int64)
+    a = (u - eye) % p
+    out = np.zeros_like(u)
+    term = eye
     for k in range(1, size):
         term = term @ a % p
         sign = 1 if k % 2 == 1 else -1
@@ -519,17 +563,19 @@ def log_unipotent(u, p: int) -> NDArray[np.int64]:
     return out
 
 
-def exp_bridge_check(phi, n_mat, q: int, p: int) -> bool:
+def exp_bridge_check(phi, n_mat, q: int, p: int):
     """Translate (phi, N) to (phi, sigma) with sigma = exp(N) and check
     phi sigma = sigma^q phi, plus log(exp(N)) = N. For invertible phi the
-    first is phi sigma phi^{-1} = sigma^q without forming the inverse."""
+    first is phi sigma phi^{-1} = sigma^q without forming the inverse.
+    Takes one phi and one N and returns a bool, or (B, n, n) stacks of
+    both and returns a bool array."""
     phi = kernels.as_field(phi, p)
     n_mat = kernels.as_field(n_mat, p)
     sigma = exp_nilpotent(n_mat, p)
-    if not np.array_equal(log_unipotent(sigma, p), n_mat):
-        return False
+    ok = (log_unipotent(sigma, p) == n_mat).all(axis=(-2, -1))
     rhs = kernels.matpow_mod(sigma, q % p, p) @ phi % p
-    return bool(np.array_equal(phi @ sigma % p, rhs))
+    ok &= (phi @ sigma % p == rhs).all(axis=(-2, -1))
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from wdsmooth.certificates import (
     epsilon_certificate,
 )
 from wdsmooth.classifier import SINGULAR, SMOOTH, classify_component
-from wdsmooth.kernels import matmul_mod
 from wdsmooth.orbits import OrbitLabel, classical_orbits
 from wdsmooth.rootsys import build_root_system, parse_group
 from wdsmooth.variety import GroupSpec, tangent_dim, stratum_sample
@@ -33,8 +32,8 @@ def test_phi0_regular_gl3():
     assert [int(x) for x in np.diag(bp.phi0)] == [5, 4, 1]  # 4^2, 4, 1 mod 11
     assert bp.marked is None and bp.reflection is None
     # Ad(phi0) e = q e on the orbit representative
-    lhs = matmul_mod(bp.phi0, bp.e_mat, 11)
-    rhs = 4 * matmul_mod(bp.e_mat, bp.phi0, 11) % 11
+    lhs = bp.phi0 @ bp.e_mat % 11
+    rhs = 4 * (bp.e_mat @ bp.phi0 % 11) % 11
     assert np.array_equal(lhs, rhs)
 
 
@@ -43,7 +42,7 @@ def test_phi0_marked_boundary_gl3():
     assert bp.marked == 2
     assert [int(x) for x in np.diag(bp.phi0)] == [4, 1, 1]  # ratio 1 at the mark
     sw = bp.reflection
-    assert np.array_equal(matmul_mod(matmul_mod(sw, bp.phi0, 11), sw, 11), bp.phi0)
+    assert np.array_equal((sw @ bp.phi0 % 11) @ sw % 11, bp.phi0)
 
 
 def test_phi0_alternate_mark():

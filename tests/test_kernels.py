@@ -12,7 +12,6 @@ from wdsmooth.kernels import (
     as_field,
     batch_nullity_mod,
     inv_mod,
-    matmul_mod,
     matpow_mod,
     nullity_mod,
     nullspace_mod,
@@ -181,8 +180,8 @@ def test_inverse(p):
             continue
         found += 1
         b = inv_mod(a, p)
-        assert np.array_equal(matmul_mod(a, b, p), eye)
-        assert np.array_equal(matmul_mod(b, a, p), eye)
+        assert np.array_equal(a @ b % p, eye)
+        assert np.array_equal(b @ a % p, eye)
 
 
 def test_inverse_rejects_singular():
@@ -198,7 +197,7 @@ def test_matpow_matches_repeated_product():
     acc = np.eye(3, dtype=np.int64)
     for k in range(7):
         assert np.array_equal(matpow_mod(a, k, p), acc)
-        acc = matmul_mod(acc, a, p)
+        acc = acc @ a % p
 
 
 def test_as_field_normalizes_negatives():
@@ -217,9 +216,30 @@ def test_as_field_rejects_non_integral_floats():
     assert as_field([[-2.0, 7.0]], 5).tolist() == [[3, 2]]
 
 
+def test_as_field_rejects_unsigned_entries_int64_cannot_hold():
+    for bad in ([2**64 - 1], [[0, 2**63]]):
+        with pytest.raises(ValueError, match="below 2\\^63"):
+            as_field(np.array(bad, dtype=np.uint64), 5)
+    with pytest.raises(ValueError, match="below 2\\^63"):
+        rank_mod(np.array([[2**64 - 1]], dtype=np.uint64), 5)
+    # smaller unsigned entries, and an empty unsigned array, still convert
+    assert as_field(np.array([2**63 - 1, 7], dtype=np.uint64), 5).tolist() == [
+        (2**63 - 1) % 5, 2]
+    assert as_field(np.zeros((0, 3), dtype=np.uint64), 5).shape == (0, 3)
+
+
+def test_as_field_rejects_complex_entries():
+    for bad in ([[1 + 2j]], [[1 + 0j, 2]], np.eye(2, dtype=np.complex64)):
+        with pytest.raises(ValueError, match="integer entries"):
+            as_field(np.asarray(bad), 5)
+    with pytest.raises(ValueError, match="integer entries"):
+        nullspace_mod([[1j, 0]], 5)
+
+
 def test_matpow_takes_lists_and_rejects_non_square():
     assert matpow_mod([[1, 1], [0, 1]], 3, 5).tolist() == [[1, 3], [0, 1]]
-    for bad in (np.ones((2, 3), dtype=np.int64), np.ones(3, dtype=np.int64)):
+    for bad in (np.ones((2, 3), dtype=np.int64), np.ones(3, dtype=np.int64),
+                np.ones((4, 2, 3), dtype=np.int64)):
         with pytest.raises(ValueError, match="expected a square matrix"):
             matpow_mod(bad, 2, 5)
 
@@ -415,6 +435,19 @@ def test_batch_nullity_equals_single_nullity(p, batch, m, n, data):
         members.append(factor(m, r) @ factor(r, n) % p)
     stack = np.stack(members)
     assert batch_nullity_mod(stack, p).tolist() == [nullity_mod(a, p) for a in stack]
+
+
+@settings(max_examples=60, deadline=None)
+@given(PRIME, st.sampled_from([(0,), (1,), (5,), (2, 3)]), st.integers(1, 4),
+       st.integers(0, 12), st.data())
+def test_matpow_on_a_stack_equals_per_matrix_powers(p, shape, n, e, data):
+    size = int(np.prod(shape)) * n * n
+    cells = data.draw(st.lists(st.integers(-p, 2 * p), min_size=size, max_size=size))
+    stack = np.array(cells, dtype=np.int64).reshape(*shape, n, n)
+    got = matpow_mod(stack, e, p)
+    assert got.dtype == np.int64 and got.shape == stack.shape
+    flat = stack.reshape(-1, n, n)
+    assert got.reshape(-1, n, n).tolist() == [matpow_mod(m, e, p).tolist() for m in flat]
 
 
 @settings(max_examples=150, deadline=None)

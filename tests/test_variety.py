@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from wdsmooth.kernels import (
     batch_nullity_mod,
     inv_mod,
-    matmul_mod,
     matpow_mod,
     nullspace_mod,
     rank_mod,
@@ -38,14 +37,21 @@ from wdsmooth import variety
 from wdsmooth.variety import (
     _ad_minus_q,
     _gl2_solutions,
+    _gsp4_base_phi,
+    _gsp4_rep,
     _jordan_nilpotent,
+    _jordan_system,
     _random_gl,
-    _random_gsp4,
+    _random_gsp4_stack,
+    _similitude_inverse,
 )
 
 GL2 = GroupSpec.gl(2)
 GL3 = GroupSpec.gl(3)
 GSP4 = GroupSpec.gsp4()
+
+#: a prime below kernels.P_MAX whose squares reach 2^58
+P_LARGE = 536_870_909
 
 
 def arr(rows):
@@ -179,11 +185,35 @@ def test_enumeration_keeps_the_walk_order():
     assert np.array_equal(enumerate_sg(GL2, 5, 2), np.stack(want))
 
 
-def test_sampler_with_no_solutions_returns_an_empty_point_array(monkeypatch):
+@pytest.fixture
+def fresh_jordan_systems():
+    # a test that fakes the kernel must neither read a kept Jordan system
+    # nor leave its fake one behind for later tests
+    _jordan_system.cache_clear()
+    yield
+    _jordan_system.cache_clear()
+
+
+def test_sampler_with_no_solutions_returns_an_empty_point_array(monkeypatch,
+                                                                fresh_jordan_systems):
     monkeypatch.setattr(variety.kernels, "nullspace_mod",
                         lambda a, p: np.zeros((0, a.shape[1]), dtype=np.int64))
     pts = stratum_sample(GL3, 7, 3, OrbitLabel.partition((2, 1)), 1)
     assert pts.dtype == np.int64 and pts.shape == (0, 2, 3, 3)
+
+
+def test_jordan_system_is_solved_once_and_read_only(fresh_jordan_systems):
+    for _ in range(3):
+        stratum_sample(GroupSpec.gl(4), 11, 4, OrbitLabel.partition((2, 1, 1)), 2, seed=1)
+    info = _jordan_system.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    jordan, basis = _jordan_system((2, 1, 1), 4, 11)
+    assert np.array_equal(jordan, _jordan_nilpotent((2, 1, 1)))
+    assert np.array_equal(basis.reshape(-1, 4, 4) @ jordan % 11,
+                          4 * (jordan @ basis.reshape(-1, 4, 4)) % 11)
+    for a in (jordan, basis):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1
 
 
 def reference_stratum_sample(spec, p, q, parts, count, seed):
@@ -234,6 +264,52 @@ def test_reversed_rref_of_a_conjugated_basis_is_the_canonical_kernel():
             assert np.array_equal(rref_mod(conj[:, ::-1], p)[0][::-1, ::-1], want)
 
 
+GSP4_ORBITS = [(4,), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
+def reference_gsp4(rng, spec, p):
+    # one conjugator from 11 scalar draws: a torus element (t1, t2, mu),
+    # then a unipotent (I + c x) for every root vector x in the basis
+    t1, t2, mu = (int(rng.integers(1, p)) for _ in range(3))
+    g = np.diag(arr([t1, t2, mu * pow(t2, -1, p) % p, mu * pow(t1, -1, p) % p]))
+    eye = np.eye(4, dtype=np.int64)
+    for k in range(3, 11):
+        c = int(rng.integers(0, p))
+        g = g @ ((eye + c * spec.lie_basis[k]) % p) % p
+    return g
+
+
+def reference_gsp4_sample(spec, p, q, parts, count, seed):
+    # one conjugator built and inverted by elimination per sample, draw for
+    # draw the loop that the stacked sampler replaces
+    rng = np.random.default_rng(seed)
+    base = np.stack([_gsp4_base_phi(parts, q % p, p), _gsp4_rep(spec, parts, p)])
+    return np.stack([conjugate_point(base, reference_gsp4(rng, spec, p), p)
+                     for _ in range(count)])
+
+
+@pytest.mark.parametrize("p, units", [(5, (2, 3)), (7, (3, 6)), (11, (3, 4)), (13, (2, 5))])
+def test_stacked_gsp4_sampler_matches_one_conjugator_per_sample(p, units):
+    for parts in GSP4_ORBITS:
+        for q in units:
+            for seed in range(4):
+                want = reference_gsp4_sample(GSP4, p, q, parts, 3, seed)
+                got = stratum_sample(GSP4, p, q, OrbitLabel.partition(parts), 3, seed=seed)
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [5, 11, 13, P_LARGE])
+def test_similitude_inverse_equals_elimination(p):
+    g, ginv = _random_gsp4_stack(np.random.default_rng(p), GSP4, p, 12)
+    assert GSP4.is_group_element(g, p).all()
+    want = np.stack([inv_mod(m, p) for m in g])
+    assert np.array_equal(ginv, want)
+    # the multiplier read off g^T Omega g, one matrix at a time
+    for m, inv in zip(g, want):
+        mu = (m.T @ (OMEGA4 % p) % p) @ m % p
+        assert np.array_equal(_similitude_inverse(m, mu[0, 3], OMEGA4, p), inv)
+
+
 def test_random_gl_pairs_and_draw_order():
     # one inversion per draw returns (g, g^-1) and keeps the draws of a
     # loop that rejects singular draws by rank
@@ -263,7 +339,7 @@ def test_ad_matrix_action():
         for phi, inv, sys in zip(phis, invs, ad):
             for _ in range(5):
                 x = rng.integers(0, p, size=(n, n)).astype(np.int64)
-                want = (matmul_mod(matmul_mod(phi, x, p), inv, p) - q * x) % p
+                want = ((phi @ x % p) @ inv % p - q * x) % p
                 assert np.array_equal(sys @ x.reshape(-1) % p, want.reshape(-1))
 
 
@@ -438,7 +514,7 @@ def test_redundancy_order_two_witness():
     phi = np.diag(arr([1, 6]))
     n = arr([[0, 1], [1, 0]])
     assert np.array_equal(phi @ n % 7, 6 * (n @ phi) % 7)
-    assert np.array_equal(matmul_mod(n, n, 7), np.eye(2, dtype=np.int64))
+    assert np.array_equal(n @ n % 7, np.eye(2, dtype=np.int64))
 
 
 # ------------------------------------------------------------------ exp / log
@@ -499,6 +575,68 @@ def test_exp_bridge_matches_conjugation_form_on_samples(spec, parts, p, q):
 
 def test_exp_bridge_matches_conjugation_form_on_enumeration(gl2_f7_q4):
     assert_bridge_forms_agree(gl2_f7_q4, 4, 2, 7)
+
+
+#: (group, nonzero orbit, zero orbit, q) for the stacked bridge properties
+BRIDGE_CASES = [
+    (GL2, (2,), (1, 1), 4),
+    (GL3, (2, 1), (1, 1, 1), 4),
+    (GroupSpec.gl(4), (3, 1), (1, 1, 1, 1), 4),
+    (GSP4, (2, 2), (1, 1, 1, 1), 3),
+    (GSP4, (4,), (1, 1, 1, 1), 2),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(BRIDGE_CASES), st.sampled_from([7, 11, 13]), st.integers(0, 2**16),
+       st.integers(1, 6), st.integers(0, 12), st.randoms(use_true_random=False))
+def test_stacked_exp_bridge_equals_per_pair_results(case, p, seed, count, shift, random):
+    # samples of a nonzero orbit and of the zero orbit, shuffled together:
+    # unless q + shift = q mod p, only the N = 0 pairs pass at q + shift
+    spec, parts, zero_parts, q = case
+    pts = np.concatenate([
+        stratum_sample(spec, p, q, OrbitLabel.partition(parts), count, seed=seed),
+        stratum_sample(spec, p, q, OrbitLabel.partition(zero_parts), count, seed=seed)])
+    pts = pts[random.sample(range(len(pts)), len(pts))]
+    for q_check in (q, q + shift):
+        got = exp_bridge_check(pts[:, 0], pts[:, 1], q_check, p)
+        assert got.dtype == bool and got.shape == (len(pts),)
+        assert got.tolist() == [exp_bridge_check(phi, n_mat, q_check, p) for phi, n_mat in pts]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(BRIDGE_CASES), st.sampled_from([7, 11, 13]), st.integers(0, 2**16),
+       st.data())
+def test_stacked_exp_bridge_fails_exactly_at_a_pair_off_the_variety(case, p, seed, data):
+    spec, parts, _, q = case
+    pts = stratum_sample(spec, p, q, OrbitLabel.partition(parts), 6, seed=seed)
+    assume(len(pts) > 0)
+    i = data.draw(st.integers(0, len(pts) - 1))
+    # an invertible phi that breaks phi N = q N phi for the sampled N
+    phi, n_mat = invertible(data, spec.n, p), pts[i, 1]
+    assume(not np.array_equal(phi @ n_mat % p, q * (n_mat @ phi) % p))
+    broken = pts.copy()
+    broken[i, 0] = phi
+    assert exp_bridge_check(pts[:, 0], pts[:, 1], q, p).all()
+    got = exp_bridge_check(broken[:, 0], broken[:, 1], q, p)
+    assert got.tolist() == [k != i for k in range(len(pts))]
+
+
+def test_exp_and_log_on_stacks_and_non_square_input():
+    pts = stratum_sample(GroupSpec.gl(4), 11, 4, OrbitLabel.partition((3, 1)), 4, seed=3)
+    n_mats = pts[:, 1].reshape(2, 2, 4, 4)
+    sigma = exp_nilpotent(n_mats, 11)
+    assert sigma.shape == (2, 2, 4, 4)
+    for n_mat, s in zip(n_mats.reshape(-1, 4, 4), sigma.reshape(-1, 4, 4)):
+        assert np.array_equal(s, exp_nilpotent(n_mat, 11))
+    assert np.array_equal(log_unipotent(sigma, 11), n_mats)
+    assert exp_nilpotent(np.zeros((3, 1, 1), dtype=np.int64), 11).tolist() == [[[1]]] * 3
+    assert exp_bridge_check(pts[:0, 0], pts[:0, 1], 4, 11).shape == (0,)
+    for bad in (np.zeros((2, 3), dtype=np.int64), np.zeros((4, 2, 3), dtype=np.int64),
+                np.zeros(3, dtype=np.int64)):
+        for func in (exp_nilpotent, log_unipotent):
+            with pytest.raises(ValueError, match="expected a square matrix"):
+                func(bad, 11)
 
 
 # -------------------------------------------------------------------- bundle
@@ -602,7 +740,7 @@ def test_conjugate_point_keeps_samples_in_the_variety(case, pq, seed, data):
     pts = stratum_sample(spec, p, q, OrbitLabel.partition(parts), 1, seed=seed)
     assume(len(pts) > 0)
     if spec.kind == "GSp4":
-        g = _random_gsp4(np.random.default_rng(seed + 1), spec, p)
+        g = _random_gsp4_stack(np.random.default_rng(seed + 1), spec, p, 1)[0][0]
     else:
         g = invertible(data, spec.n, p)
     moved = conjugate_point(pts[0], g, p)
@@ -669,10 +807,6 @@ def test_tangent_dims_match_adjoint_form_on_enumeration(q):
 
 
 # ------------------------------------------------------- int64 exactness
-
-#: a prime below kernels.P_MAX whose squares reach 2^58
-P_LARGE = 536_870_909
-
 
 def exact_inverse(m, p):
     inv = inv_mod(m, p).astype(object)
