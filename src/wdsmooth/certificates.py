@@ -33,14 +33,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import kernels
-from .arith import is_prime, order_capped
+from .arith import order_capped
 from .orbits import OrbitLabel
 from .variety import (
     GroupSpec,
-    _gl_basis,
-    _gsp4_base_phi,
-    _gsp4_rep,
+    _field,
+    _gsp4_base_point,
     _jordan_nilpotent,
+    _unit_q,
     jordan_partition,
     tangent_dim,
 )
@@ -79,17 +79,15 @@ def _coxeter_number(spec: GroupSpec) -> int:
     return spec.n if spec.kind == "GL" else 4
 
 
+#: GSp4 orbits with a certificate base point; (2, 1, 1) has none yet
+_GSP4_CERTIFIED = ((4,), (2, 2))
+
+
 def _gl_grading(parts: tuple[int, ...]) -> NDArray[np.int64]:
     diag = []
     for part in parts:
         diag.extend(range(part - 1, -part, -2))
     return np.diag(np.array(diag, dtype=np.int64))
-
-
-def _gl_levi_basis(parts: tuple[int, ...]) -> NDArray[np.int64]:
-    # the matrix units E_ij with i and j in the same Jordan block
-    block = np.repeat(np.arange(len(parts)), parts)
-    return _gl_basis(sum(parts))[(block[:, None] == block).reshape(-1)]
 
 
 def _transposition(n: int, i: int, j: int) -> NDArray[np.int64]:
@@ -98,51 +96,33 @@ def _transposition(n: int, i: int, j: int) -> NDArray[np.int64]:
     return w
 
 
-#: reflection through the long simple root of the similitude group,
-#: chosen inside the symplectic part so conjugation preserves the form
-_GSP4_REFLECTION = np.array(
-    [
-        [1, 0, 0, 0],
-        [0, 0, 1, 0],
-        [0, -1, 0, 0],
-        [0, 0, 0, 1],
-    ],
-    dtype=np.int64,
-)
-
-#: grading cocharacter direction for the (2, 2) orbit
-_GSP4_GRADING = np.diag(np.array([1, -1, 1, -1], dtype=np.int64))
-
-#: indices into the gsp4 basis spanning the short-root Levi
-_GSP4_LEVI_INDICES = (0, 1, 2, 3, 7)
-
-
 def build_phi0(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
                marked: int | None = None) -> BasePoint:
     """Construct the certificate base point for an orbit.
 
     phi0 is diagonal with consecutive eigenvalue ratios q inside Jordan
     blocks and across unmarked block boundaries, and ratio 1 at the
-    marked boundary. Requires the order of q mod p to exceed the
-    Coxeter number, so distinct powers of q stay distinct.
+    marked boundary (for GSp4, the stratum sampler's base point, which
+    has those ratios up to a scalar). Requires the order of q mod p to
+    exceed the Coxeter number, so distinct powers of q stay distinct.
     """
     if orbit.parts is None:
         raise CertificateError("certificates need a partition orbit label")
-    if not is_prime(p):
-        raise CertificateError("p must be prime")
-    if p > kernels.P_MAX:
-        raise CertificateError("p exceeds the int64-safe bound %d" % kernels.P_MAX)
-    q = q % p
-    if q == 0:
-        raise CertificateError("q must be a unit mod p")
+    try:
+        _field(p)
+        q = _unit_q(q, p)
+    except ValueError as exc:
+        raise CertificateError(str(exc)) from exc
     h = _coxeter_number(spec)
     if order_capped(q, p, h) is not None:
         raise CertificateError(
             "order of q mod p must exceed %d to separate eigenvalue ratios" % h
         )
     parts = tuple(sorted(orbit.parts, reverse=True))
-    if spec.kind == "GSp4":
-        return _build_gsp4(spec, parts, q, p)
+    if spec.kind == "GSp4" and parts not in _GSP4_CERTIFIED:
+        raise CertificateError(
+            "no base point construction for GSp4 orbit %r" % (parts,)
+        )
     if sum(parts) != spec.n:
         raise CertificateError("partition does not sum to the matrix size")
     n = spec.n
@@ -156,37 +136,31 @@ def build_phi0(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
             raise CertificateError(
                 "marked position %d is not a block boundary %s" % (marked, sorted(boundaries))
             )
-    # with no marked boundary every step is q: exponents n - 1, ..., 0
-    exps = [0] * n
-    for i in range(n - 2, -1, -1):
-        step = 0 if (i + 1) == marked else 1
-        exps[i] = exps[i + 1] + step
-    phi0 = np.diag(np.array([pow(q, a, p) for a in exps], dtype=np.int64))
-    return BasePoint(
-        spec=spec, orbit=OrbitLabel.partition(parts), p=p, q=q,
-        phi0=phi0, e_mat=_jordan_nilpotent(parts), marked=marked,
-        grading=_gl_grading(parts), levi_basis=_gl_levi_basis(parts),
-        reflection=None if marked is None else _transposition(n, marked - 1, marked),
-    )
-
-
-def _build_gsp4(spec: GroupSpec, parts: tuple[int, ...], q: int, p: int) -> BasePoint:
-    # phi0 and e are the stratum sampler's GSp4 base point
-    if parts == (4,):
-        marked, grading = None, np.diag(np.array([3, 1, -1, -3], dtype=np.int64))
-        levi, reflection = spec.lie_basis.copy(), None
-    elif parts == (2, 2):
-        marked, grading = 2, _GSP4_GRADING
-        levi = np.stack([spec.lie_basis[k] for k in _GSP4_LEVI_INDICES])
-        reflection = _GSP4_REFLECTION.copy()
+    if spec.kind == "GSp4":
+        phi0, e = _gsp4_base_point(spec, parts, q, p)
     else:
-        raise CertificateError(
-            "no base point construction for GSp4 orbit %r" % (parts,)
-        )
+        # with no marked boundary every step is q: exponents n - 1, ..., 0
+        exps = [0] * n
+        for i in range(n - 2, -1, -1):
+            step = 0 if (i + 1) == marked else 1
+            exps[i] = exps[i + 1] + step
+        phi0 = np.diag(np.array([pow(q, a, p) for a in exps], dtype=np.int64))
+        e = _jordan_nilpotent(parts)
+    # every basis vector lies in one root space or in the Cartan, so the
+    # Levi of the Jordan blocks is spanned by the basis vectors supported
+    # inside the diagonal blocks
+    block = np.repeat(np.arange(len(parts)), parts)
+    outside = block[:, None] != block
+    levi = spec.lie_basis[~spec.lie_basis[:, outside].any(axis=1)]
+    reflection = None
+    if marked is not None:
+        reflection = _transposition(n, marked - 1, marked)
+        if spec.kind == "GSp4":
+            reflection[marked, marked - 1] = -1  # so that w preserves the form
     return BasePoint(
         spec=spec, orbit=OrbitLabel.partition(parts), p=p, q=q,
-        phi0=_gsp4_base_phi(parts, q, p), e_mat=_gsp4_rep(spec, parts, p),
-        marked=marked, grading=grading, levi_basis=levi, reflection=reflection,
+        phi0=phi0, e_mat=e, marked=marked, grading=_gl_grading(parts),
+        levi_basis=levi, reflection=reflection,
     )
 
 
@@ -343,13 +317,11 @@ def epsilon_certificate(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
     for z in torus_vecs:
         check("torus-fixed-by-phi0", np.array_equal(ad0(z), z))
 
-    # unipotent direction: lowering vector at the marked position
-    if spec.kind == "GL":
-        m = base.marked
-        e_neg = np.zeros((spec.n, spec.n), dtype=np.int64)
-        e_neg[m, m - 1] = 1
-    else:
-        e_neg = spec.lie_basis[8] % p
+    # unipotent direction: the lowering vector E_{m, m-1} at the marked
+    # position m (for GSp4, m = 2 and E_21 is the root vector y_alpha)
+    m = base.marked
+    e_neg = np.zeros((spec.n, spec.n), dtype=np.int64)
+    e_neg[m, m - 1] = 1
     check("lowering-commutes", not ((e_neg @ e - e @ e_neg) % p).any())
     check("lowering-weight-zero", np.array_equal(ad0(e_neg), e_neg))
 

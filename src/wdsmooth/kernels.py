@@ -102,9 +102,11 @@ def as_field(a, p: int) -> NDArray[np.int64]:
     """Coerce to an int64 array with entries reduced into [0, p).
 
     Floats are accepted only when every entry is an integer that int64
-    holds (``np.eye(n)`` is fine), unsigned integers only below 2^63;
-    anything else, complex input included, raises ValueError rather than
-    being truncated or wrapped.
+    holds (``np.eye(n)`` is fine), unsigned integers only below 2^63, and
+    object arrays (a list holding a Python int past int64 makes one) only
+    when every entry is an integer that int64 holds; anything else,
+    complex input and fractions included, raises ValueError rather than
+    being truncated, wrapped or overflowing.
     """
     arr = np.asarray(a)
     if arr.dtype is not _INT64:  # int64 input, the common case, needs no check
@@ -114,6 +116,9 @@ def as_field(a, p: int) -> NDArray[np.int64]:
             raise ValueError("expected integer entries")
         if kind == "u" and arr.size and arr.max() >= 2**63:
             raise ValueError("expected integer entries below 2^63")
+        if kind == "O" and not all(isinstance(x, (int, np.integer)) and -2**63 <= x < 2**63
+                                   for x in arr.flat):
+            raise ValueError("expected integer entries that int64 holds")
         arr = arr.astype(np.int64)
     return arr % p
 

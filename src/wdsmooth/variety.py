@@ -98,24 +98,30 @@ def _gsp4_basis() -> NDArray[np.int64]:
 class GroupSpec:
     """A matrix group with its Lie algebra basis.
 
-    kind is "GL" or "GSp4"; n is the matrix size; lie_basis is a
-    (dim_g, n, n) integer array whose rows span the Lie algebra.
+    kind is "GL" or "GSp4"; lie_basis is a (dim_g, n, n) integer array
+    whose rows span the Lie algebra, n being the matrix size.
     """
 
     kind: str
-    n: int
-    dim_g: int
     lie_basis: NDArray[np.int64]
 
     @staticmethod
     def gl(n: int) -> "GroupSpec":
         if not 1 <= n <= 4:
             raise ValueError("GL(n) realizations support n <= 4")
-        return GroupSpec(kind="GL", n=n, dim_g=n * n, lie_basis=_gl_basis(n))
+        return GroupSpec(kind="GL", lie_basis=_gl_basis(n))
 
     @staticmethod
     def gsp4() -> "GroupSpec":
-        return GroupSpec(kind="GSp4", n=4, dim_g=11, lie_basis=_gsp4_basis())
+        return GroupSpec(kind="GSp4", lie_basis=_gsp4_basis())
+
+    @property
+    def n(self) -> int:
+        return self.lie_basis.shape[1]
+
+    @property
+    def dim_g(self) -> int:
+        return self.lie_basis.shape[0]
 
     @property
     def name(self) -> str:
@@ -331,18 +337,29 @@ def _jordan_nilpotent(parts: tuple[int, ...]) -> NDArray[np.int64]:
     return out
 
 
-def _gsp4_rep(spec: GroupSpec, parts: tuple[int, ...], p: int) -> NDArray[np.int64]:
-    x_beta = spec.lie_basis[3]
-    x_alpha = spec.lie_basis[4]
-    if parts == (4,):
-        return (x_beta + x_alpha) % p
-    if parts == (2, 2):
-        return x_beta % p
-    if parts == (2, 1, 1):
-        return x_alpha % p
-    if parts == (1, 1, 1, 1):
-        return np.zeros((4, 4), dtype=np.int64)
-    raise ValueError("unsupported GSp4 orbit %r" % (parts,))
+#: GSp4 base point per orbit: the exponents of q on phi's diagonal, and
+#: the indices of the basis root vectors (x_beta = 3, x_alpha = 4) that
+#: sum to N. For (4,) both simple-root ratios must equal q, and the
+#: scalar shift to (3, 2, 1, 0) keeps the entries integral without a
+#: square root of q; for (2, 1, 1) the long-root vector x_alpha = E_23
+#: needs t2/t3 = q.
+_GSP4_ORBITS = {
+    (4,): ((3, 2, 1, 0), (3, 4)),
+    (2, 2): ((1, 0, 0, -1), (3,)),
+    (2, 1, 1): ((0, 1, 0, 1), (4,)),
+    (1, 1, 1, 1): ((0, 0, 0, 0), ()),
+}
+
+
+def _gsp4_base_point(spec: GroupSpec, parts: tuple[int, ...], q: int, p: int
+                     ) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+    """(phi, N) with Ad(phi) N = q N and N in the GSp4 orbit of parts,
+    for a unit q reduced mod p."""
+    if parts not in _GSP4_ORBITS:
+        raise ValueError("unsupported GSp4 orbit %r" % (parts,))
+    exps, roots = _GSP4_ORBITS[parts]
+    phi = np.diag(np.array([pow(q, a, p) for a in exps], dtype=np.int64))
+    return phi, spec.lie_basis[list(roots)].sum(axis=0) % p
 
 
 @functools.lru_cache(maxsize=128)
@@ -436,7 +453,7 @@ def stratum_sample(
         raise ValueError("stratum sampling needs a partition orbit label")
     rng = np.random.default_rng(seed)
     if spec.kind == "GSp4":
-        base = np.stack([_gsp4_base_phi(orbit.parts, q, p), _gsp4_rep(spec, orbit.parts, p)])
+        base = np.stack(_gsp4_base_point(spec, orbit.parts, q, p))
         g, ginv = _random_gsp4_stack(rng, spec, p, count)
         return (g[:, None] @ base % p) @ ginv[:, None] % p
     if sum(orbit.parts) != spec.n:
@@ -465,23 +482,6 @@ def stratum_sample(
                 points.append((phi, n_mat))
                 break
     return np.array(points, dtype=np.int64).reshape(-1, 2, n, n)
-
-
-def _gsp4_base_phi(parts: tuple[int, ...], q: int, p: int) -> NDArray[np.int64]:
-    qinv = pow(q, -1, p)
-    if parts == (4,):
-        # both simple-root ratios must equal q; scalar shift keeps the
-        # entries integral without a square root of q
-        q2, q3 = pow(q, 2, p), pow(q, 3, p)
-        return np.diag(np.array([q3, q2, q, 1], dtype=np.int64)) % p
-    if parts == (2, 2):
-        return np.diag(np.array([q, 1, 1, qinv], dtype=np.int64)) % p
-    if parts == (2, 1, 1):
-        # long-root vector x_alpha = E_23 needs t2/t3 = q
-        return np.diag(np.array([1, q, 1, q], dtype=np.int64)) % p
-    if parts == (1, 1, 1, 1):
-        return np.eye(4, dtype=np.int64)
-    raise ValueError("unsupported GSp4 orbit %r" % (parts,))
 
 
 @dataclass(frozen=True)

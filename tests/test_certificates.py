@@ -59,6 +59,100 @@ def test_phi0_gsp4_rows():
     assert [int(x) for x in np.diag(reg.phi0)] == [5, 9, 3, 1]
 
 
+def sparse(n, *mats):
+    """A (len(mats), n, n) stack, each matrix given by its nonzero (i, j, v)."""
+    out = np.zeros((len(mats), n, n), dtype=np.int64)
+    for k, entries in enumerate(mats):
+        for i, j, v in entries:
+            out[k, i, j] = v
+    return out
+
+
+def units(n, *pairs):
+    """The matrix units E_ij of gl_n, one per (i, j)."""
+    return sparse(n, *[[(i, j, 1)] for i, j in pairs])
+
+
+def diag(*entries):
+    return np.diag(np.array(entries, dtype=np.int64))
+
+
+def mat(rows):
+    return np.array(rows, dtype=np.int64)
+
+
+#: short-root Levi of the GSp4 (2, 2) orbit: the Cartan, x_beta and y_beta
+GSP4_SHORT_LEVI = (
+    [(0, 0, 1), (3, 3, -1)], [(1, 1, 1), (2, 2, -1)], [(2, 2, 1), (3, 3, 1)],
+    [(0, 1, 1), (2, 3, -1)], [(1, 0, 1), (3, 2, -1)],
+)
+#: the other GSp4 basis vectors, in basis order: x_alpha, x_{beta+alpha},
+#: x_{2beta+alpha}, y_alpha, y_{beta+alpha}, y_{2beta+alpha}
+GSP4_OTHER = (
+    [(1, 2, 1)], [(0, 2, 1), (1, 3, 1)], [(0, 3, 1)],
+    [(2, 1, 1)], [(2, 0, 1), (3, 1, 1)], [(3, 0, 1)],
+)
+GL_LEVI_211 = units(4, (0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 3))
+SWAP_12 = mat([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+SPECS = {"GL3": GL3, "GL4": GL4, "GSp4": GSP4}
+
+#: (group, parts, q, marked) -> (marked, phi0, e_mat, grading, levi_basis,
+#: reflection) at p = 11
+BASE_POINTS = {
+    ("GL3", (2, 1), 4, None): (
+        2, diag(4, 1, 1), mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), diag(1, -1, 0),
+        units(3, (0, 0), (0, 1), (1, 0), (1, 1), (2, 2)),
+        mat([[1, 0, 0], [0, 0, 1], [0, 1, 0]])),
+    ("GL4", (2, 2), 4, None): (
+        2, diag(5, 4, 4, 1), mat([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]),
+        diag(1, -1, 1, -1),
+        units(4, (0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)),
+        SWAP_12),
+    ("GL4", (2, 1, 1), 4, 2): (
+        2, diag(5, 4, 4, 1), units(4, (0, 1))[0], diag(1, -1, 0, 0), GL_LEVI_211, SWAP_12),
+    ("GL4", (2, 1, 1), 4, 3): (
+        3, diag(5, 4, 1, 1), units(4, (0, 1))[0], diag(1, -1, 0, 0), GL_LEVI_211,
+        mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])),
+    ("GSp4", (4,), 3, None): (
+        None, diag(5, 9, 3, 1), mat([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 10], [0, 0, 0, 0]]),
+        diag(3, 1, -1, -3),
+        sparse(4, *GSP4_SHORT_LEVI[:4], *GSP4_OTHER[:3], GSP4_SHORT_LEVI[4], *GSP4_OTHER[3:]),
+        None),
+    ("GSp4", (2, 2), 3, None): (
+        2, diag(3, 1, 1, 4), mat([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 10], [0, 0, 0, 0]]),
+        diag(1, -1, 1, -1), sparse(4, *GSP4_SHORT_LEVI),
+        mat([[1, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0], [0, 0, 0, 1]])),
+}
+
+
+@pytest.mark.parametrize("case", BASE_POINTS, ids=lambda c: "%s-%s-m%s" % (
+    c[0], ",".join(map(str, c[1])), c[3]))
+def test_base_point_arrays_are_pinned(case):
+    group, parts, q, marked = case
+    want_marked, *arrays = BASE_POINTS[case]
+    bp = build_phi0(SPECS[group], part(*parts), q, 11, marked=marked)
+    assert bp.marked == want_marked
+    got = (bp.phi0, bp.e_mat, bp.grading, bp.levi_basis, bp.reflection)
+    for name, g, w in zip(("phi0", "e_mat", "grading", "levi_basis", "reflection"), got, arrays):
+        if w is None:
+            assert g is None, name
+        else:
+            assert g.dtype == np.int64 and np.array_equal(g, w), name
+
+
+def test_phi0_gsp4_honours_marks():
+    assert build_phi0(GSP4, part(2, 2), 3, 11, marked=2).marked == 2
+    for bad in (1, 3):
+        with pytest.raises(CertificateError,
+                           match="marked position %d is not a block boundary \\[2\\]" % bad):
+            build_phi0(GSP4, part(2, 2), 3, 11, marked=bad)
+        with pytest.raises(CertificateError, match="not a block boundary"):
+            epsilon_certificate(GSP4, part(2, 2), 3, 11, marked=bad)
+    for mark in (1, 2, 3):
+        with pytest.raises(CertificateError, match="a single-block orbit has no boundary to mark"):
+            build_phi0(GSP4, part(4), 3, 11, marked=mark)
+
+
 def test_phi0_rejects_small_order():
     # ord(3 mod 13) = 3 but GL3 needs order > 3
     with pytest.raises(CertificateError, match="order of q mod p"):
@@ -170,6 +264,14 @@ def test_certificate_exact_near_the_int64_bound():
 def test_phi0_rejects_composite_modulus():
     with pytest.raises(CertificateError, match="p must be prime"):
         build_phi0(GL3, part(2, 1), 4, 9)
+    with pytest.raises(CertificateError, match="p must be prime"):
+        build_phi0(GSP4, part(2, 2), 3, 9)
+
+
+def test_phi0_rejects_a_non_unit_q():
+    for spec, orbit in ((GL3, part(2, 1)), (GSP4, part(2, 2))):
+        with pytest.raises(CertificateError, match="q must be a unit mod p"):
+            build_phi0(spec, orbit, 22, 11)
 
 
 @pytest.mark.parametrize("p", [759_250_133, 2**31 - 1])  # primes past P_MAX

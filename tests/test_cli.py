@@ -167,6 +167,24 @@ def test_certify_distinguished_is_an_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("orbit, marked, message", [
+    ("2,2", "1", "marked position 1 is not a block boundary [2]"),
+    ("2,2", "3", "marked position 3 is not a block boundary [2]"),
+    ("4", "2", "a single-block orbit has no boundary to mark"),
+])
+def test_certify_gsp4_rejects_a_bad_mark(capsys, orbit, marked, message):
+    code, out, err = run(capsys, "certify", "--group", "GSp4", "--orbit", orbit,
+                         "--p", "11", "--q", "3", "--marked", marked)
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+def test_certify_gsp4_reports_the_mark_it_used(capsys):
+    rep = run_json(capsys, "certify", "--group", "GSp4", "--orbit", "2,2",
+                   "--p", "11", "--q", "3", "--marked", "2")
+    assert rep["inputs"]["marked"] == rep["results"]["marked"] == 2
+    assert rep["results"]["certifies_singular"] is True
+
+
 def test_check_failure_exit_code(capsys, monkeypatch):
     class FakeReport:
         p, q = 7, 4

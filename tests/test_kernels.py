@@ -1,6 +1,8 @@
 """Exact linear algebra over prime fields, checked against a pure-Python
 oracle, sympy's GF(p) matrices and hypothesis properties."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,6 +236,24 @@ def test_as_field_rejects_complex_entries():
             as_field(np.asarray(bad), 5)
     with pytest.raises(ValueError, match="integer entries"):
         nullspace_mod([[1j, 0]], 5)
+
+
+def test_as_field_rejects_object_entries_int64_cannot_hold():
+    # a Python int past int64 makes numpy build an object array
+    for bad in ([2**70], [[1, -2**63 - 1]]):
+        with pytest.raises(ValueError, match="integer entries that int64 holds"):
+            as_field(bad, 5)
+    with pytest.raises(ValueError, match="integer entries that int64 holds"):
+        rank_mod([[2**64, 1]], 5)
+    # object arrays of integers that int64 holds still convert
+    held = np.array([2**63 - 1, -2**63, np.int64(7)], dtype=object)
+    assert as_field(held, 5).tolist() == [(2**63 - 1) % 5, (-2**63) % 5, 2]
+
+
+def test_as_field_rejects_fractions():
+    for bad in ([Fraction(1, 2), 1], [[Fraction(4, 2)]], np.array([1.5, 2], dtype=object)):
+        with pytest.raises(ValueError, match="integer entries that int64 holds"):
+            as_field(bad, 5)
 
 
 def test_matpow_takes_lists_and_rejects_non_square():

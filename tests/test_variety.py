@@ -37,8 +37,7 @@ from wdsmooth import variety
 from wdsmooth.variety import (
     _ad_minus_q,
     _gl2_solutions,
-    _gsp4_base_phi,
-    _gsp4_rep,
+    _gsp4_base_point,
     _jordan_nilpotent,
     _jordan_system,
     _random_gl,
@@ -283,9 +282,24 @@ def reference_gsp4_sample(spec, p, q, parts, count, seed):
     # one conjugator built and inverted by elimination per sample, draw for
     # draw the loop that the stacked sampler replaces
     rng = np.random.default_rng(seed)
-    base = np.stack([_gsp4_base_phi(parts, q % p, p), _gsp4_rep(spec, parts, p)])
+    base = np.stack(_gsp4_base_point(spec, parts, q % p, p))
     return np.stack([conjugate_point(base, reference_gsp4(rng, spec, p), p)
                      for _ in range(count)])
+
+
+@pytest.mark.parametrize("p, units", [(5, (2, 3)), (7, (3, 6)), (11, (3, 4)), (13, (2, 5))])
+@pytest.mark.parametrize("parts", GSP4_ORBITS)
+def test_gsp4_base_point_lies_on_its_stratum(parts, p, units):
+    for q in units:
+        phi, n_mat = _gsp4_base_point(GSP4, parts, q, p)
+        assert phi.dtype == n_mat.dtype == np.int64
+        assert sg_member(GSP4, phi, n_mat, q, p)
+        assert jordan_partition(n_mat, p) == parts
+
+
+def test_gsp4_base_point_rejects_other_partitions():
+    with pytest.raises(ValueError, match="unsupported GSp4 orbit \\(3, 1\\)"):
+        _gsp4_base_point(GSP4, (3, 1), 3, 11)
 
 
 @pytest.mark.parametrize("p, units", [(5, (2, 3)), (7, (3, 6)), (11, (3, 4)), (13, (2, 5))])
