@@ -201,4 +201,9 @@ def implication_sweep(
                     report.banal_not_considerate.append(
                         (t.name, l, q, multiplicative_order(q, l))
                     )
+    if not report.checked:  # an empty grid would pass vacuously
+        raise ValueError(
+            "implication sweep has no (type, q, l) case: families %r, rank_max %d, "
+            "l_max %d, q_max %d" % ("".join(fams), rank_max, l_max, q_max)
+        )
     return report

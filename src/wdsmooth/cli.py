@@ -12,6 +12,9 @@ Reports are JSON by default (deterministic: sorted keys, no
 timestamps); --format table renders the same data as text. Exit codes:
 0 success, 1 usage or unsupported input, 2 a property check failed
 (one machine-parsable line on stderr).
+
+A call that starts with its command words is parsed by that command's
+parser alone; any other call goes through the full parser tree.
 """
 
 from __future__ import annotations
@@ -119,6 +122,10 @@ def _classify(args) -> tuple[dict, str | None]:
     ctx = QContext(q=args.q, l=args.l)
     groups = [g for g in args.group.split("x") if g]
     orbit_texts = [o for o in args.orbit.split(";") if o]
+    if not groups:
+        raise ValueError("group is empty")
+    if not orbit_texts:
+        raise ValueError("orbit is empty")
     if len(groups) == 1 and len(orbit_texts) == 1:
         rs = _root_system(groups[0])
         verdict = classify_component(rs, _parse_orbit(orbit_texts[0]), ctx)
@@ -391,10 +398,14 @@ def _add_flags(parser: argparse.ArgumentParser, flags: tuple[_Flag, ...]) -> Non
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built once per process: parsing
-    returns a new namespace each call, and the leaves' defaults are the
-    handler functions and their immutable flag tuples."""
+def _build_parser() -> tuple[
+    argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]
+]:
+    """The parser of every command, and each command's own parser by its
+    ``_COMMANDS`` path (the objects the tree hands those commands to),
+    built once per process: parsing returns a new namespace each call,
+    and a command's defaults are its handler, its flags by dest over
+    ``_COMMON`` and the command, and the dests its report echoes."""
     # copying a parent's actions is cheaper than adding them anew to every parser
     common = argparse.ArgumentParser(add_help=False)
     _add_flags(common, _COMMON)
@@ -404,6 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    leaves = {}
     for path, (help_text, handler, flags) in _COMMANDS.items():
         # a help=None keyword would still list the subcommand in --help
         extra = {"help": help_text} if help_text else {}
@@ -412,8 +424,31 @@ def _build_parser() -> argparse.ArgumentParser:
         if handler is None:
             subparsers[path] = sp.add_subparsers(dest=path[-1] + "_command", required=True)
         else:
-            sp.set_defaults(handler=handler, flags=flags)
-    return parser
+            sp.set_defaults(
+                handler=handler,
+                flags={flag.dest: flag for flag in _COMMON + flags},
+                inputs=tuple(flag.dest for flag in flags if flag.name != "--s"),
+            )
+            leaves[path] = sp
+    return parser, leaves
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse a call whose argv starts with a command's words with that
+    command's parser alone, and anything else with the whole tree. The
+    tree hands a command parser exactly the words after the command's,
+    so both give the same namespace, help and errors; a call that leaves
+    words unparsed goes through the tree, whose top-level parser reports
+    them."""
+    tree, leaves = _build_parser()
+    k = 1 if tuple(argv[:1]) in leaves else 2
+    leaf = leaves.get(tuple(argv[:k]))
+    if leaf is not None:
+        args, rest = leaf.parse_known_args(argv[k:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return tree.parse_args(argv)
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -436,21 +471,22 @@ def _resolve(args: argparse.Namespace) -> dict:
     when the command has --p) if q is still unset, and a command with
     --s needs one of the two. Returns the report's inputs: the command's
     flags without --s."""
-    flags = {flag.dest: flag for flag in _COMMON + args.flags}
+    flags = args.flags
     config = getattr(args, "config", None)
     if config:
         for key, text in _load_config(config).items():
-            flag = flags.get(key.replace("-", "_"))
-            if flag is not None and getattr(args, flag.dest, None) is None:
-                setattr(args, flag.dest, flag.type(text))
-    for flag in flags.values():
-        if getattr(args, flag.dest, None) is None:
-            setattr(args, flag.dest, flag.default)
+            dest = key.replace("-", "_")
+            flag = flags.get(dest)
+            if flag is not None and getattr(args, dest, None) is None:
+                setattr(args, dest, flag.type(text))
+    for dest, flag in flags.items():
+        if getattr(args, dest, None) is None:
+            setattr(args, dest, flag.default)
     if "s" in flags and args.q is None:
         if args.s is None:
             raise ValueError("%s needs --q (or --s)" % args.command)
         args.q = args.s * args.s % args.p if getattr(args, "p", None) else args.s * args.s
-    return {flag.dest: getattr(args, flag.dest) for flag in args.flags if flag.name != "--s"}
+    return {dest: getattr(args, dest) for dest in args.inputs}
 
 
 def _render_table(data: dict, indent: int = 0) -> list[str]:
@@ -485,9 +521,8 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

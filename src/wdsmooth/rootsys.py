@@ -504,16 +504,17 @@ def parse_group(name: str) -> DynkinType:
     if s in _GROUP_ALIASES:
         return _GROUP_ALIASES[s]
     if s.startswith("GL") and s[2:].isdigit():
+        args = ("A", int(s[2:]) - 1, 1)
+    elif s.startswith("SL") and s[2:].isdigit():
+        args = ("A", int(s[2:]) - 1)
+    elif s.startswith("SO") and s[2:].isdigit():
         n = int(s[2:])
-        return DynkinType("A", n - 1, central_torus=1)
-    if s.startswith("SL") and s[2:].isdigit():
-        n = int(s[2:])
-        return DynkinType("A", n - 1)
-    if s.startswith("SO") and s[2:].isdigit():
-        n = int(s[2:])
-        if n % 2 == 1:
-            return DynkinType("B", (n - 1) // 2)
-        return DynkinType("D", n // 2)
-    if len(s) >= 2 and s[0] in _RANK_RULES and s[1:].isdigit():
-        return DynkinType(s[0], int(s[1:]))
-    raise ValueError("cannot parse group name %r" % (name,))
+        args = ("B", (n - 1) // 2) if n % 2 == 1 else ("D", n // 2)
+    elif len(s) >= 2 and s[0] in _RANK_RULES and s[1:].isdigit():
+        args = (s[0], int(s[1:]))
+    else:
+        raise ValueError("cannot parse group name %r" % (name,))
+    try:
+        return DynkinType(*args)
+    except ValueError as exc:  # the rank is out of range: name the group typed
+        raise ValueError("group %r: %s" % (name, exc)) from None

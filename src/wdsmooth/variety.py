@@ -94,26 +94,47 @@ def _gsp4_basis() -> NDArray[np.int64]:
     return np.stack(basis)
 
 
-@dataclass(frozen=True)
+def _read_only(a: NDArray[np.int64]) -> NDArray[np.int64]:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class GroupSpec:
     """A matrix group with its Lie algebra basis.
 
     kind is "GL" or "GSp4"; lie_basis is a (dim_g, n, n) integer array
-    whose rows span the Lie algebra, n being the matrix size.
+    whose rows span the Lie algebra, n being the matrix size. Two specs
+    are equal when their kinds and bases are, so a spec can key a dict.
+    ``gl(n)`` and ``gsp4()`` return one spec per process, with a
+    read-only basis.
     """
 
     kind: str
     lie_basis: NDArray[np.int64]
 
+    def _key(self) -> tuple:
+        return self.kind, self.lie_basis.shape, self.lie_basis.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GroupSpec):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     @staticmethod
+    @functools.cache
     def gl(n: int) -> "GroupSpec":
         if not 1 <= n <= 4:
             raise ValueError("GL(n) realizations support n <= 4")
-        return GroupSpec(kind="GL", lie_basis=_gl_basis(n))
+        return GroupSpec(kind="GL", lie_basis=_read_only(_gl_basis(n)))
 
     @staticmethod
+    @functools.cache
     def gsp4() -> "GroupSpec":
-        return GroupSpec(kind="GSp4", lie_basis=_gsp4_basis())
+        return GroupSpec(kind="GSp4", lie_basis=_read_only(_gsp4_basis()))
 
     @property
     def n(self) -> int:

@@ -137,6 +137,19 @@ def test_implication_sweep_rejects_unknown_family():
         implication_sweep("AX", rank_max=2, l_max=5, q_max=4)
 
 
+@pytest.mark.parametrize("families, rank_max, l_max, q_max", [
+    ("ABCDG", 0, 13, 9),   # no type reaches its minimal rank
+    ("ABCDG", 4, -3, 9),   # no prime l
+    ("ABCDG", 4, 13, 1),   # no prime power q
+    ("A", 2, 2, 2),        # the only pair has l | q
+    ("", 4, 13, 9),        # no family
+    (",", 4, 13, 9),
+])
+def test_implication_sweep_rejects_an_empty_grid(families, rank_max, l_max, q_max):
+    with pytest.raises(ValueError, match=r"no \(type, q, l\) case"):
+        implication_sweep(families, rank_max, l_max, q_max)
+
+
 def test_banal_agrees_with_order_divisibility():
     rs = rs_of("Sp4")
     for q in (2, 3, 4, 5):

@@ -63,6 +63,32 @@ def test_classify_product_count_mismatch(capsys):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("group, orbit, message", [
+    ("GL3", "", "orbit is empty"),
+    ("GL3", ";", "orbit is empty"),
+    ("GL2xGL3", "", "orbit is empty"),
+    ("", "2", "group is empty"),
+])
+def test_classify_names_an_empty_group_or_orbit(capsys, group, orbit, message):
+    code, out, err = run(capsys, "classify", "--group", group, "--orbit", orbit, "--q", "4")
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("orbits", "--group", "GL1"), "GL1"),
+    (("orbits", "--group", "SO4"), "SO4"),
+    (("classify", "--group", "GL1", "--orbit", "1", "--q", "4"), "GL1"),
+    (("classify", "--group", "GL2xsl1", "--orbit", "2;1", "--q", "4"), "sl1"),
+    (("wdd", "--group", "E9", "--orbit", "2"), "E9"),
+    (("arith", "considerate", "--group", "SO4", "--q", "3", "--l", "11"), "SO4"),
+])
+def test_rank_errors_name_the_group(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: group %r: rank " % name) and "out of range" in err
+    assert "Traceback" not in err
+
+
 def test_orbits_listing(capsys):
     rep = run_json(capsys, "orbits", "--group", "Sp6")
     labels = [row["label"] for row in rep["results"]["orbits"]]
@@ -112,6 +138,18 @@ def test_arith_sweep(capsys):
                    "--rank-max", "2", "--l-max", "7", "--q-max", "5")
     assert rep["results"]["ok"] is True
     assert rep["results"]["violations"] == []
+
+
+@pytest.mark.parametrize("flags", [
+    ("--rank-max", "0"),
+    ("--l-max", "-3"),
+    ("--families", ""),
+    ("--l-max", "2", "--q-max", "2"),
+])
+def test_arith_sweep_rejects_an_empty_grid(capsys, flags):
+    code, out, err = run(capsys, "arith", "sweep", *flags)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: implication sweep has no (type, q, l) case")
 
 
 def test_verify_enumerate(capsys):
@@ -471,3 +509,84 @@ def test_repeated_calls_match_a_fresh_parser(tmp_path, capsys):
     assert reused == fresh
     assert [code for code, _, _ in fresh] == [0, 1, 1, 0, 0, 0, 0] * 2
     assert "usage: wdsmooth" in fresh[0][1] and fresh[2][2].startswith("error: ")
+
+
+# ------------------------------------------------------- leaf dispatch parity
+
+CLASSIFY = ("classify", "--group", "GL3", "--orbit", "2,1", "--q", "4")
+ENUMERATE = ("enumerate", "--p", "5", "--q", "2")
+TANGENT = ("verify", "tangent", "--group", "GL2", "--orbit", "2", "--p", "7", "--q", "3")
+
+#: calls that start with a command's words and that its parser parses alone
+#: ("CFG" and "OUT" stand for a config file and a report path)
+LEAF_PARSED = [
+    *((*path, *flags) for path, flags in VALID_CALLS.items()),
+    ("classify", "-h"),
+    ("verify", "enumerate", "-h"),
+    ("arith", "sweep", "--help"),
+    (*CLASSIFY, "--format", "table"),
+    (*CLASSIFY, "--format=table"),
+    (*CLASSIFY[:-2], "--config", "CFG"),
+    ("arith", "sweep", "--config", "CFG"),
+    (*TANGENT, "--sam", "3"),  # an abbreviation
+    (*TANGENT, "--s", "3"),  # ambiguous: --samples or --seed
+    ("classify", "--", *CLASSIFY[1:]),
+    ("classify", "--orbit", "2,1", "--q", "4"),  # missing required flag
+    ("verify", "enumerate", "--p", "5"),
+    ("verify", "enumerate", "--p", "5", "--q", "x"),  # bad int
+    ("orbits", "--group", "GL3", "--format", "xml"),  # bad choice
+    ("classify", "--group", "GL3", "--orbit", "2,1", "--q", "-1"),
+    ("verify", *ENUMERATE[:-1], "-1"),
+]
+#: calls the full parser tree parses
+TREE_PARSED = [
+    (),
+    ("-h",),
+    ("--help",),
+    ("verify", "-h"),
+    ("arith", "--help"),
+    ("--format", "table", *CLASSIFY),
+    ("--format=table", *CLASSIFY),
+    ("--format", "xml", *CLASSIFY),
+    ("--config", "CFG", *CLASSIFY[:-2]),
+    ("verify", "--format", "table", *ENUMERATE),
+    ("verify", "--format=table", *ENUMERATE),
+    ("arith", "--config", "CFG", "sweep"),
+    ("verify", "--out", "OUT", *ENUMERATE, "--bogus"),
+    (*CLASSIFY, "--bogus"),
+    (*CLASSIFY, "extra"),
+    (*CLASSIFY, "--"),
+    ("verify", *ENUMERATE, "--bogus", "1"),
+    ("--", *CLASSIFY),
+    ("--bogus", *CLASSIFY),
+    ("verify",),
+    ("arith",),
+    ("verify", "nonsense"),
+    ("nonsense",),
+    ("nonsense", "--q", "4"),
+]
+
+
+def run_with_parsers(capsys, monkeypatch, parsers, argv):
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_build_parser", lambda: parsers)
+        return run(capsys, *argv)
+
+
+@pytest.mark.parametrize("parser, argv", [
+    *(("leaf", argv) for argv in LEAF_PARSED),
+    *(("tree", argv) for argv in TREE_PARSED),
+], ids=lambda a: " ".join(a) if isinstance(a, tuple) else a)
+def test_leaf_dispatch_matches_the_full_tree(tmp_path, capsys, monkeypatch, parser, argv):
+    cfg = tmp_path / "wd.cfg"
+    cfg.write_text("q = 4\nfamilies = AB\nrank-max = 2\nq_max = 5\n")
+    files = {"CFG": str(cfg), "OUT": str(tmp_path / "report.json")}
+    argv = [files.get(word, word) for word in argv]
+    tree, leaves = cli._build_parser()
+    dispatched = run(capsys, *argv)
+    assert dispatched == run_with_parsers(capsys, monkeypatch, (tree, {}), argv)
+    if parser == "leaf":  # with no tree to fall back to, the call still runs
+        assert dispatched == run_with_parsers(capsys, monkeypatch, (None, leaves), argv)
+    else:
+        with pytest.raises(AttributeError):
+            run_with_parsers(capsys, monkeypatch, (None, leaves), argv)

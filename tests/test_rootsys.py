@@ -191,3 +191,17 @@ def test_parse_group_names():
 def test_parse_group_rejects(bad):
     with pytest.raises(ValueError):
         parse_group(bad)
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("GL1", "rank 0 out of range [1, 8] for family A"),
+    ("sl10", "rank 9 out of range [1, 8] for family A"),
+    ("SO4", "rank 2 out of range [3, 8] for family D"),
+    ("So3", "rank 1 out of range [2, 8] for family B"),
+    ("E9", "rank 9 out of range [6, 8] for family E"),
+    ("G3", "rank 3 out of range [2, 2] for family G"),
+])
+def test_parse_group_names_the_group_whose_rank_is_out_of_range(name, reason):
+    with pytest.raises(ValueError) as info:
+        parse_group(name)
+    assert str(info.value) == "group %r: %s" % (name, reason)

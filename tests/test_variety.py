@@ -57,6 +57,31 @@ def arr(rows):
     return np.array(rows, dtype=np.int64)
 
 
+# ---------------------------------------------------------------- specs
+
+def test_group_specs_compare_by_kind_and_basis():
+    assert GroupSpec.gl(3) == GroupSpec.gl(3)
+    assert GroupSpec.gl(3) == GroupSpec(kind="GL", lie_basis=GroupSpec.gl(3).lie_basis.copy())
+    assert GroupSpec.gl(2) != GroupSpec.gl(3)
+    assert GroupSpec.gl(4) != GSP4  # same n, different kind and basis
+    assert GroupSpec.gl(3) != "GL3"
+    by_spec = {GroupSpec.gl(n): n for n in range(1, 5)} | {GSP4: "GSp4"}
+    assert len(by_spec) == 5
+    assert by_spec[GroupSpec.gl(3)] == 3 and by_spec[GroupSpec.gsp4()] == "GSp4"
+    assert hash(GroupSpec.gl(2)) == hash(GroupSpec(kind="GL", lie_basis=GL2.lie_basis.copy()))
+
+
+def test_group_specs_are_built_once_with_a_read_only_basis():
+    assert GroupSpec.gl(2) is GL2 and GroupSpec.gsp4() is GSP4
+    for spec in (GL2, GroupSpec.gl(4), GSP4):
+        with pytest.raises(ValueError, match="read-only"):
+            spec.lie_basis[0, 0, 0] = 7
+        with pytest.raises(ValueError, match="read-only"):
+            spec.lie_basis[1] += 1
+    with pytest.raises(ValueError, match="n <= 4"):
+        GroupSpec.gl(5)
+
+
 # ---------------------------------------------------------------- membership
 
 def test_gl_membership():
