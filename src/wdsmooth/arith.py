@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rootsys import DynkinType, RootSystem, build_root_system
+from .rootsys import _RANK_RULES, DynkinType, RootSystem, build_root_system
 
 __all__ = [
     "QContext",
@@ -81,13 +81,7 @@ def multiplicative_order(q: int, l: int) -> int:
         raise ValueError("l must be prime")
     if q % l == 0:
         raise ValueError("q must be a unit mod l")
-    x = q % l
-    power = x
-    k = 1
-    while power != 1:
-        power = power * x % l
-        k += 1
-    return k
+    return order_capped(q, l, l - 1)  # Fermat: the order divides l - 1
 
 
 def order_capped(q: int, l: int, cap: int) -> int | None:
@@ -158,7 +152,7 @@ def implication_sweep(
 ) -> SweepReport:
     """Sweep considerate => banal over semisimple types and prime pairs.
 
-    Covers each family from its minimal rank up to rank_max, all primes
+    Covers each family's rank window, capped at rank_max, all primes
     l <= l_max and prime powers q <= q_max with l not dividing q. For
     type A the converse banal => considerate is checked as well (the two
     notions agree there). Instances that are banal but not considerate
@@ -168,17 +162,12 @@ def implication_sweep(
     fams = list(families) if not isinstance(families, str) else [
         f for f in families.replace(",", "").upper() if not f.isspace()
     ]
-    mins = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
     types = []
     for f in fams:
-        if f not in mins:
+        if f not in _RANK_RULES:
             raise ValueError("unknown family %r" % (f,))
-        for r in range(mins[f], rank_max + 1):
-            if f == "E" and r > 8:
-                break
-            if f in ("F", "G") and r != mins[f]:
-                break
-            types.append(DynkinType(f, r))
+        lo, hi = _RANK_RULES[f]
+        types += [DynkinType(f, r) for r in range(lo, min(hi, rank_max) + 1)]
     primes = [l for l in range(2, l_max + 1) if is_prime(l)]
     qs = [q for q in range(2, q_max + 1) if _is_prime_power(q)]
     report = SweepReport()

@@ -11,6 +11,7 @@ than a guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 from .arith import QContext, order_capped
@@ -62,67 +63,32 @@ def classify_component(
     validate_orbit(rs, o)
     h = rs.coxeter_number
     ord_k = None if ctx.l == 0 else order_capped(ctx.q, ctx.l, h)
-    considerate = ord_k is None
     zero = is_zero_orbit(rs, o)
-    distinguished = (not zero) and is_distinguished(rs, o)
-
-    if zero or distinguished:
-        w = weighted_dynkin(rs, o)
-        gd = grading_dims(rs, w)
-        r = smooth_bound_r(gd)
+    r = None
+    if zero or is_distinguished(rs, o):
+        r = smooth_bound_r(grading_dims(rs, weighted_dynkin(rs, o)))
         kind = "zero orbit" if zero else "distinguished orbit"
-        if considerate:
-            return SmoothnessVerdict(
-                status=SMOOTH,
-                orbit=o,
-                reasons=(kind,),
-                component_count=_known_count(rs, zero),
-                sharpened_order_bound=r,
-                considerate_checked=True,
-            )
+    if ord_k is not None and (r is None or ord_k <= r):
+        bound = ("h", h) if r is None else ("r", r)
+        status = NOT_COVERED
+        reasons = ("q^%d = 1 in the coefficient field with %d <= %s = %d"
+                   % (ord_k, ord_k, *bound),)
+    elif r is None:
+        status, reasons = SINGULAR, ("nonzero non-distinguished orbit",)
+    elif ord_k is None:
+        status, reasons = SMOOTH, (kind,)
+    else:
         # the full order condition fails, but 1, q, .., q^r distinct is
         # already enough for this component
-        assert ord_k is not None
-        if ord_k > r:
-            return SmoothnessVerdict(
-                status=SMOOTH,
-                orbit=o,
-                reasons=(
-                    kind,
-                    "weak-order-bound: ord(q)=%d exceeds r=%d" % (ord_k, r),
-                ),
-                component_count=_known_count(rs, zero),
-                sharpened_order_bound=r,
-                considerate_checked=False,
-            )
-        return SmoothnessVerdict(
-            status=NOT_COVERED,
-            orbit=o,
-            reasons=(
-                "q^%d = 1 in the coefficient field with %d <= r = %d"
-                % (ord_k, ord_k, r),
-            ),
-            sharpened_order_bound=r,
-            considerate_checked=False,
-        )
-
-    if considerate:
-        return SmoothnessVerdict(
-            status=SINGULAR,
-            orbit=o,
-            reasons=("nonzero non-distinguished orbit",),
-            component_count=_known_count(rs, False),
-            considerate_checked=True,
-        )
-    assert ord_k is not None
+        status = SMOOTH
+        reasons = (kind, "weak-order-bound: ord(q)=%d exceeds r=%d" % (ord_k, r))
     return SmoothnessVerdict(
-        status=NOT_COVERED,
+        status=status,
         orbit=o,
-        reasons=(
-            "q^%d = 1 in the coefficient field with %d <= h = %d"
-            % (ord_k, ord_k, h),
-        ),
-        considerate_checked=False,
+        reasons=reasons,
+        component_count=None if status == NOT_COVERED else _known_count(rs, zero),
+        sharpened_order_bound=r,
+        considerate_checked=ord_k is None,
     )
 
 
@@ -143,38 +109,20 @@ def classify_product(
     any factor is not covered; Singular otherwise. The empty product is
     a point, hence smooth.
     """
-    if not components:
-        return SmoothnessVerdict(
-            status=SMOOTH,
-            orbit=(),
-            reasons=("empty product",),
-            component_count=1,
-            considerate_checked=True,
-        )
     verdicts = [classify_component(rs, o, ctx) for rs, o in components]
-    orbits = tuple(o for _, o in components)
+    statuses = {v.status for v in verdicts}
+    status = next((s for s in (NOT_COVERED, SINGULAR) if s in statuses), SMOOTH)
+    counts = [v.component_count for v in verdicts]
     reasons = tuple(
         "factor %d (%s): %s" % (i, v.status, "; ".join(v.reasons))
         for i, v in enumerate(verdicts)
     )
-    counts = [v.component_count for v in verdicts]
-    count: int | None = None
-    if all(c is not None for c in counts):
-        count = 1
-        for c in counts:
-            count *= c  # type: ignore[operator]
-    checked = all(v.considerate_checked for v in verdicts)
-    if any(v.status == NOT_COVERED for v in verdicts):
-        return SmoothnessVerdict(
-            status=NOT_COVERED, orbit=orbits, reasons=reasons,
-            considerate_checked=checked,
-        )
-    if all(v.status == SMOOTH for v in verdicts):
-        return SmoothnessVerdict(
-            status=SMOOTH, orbit=orbits, reasons=reasons,
-            component_count=count, considerate_checked=checked,
-        )
     return SmoothnessVerdict(
-        status=SINGULAR, orbit=orbits, reasons=reasons,
-        component_count=count, considerate_checked=checked,
+        status=status,
+        orbit=tuple(o for _, o in components),
+        reasons=reasons or ("empty product",),
+        component_count=(
+            None if status == NOT_COVERED or None in counts else prod(counts)
+        ),
+        considerate_checked=all(v.considerate_checked for v in verdicts),
     )

@@ -85,15 +85,9 @@ def _group_spec(name: str) -> GroupSpec:
     key = name.strip().upper()
     if key == "GSP4":
         return GroupSpec.gsp4()
-    try:
-        n = int(key[2:]) if key.startswith("GL") else None
-    except ValueError:
-        n = None
-    if n is None:
-        raise ValueError(
-            "matrix realizations cover GL1..GL4 and GSp4, not %r" % name
-        )
-    return GroupSpec.gl(n)
+    if key in ("GL1", "GL2", "GL3", "GL4"):
+        return GroupSpec.gl(int(key[2:]))
+    raise ValueError("matrix realizations cover GL1..GL4 and GSp4, not %r" % name)
 
 
 def _verdict_dict(v) -> dict:
@@ -430,6 +424,9 @@ def _build_parser() -> tuple[
                 inputs=tuple(flag.dest for flag in flags if flag.name != "--s"),
             )
             leaves[path] = sp
+    for action in subparsers.values():
+        # a "required" error names the action by its metavar, else by its dest
+        action.metavar = "{%s}" % ",".join(action.choices)
     return parser, leaves
 
 

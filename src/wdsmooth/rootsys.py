@@ -1,13 +1,12 @@
 """Root systems, Dynkin diagrams and Weyl data for families A through G.
 
-Coordinates follow the standard Euclidean realizations: type A(n-1) in
-the sum-zero hyperplane of Z^n, types B/C/D in Z^n, G2 in Z^3. The E and
-F families are stored in doubled coordinates so that every root is an
-integer vector; Cartan pairings are ratios and unaffected by scaling.
-
-Positive roots are generated by closing the simple roots under simple
-reflections in simple-root coordinates, so each root also carries its
-integer coefficient vector. Everything is exact integer arithmetic.
+Each Cartan matrix is read off its Dynkin diagram in Bourbaki's
+numbering (Lie Groups and Lie Algebras, ch. VI, plates I-IX). Positive
+roots are generated by closing the simple roots under simple
+reflections, and live in simple-root coordinates: each root is its
+integer coefficient vector. Everything is exact integer arithmetic; the
+Euclidean models of the root systems serve as independent oracles in
+the tests.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "LeviSubset",
     "build_root_system",
     "levi_factors",
-    "simple_reflection_weights",
     "parse_group",
 ]
 
@@ -110,8 +108,6 @@ class LeviSubset:
 @dataclass(frozen=True)
 class RootSystem:
     dynkin_type: DynkinType
-    simple_roots: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[tuple[int, ...], ...]
     positive_root_coords: tuple[tuple[int, ...], ...]
     cartan_matrix: tuple[tuple[int, ...], ...]
     edges: tuple[Edge, ...]
@@ -129,12 +125,12 @@ class RootSystem:
 
     @property
     def num_positive_roots(self) -> int:
-        return len(self.positive_roots)
+        return len(self.positive_root_coords)
 
     @property
     def dim_g(self) -> int:
         """Dimension of the reductive Lie algebra: roots plus Cartan."""
-        return 2 * len(self.positive_roots) + self.reductive_rank
+        return 2 * len(self.positive_root_coords) + self.reductive_rank
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         out = []
@@ -146,56 +142,31 @@ class RootSystem:
         return tuple(sorted(out))
 
 
-def _dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+def _cartan(family: str, rank: int) -> list[list[int]]:
+    """Cartan matrix A[i][j] = 2(a_i, a_j)/(a_j, a_j) read off the diagram.
 
-
-def _simple_roots_euclid(family: str, rank: int) -> list[tuple[int, ...]]:
-    if family == "A":
-        n = rank + 1
-        return [
-            tuple(1 if k == i else (-1 if k == i + 1 else 0) for k in range(n))
-            for i in range(rank)
-        ]
-    if family in ("B", "C", "D"):
-        n = rank
-        chain = [
-            tuple(1 if k == i else (-1 if k == i + 1 else 0) for k in range(n))
-            for i in range(rank - 1)
-        ]
-        if family == "B":
-            last = tuple(1 if k == n - 1 else 0 for k in range(n))
-        elif family == "C":
-            last = tuple(2 if k == n - 1 else 0 for k in range(n))
-        else:
-            last = tuple(1 if k in (n - 2, n - 1) else 0 for k in range(n))
-            return chain + [last]
-        return chain + [last]
-    if family == "G":
-        return [(1, -1, 0), (-2, 1, 1)]
-    if family == "F":
-        # doubled coordinates
-        return [
-            (0, 2, -2, 0),
-            (0, 0, 2, -2),
-            (0, 0, 0, 2),
-            (1, -1, -1, -1),
-        ]
-    if family == "E":
-        # doubled Bourbaki coordinates of E8, truncated to the first
-        # `rank` simple roots for E6 and E7 (still 8 ambient coords)
-        base = [
-            (1, -1, -1, -1, -1, -1, -1, 1),
-            (2, 2, 0, 0, 0, 0, 0, 0),
-            (-2, 2, 0, 0, 0, 0, 0, 0),
-            (0, -2, 2, 0, 0, 0, 0, 0),
-            (0, 0, -2, 2, 0, 0, 0, 0),
-            (0, 0, 0, -2, 2, 0, 0, 0),
-            (0, 0, 0, 0, -2, 2, 0, 0),
-            (0, 0, 0, 0, 0, -2, 2, 0),
-        ]
-        return base[:rank]
-    raise ValueError("unknown family %r" % (family,))
+    Bonds follow Bourbaki's numbering: a chain (i, i+1), with D forking
+    at its far end and E branching at a_4. The one multiple bond of B,
+    C, F and G puts -m at [long][short].
+    """
+    bonds = [(i, i + 1) for i in range(rank - 1)]
+    if family == "D":
+        bonds[-1] = (rank - 3, rank - 1)
+    elif family == "E":
+        bonds = [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, rank - 1)]
+    cartan = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j in bonds:
+        cartan[i][j] = cartan[j][i] = -1
+    multiple = {
+        "B": (rank - 2, rank - 1, 2),
+        "C": (rank - 1, rank - 2, 2),
+        "F": (1, 2, 2),
+        "G": (1, 0, 3),
+    }
+    if family in multiple:
+        long, short, m = multiple[family]
+        cartan[long][short] = -m
+    return cartan
 
 
 def _degrees(family: str, rank: int) -> tuple[int, ...]:
@@ -267,21 +238,9 @@ def build_root_system(t: DynkinType) -> RootSystem:
     """
     if t in _CACHE:
         return _CACHE[t]
-    simples = _simple_roots_euclid(t.family, t.rank)
     n = t.rank
-    cartan = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            num = 2 * _dot(simples[i], simples[j])
-            den = _dot(simples[j], simples[j])
-            if num % den != 0:
-                raise AssertionError("non-integral Cartan pairing")
-            cartan[i][j] = num // den
+    cartan = _cartan(t.family, n)
     coords = _generate_roots(cartan, n)
-    euclid = [
-        tuple(sum(c[i] * simples[i][k] for i in range(n)) for k in range(len(simples[0])))
-        for c in coords
-    ]
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -307,8 +266,6 @@ def build_root_system(t: DynkinType) -> RootSystem:
         raise AssertionError("Weyl order disagrees with degree product")
     rs = RootSystem(
         dynkin_type=t,
-        simple_roots=tuple(tuple(v) for v in simples),
-        positive_roots=tuple(euclid),
         positive_root_coords=tuple(coords),
         cartan_matrix=tuple(tuple(row) for row in cartan),
         edges=tuple(edges),
@@ -318,25 +275,6 @@ def build_root_system(t: DynkinType) -> RootSystem:
     )
     _CACHE[t] = rs
     return rs
-
-
-def simple_reflection_weights(rs: RootSystem, i: int, v) -> tuple[int, ...]:
-    """Reflect an integer weight vector in the i-th simple root.
-
-    Args:
-        v: vector in the same Euclidean coordinates as rs.simple_roots.
-
-    Returns:
-        s_i(v) = v - <v, alpha_i^vee> alpha_i as a tuple of ints.
-    """
-    alpha = rs.simple_roots[i]
-    vv = tuple(int(x) for x in v)
-    num = 2 * _dot(vv, alpha)
-    den = _dot(alpha, alpha)
-    if num % den != 0:
-        raise ValueError("vector is not in the weight lattice of this realization")
-    c = num // den
-    return tuple(x - c * a for x, a in zip(vv, alpha))
 
 
 def _identify_component(rs: RootSystem, nodes: list[int]) -> tuple[DynkinType, tuple[int, ...]]:
@@ -490,12 +428,7 @@ def levi_factors(rs: RootSystem, subset) -> LeviSubset:
     return LeviSubset(ambient=rs, subset=sub, factors=tuple(factors))
 
 
-_GROUP_ALIASES = {
-    "GSP4": DynkinType("C", 2, central_torus=1),
-    "SP4": DynkinType("C", 2),
-    "SP6": DynkinType("C", 3),
-    "SP8": DynkinType("C", 4),
-}
+_GROUP_ALIASES = {"GSP4": DynkinType("C", 2, central_torus=1)}
 
 
 def parse_group(name: str) -> DynkinType:
@@ -510,6 +443,8 @@ def parse_group(name: str) -> DynkinType:
     elif s.startswith("SO") and s[2:].isdigit():
         n = int(s[2:])
         args = ("B", (n - 1) // 2) if n % 2 == 1 else ("D", n // 2)
+    elif s.startswith("SP") and s[2:].isdigit() and int(s[2:]) % 2 == 0:
+        args = ("C", int(s[2:]) // 2)
     elif len(s) >= 2 and s[0] in _RANK_RULES and s[1:].isdigit():
         args = (s[0], int(s[1:]))
     else:

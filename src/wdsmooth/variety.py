@@ -638,22 +638,15 @@ def bundle_count_check(
         phis = _all_invertible_2x2(p)
         tr = (phis[:, 0, 0] + phis[:, 1, 1]) % p
         det = (phis[:, 0, 0] * phis[:, 1, 1] - phis[:, 0, 1] * phis[:, 1, 0]) % p
-        z = np.arange(1, p, dtype=np.int64)
-        split_keys = z * (1 + q) % p * p + q * z % p * z % p
-        is_split = np.isin(tr * p + det, split_keys)
-        # irreducible characteristic polynomial with root multiset
-        # {z, qz} in F_{p^2} satisfies q tr^2 = (1+q)^2 det; at p = 2 the
+        # the eigenvalue multiset is {z, qz}, with z in F_p or in F_{p^2},
+        # exactly when q tr^2 = (1+q)^2 det; it lies in the quadratic
+        # extension when the discriminant is a non-residue. At p = 2 the
         # Euler criterion's exponent is 0, so every nonzero disc passes
-        disc = (tr * tr - 4 * det) % p
+        on_locus = q * tr % p * tr % p == (1 + q) ** 2 % p * det % p
+        disc = (tr * tr - 4 * det)[on_locus] % p
         euler = np.array([pow(d, (p - 1) // 2, p) for d in range(p)], dtype=np.int64)
-        is_quad = (
-            ~is_split
-            & (disc != 0)
-            & (euler[disc] == p - 1)
-            & (q * tr % p * tr % p == (1 + q) ** 2 % p * det % p)
-        )
-        quad = int(is_quad.sum())
-        phis = phis[is_split | is_quad]
+        quad = int(((disc != 0) & (euler[disc] == p - 1)).sum())
+        phis = phis[on_locus]
         invs = _inv_2x2_batch(phis, p)
     else:
         rng = np.random.default_rng(seed)

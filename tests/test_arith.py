@@ -61,6 +61,11 @@ def test_multiplicative_order():
     assert multiplicative_order(2, 7) == 3
     assert multiplicative_order(4, 5) == 2
     assert multiplicative_order(1, 13) == 1
+    for l in (2, 3, 5, 7, 11, 13, 29):
+        for q in range(1, 3 * l):
+            if q % l:
+                want = next(k for k in range(1, l) if pow(q, k, l) == 1)
+                assert multiplicative_order(q, l) == want
     with pytest.raises(ValueError):
         multiplicative_order(3, 12)
     with pytest.raises(ValueError):
@@ -130,6 +135,19 @@ def test_implication_sweep_clean():
     assert report.type_a_violations == []
     # the gap cases exist: banal but not considerate outside type A
     assert any(name.startswith("C3") for name, _, _, _ in report.banal_not_considerate)
+
+
+@pytest.mark.parametrize("families, types", [
+    ("A", 8),   # A1..A8, not an error at rank 9
+    ("E", 3),   # E6..E8
+    ("FG", 2),  # F4 and G2 only
+    ("D", 6),   # D3..D8
+])
+def test_implication_sweep_caps_each_family_at_its_rank_window(families, types):
+    # l_max = 5 and q_max = 4 leave six (q, l) pairs with l not dividing q
+    report = implication_sweep(families, rank_max=9, l_max=5, q_max=4)
+    assert report.checked == 6 * types
+    assert report.checked == implication_sweep(families, 8, 5, 4).checked
 
 
 def test_implication_sweep_rejects_unknown_family():

@@ -140,6 +140,13 @@ def test_arith_sweep(capsys):
     assert rep["results"]["violations"] == []
 
 
+def test_arith_sweep_stops_each_family_at_its_top_rank(capsys):
+    # type A ends at rank 8, so --rank-max 9 sweeps the ranks 8 sweeps
+    flags = ("--families", "A", "--l-max", "5", "--q-max", "4")
+    capped = run_json(capsys, "arith", "sweep", *flags, "--rank-max", "9")["results"]
+    assert capped == run_json(capsys, "arith", "sweep", *flags, "--rank-max", "8")["results"]
+
+
 @pytest.mark.parametrize("flags", [
     ("--rank-max", "0"),
     ("--l-max", "-3"),
@@ -248,6 +255,21 @@ def test_bad_usage_exits_one(capsys):
     assert run(capsys, "classify", "--group", "GL9", "--orbit", "2", "--q", "4")[0] == 1
     assert run(capsys, "nonsense")[0] == 1
     assert run(capsys)[0] == 1
+
+
+@pytest.mark.parametrize("argv, prog, choices", [
+    ((), "wdsmooth", "{classify,orbits,wdd,arith,verify,certify}"),
+    (("verify",), "wdsmooth verify", "{enumerate,tangent,nilpotency,expbridge,bundle}"),
+    (("arith", "--format", "table"), "wdsmooth arith", "{considerate,banal,order,sweep}"),
+])
+def test_bare_command_group_names_its_subcommands(capsys, argv, prog, choices):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == (
+        "%s: error: the following arguments are required: %s" % (prog, choices)
+    )
+    # the usage above the error lists the same choices
+    assert err.startswith("usage: %s " % prog) and err.count(choices) == 2
 
 
 FIELD_COMMANDS = (
@@ -416,12 +438,13 @@ def test_config_values_take_the_flag_type(tmp_path, capsys):
     assert json.loads(flags_out) == rep
 
 
-@pytest.mark.parametrize("name", ["GL", "GLx", "GSp6", "Sp4"])
+@pytest.mark.parametrize("name", ["GL", "GLx", "GSp6", "Sp4", "GL0", "GL5"])
 @pytest.mark.parametrize("argv", [
     ("verify", "tangent", "--orbit", "2,1", "--p", "11", "--q", "4"),
+    ("verify", "expbridge", "--orbit", "2,1", "--p", "11", "--q", "4"),
     ("verify", "bundle", "--p", "7", "--q", "3"),
     ("certify", "--orbit", "2,1", "--p", "11", "--q", "4"),
-], ids=["verify tangent", "verify bundle", "certify"])
+], ids=["verify tangent", "verify expbridge", "verify bundle", "certify"])
 def test_unknown_matrix_group(capsys, argv, name):
     code, out, err = run(capsys, *argv, "--group", name)
     assert (code, out) == (1, "")
@@ -561,6 +584,8 @@ TREE_PARSED = [
     ("--bogus", *CLASSIFY),
     ("verify",),
     ("arith",),
+    ("verify", "--format", "table"),
+    ("--format", "table", "arith"),
     ("verify", "nonsense"),
     ("nonsense",),
     ("nonsense", "--q", "4"),

@@ -1,4 +1,9 @@
-"""Root data checked against independent Euclidean enumerations."""
+"""Root data checked against independent Euclidean enumerations.
+
+The package keeps roots in simple-root coordinates only. These tests map
+them through Bourbaki's Euclidean simple roots (plates I-IV and IX) and
+compare with the root sets enumerated straight from each Euclidean model.
+"""
 
 import itertools
 
@@ -9,7 +14,6 @@ from wdsmooth.rootsys import (
     build_root_system,
     levi_factors,
     parse_group,
-    simple_reflection_weights,
 )
 
 
@@ -61,6 +65,41 @@ def euclid_full_roots(family, rank):
     return out
 
 
+def bourbaki_simple_roots(family, rank):
+    """Simple roots in the coordinates of euclid_full_roots."""
+    if family == "G":
+        return [(1, -1, 0), (-2, 1, 1)]
+    n = rank + 1 if family == "A" else rank
+    out = []
+    for i in range(n - 1):
+        v = [0] * n
+        v[i], v[i + 1] = 1, -1
+        out.append(tuple(v))
+    if family == "A":
+        return out
+    last = [0] * n
+    if family == "B":
+        last[-1] = 1
+    elif family == "C":
+        last[-1] = 2
+    else:
+        last[-2] = last[-1] = 1
+    return out + [tuple(last)]
+
+
+def dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def euclidean_positive_roots(rs):
+    """The package's positive roots, mapped into the Euclidean model."""
+    simples = bourbaki_simple_roots(rs.dynkin_type.family, rs.rank)
+    return [
+        tuple(sum(c * a[k] for c, a in zip(coords, simples)) for k in range(len(simples[0])))
+        for coords in rs.positive_root_coords
+    ]
+
+
 CLASSICAL = [("A", r) for r in range(1, 6)] + [
     ("B", r) for r in range(2, 6)
 ] + [("C", r) for r in range(2, 6)] + [("D", r) for r in range(4, 7)] + [("G", 2)]
@@ -69,13 +108,19 @@ CLASSICAL = [("A", r) for r in range(1, 6)] + [
 @pytest.mark.parametrize("family,rank", CLASSICAL)
 def test_root_sets_match_euclidean_model(family, rank):
     rs = build_root_system(DynkinType(family, rank))
-    got = set(rs.positive_roots) | {tuple(-x for x in v) for v in rs.positive_roots}
+    pos = euclidean_positive_roots(rs)
+    got = set(pos) | {tuple(-x for x in v) for v in pos}
+    assert len(got) == 2 * len(pos)
     assert got == euclid_full_roots(family, rank)
+    simples = bourbaki_simple_roots(family, rank)
+    assert rs.cartan_matrix == tuple(
+        tuple(2 * dot(a, b) // dot(b, b) for b in simples) for a in simples
+    )
 
 
 def reflect(v, a):
-    num = 2 * sum(x * y for x, y in zip(v, a))
-    den = sum(x * x for x in a)
+    num = 2 * dot(v, a)
+    den = dot(a, a)
     assert num % den == 0
     c = num // den
     return tuple(x - c * y for x, y in zip(v, a))
@@ -83,13 +128,14 @@ def reflect(v, a):
 
 def weyl_order_bruteforce(rs):
     """Closure of the simple reflections acting on the positive roots."""
-    identity = tuple(rs.positive_roots)
+    identity = tuple(euclidean_positive_roots(rs))
+    simples = bourbaki_simple_roots(rs.dynkin_type.family, rs.rank)
     seen = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for elem in frontier:
-            for a in rs.simple_roots:
+            for a in simples:
                 img = tuple(reflect(v, a) for v in elem)
                 if img not in seen:
                     seen.add(img)
@@ -143,6 +189,51 @@ def test_cartan_matrix_shape():
     assert mults == [1, 1, 2]
 
 
+# Bourbaki plates V-VIII; nothing else checks the exceptional matrices
+# entry by entry
+EXCEPTIONAL_CARTAN = {
+    ("E", 6): (
+        (2, 0, -1, 0, 0, 0),
+        (0, 2, 0, -1, 0, 0),
+        (-1, 0, 2, -1, 0, 0),
+        (0, -1, -1, 2, -1, 0),
+        (0, 0, 0, -1, 2, -1),
+        (0, 0, 0, 0, -1, 2),
+    ),
+    ("E", 7): (
+        (2, 0, -1, 0, 0, 0, 0),
+        (0, 2, 0, -1, 0, 0, 0),
+        (-1, 0, 2, -1, 0, 0, 0),
+        (0, -1, -1, 2, -1, 0, 0),
+        (0, 0, 0, -1, 2, -1, 0),
+        (0, 0, 0, 0, -1, 2, -1),
+        (0, 0, 0, 0, 0, -1, 2),
+    ),
+    ("E", 8): (
+        (2, 0, -1, 0, 0, 0, 0, 0),
+        (0, 2, 0, -1, 0, 0, 0, 0),
+        (-1, 0, 2, -1, 0, 0, 0, 0),
+        (0, -1, -1, 2, -1, 0, 0, 0),
+        (0, 0, 0, -1, 2, -1, 0, 0),
+        (0, 0, 0, 0, -1, 2, -1, 0),
+        (0, 0, 0, 0, 0, -1, 2, -1),
+        (0, 0, 0, 0, 0, 0, -1, 2),
+    ),
+    ("F", 4): (
+        (2, -1, 0, 0),
+        (-1, 2, -2, 0),
+        (0, -1, 2, -1),
+        (0, 0, -1, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("family,rank", sorted(EXCEPTIONAL_CARTAN))
+def test_exceptional_cartan_matrices_pinned(family, rank):
+    rs = build_root_system(DynkinType(family, rank))
+    assert rs.cartan_matrix == EXCEPTIONAL_CARTAN[family, rank]
+
+
 def test_levi_factor_typing_in_e8():
     rs = build_root_system(DynkinType("E", 8))
     levi = levi_factors(rs, {1, 2, 3, 4, 6, 7})
@@ -168,13 +259,6 @@ def test_levi_subset_records_ambient():
     assert levi.subset == frozenset({0, 1, 2})
 
 
-def test_simple_reflection_weights_involution():
-    rs = build_root_system(DynkinType("C", 3))
-    w = (2, 0, 1)
-    for i in range(3):
-        assert simple_reflection_weights(rs, i, simple_reflection_weights(rs, i, w)) == w
-
-
 def test_parse_group_names():
     assert parse_group("GL3") == DynkinType("A", 2, central_torus=1)
     assert parse_group("SL2") == DynkinType("A", 1)
@@ -185,6 +269,12 @@ def test_parse_group_names():
     assert parse_group("GSp4") == DynkinType("C", 2, central_torus=1)
     assert parse_group("E7") == DynkinType("E", 7)
     assert parse_group("so5") == DynkinType("B", 2)
+
+
+@pytest.mark.parametrize("rank", range(2, 9))
+def test_parse_group_reads_every_symplectic_rank(rank):
+    assert parse_group("Sp%d" % (2 * rank)) == DynkinType("C", rank)
+    assert parse_group("sp%d" % (2 * rank)) == parse_group("C%d" % rank)
 
 
 @pytest.mark.parametrize("bad", ["GL0", "Sp5", "E9", "H4", "widget"])
@@ -200,6 +290,8 @@ def test_parse_group_rejects(bad):
     ("So3", "rank 1 out of range [2, 8] for family B"),
     ("E9", "rank 9 out of range [6, 8] for family E"),
     ("G3", "rank 3 out of range [2, 2] for family G"),
+    ("Sp2", "rank 1 out of range [2, 8] for family C"),
+    ("Sp18", "rank 9 out of range [2, 8] for family C"),
 ])
 def test_parse_group_names_the_group_whose_rank_is_out_of_range(name, reason):
     with pytest.raises(ValueError) as info:
