@@ -9,7 +9,8 @@ Subcommands:
     certify    singularity certificate at a degeneration base point
 
 Reports are JSON by default (deterministic: sorted keys, no
-timestamps); --format table renders the same data as text. Exit codes:
+timestamps; byte for byte what ``json.dumps`` writes with an indent of 2
+and sorted keys); --format table renders the same data as text. Exit codes:
 0 success, 1 usage or unsupported input, 2 a property check failed
 (one machine-parsable line on stderr).
 
@@ -24,6 +25,7 @@ import functools
 import json
 import sys
 from collections import Counter
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -67,13 +69,20 @@ SCHEMA_VERSION = "1"
 _PROVENANCE = dict(sorted(PROVENANCE.items())) | {"package": "wdsmooth %s" % __version__}
 
 
+def _fields(text: str, sep: str, what: str) -> list[str]:
+    """``text`` split at ``sep``; an empty field is an error naming the text."""
+    fields = text.split(sep)
+    if not all(fields):
+        raise ValueError("%s %r has an empty %r-separated field" % (what, text, sep))
+    return fields
+
+
 def _parse_orbit(text: str) -> OrbitLabel:
     text = text.strip()
     if text in ("0", "zero"):
         return OrbitLabel.zero()
     if all(ch.isdigit() or ch == "," for ch in text) and text:
-        parts = tuple(int(x) for x in text.split(",") if x)
-        return OrbitLabel.partition(parts)
+        return OrbitLabel.partition(tuple(int(x) for x in _fields(text, ",", "orbit")))
     return OrbitLabel.named(text)
 
 
@@ -114,12 +123,12 @@ def _verdict_dict(v) -> dict:
 
 def _classify(args) -> tuple[dict, str | None]:
     ctx = QContext(q=args.q, l=args.l)
-    groups = [g for g in args.group.split("x") if g]
-    orbit_texts = [o for o in args.orbit.split(";") if o]
-    if not groups:
+    if not args.group.strip("x"):
         raise ValueError("group is empty")
-    if not orbit_texts:
+    if not args.orbit.strip(";"):
         raise ValueError("orbit is empty")
+    groups = _fields(args.group, "x", "group")
+    orbit_texts = _fields(args.orbit, ";", "orbit")
     if len(groups) == 1 and len(orbit_texts) == 1:
         rs = _root_system(groups[0])
         verdict = classify_component(rs, _parse_orbit(orbit_texts[0]), ctx)
@@ -230,7 +239,12 @@ def _verify_enumerate(args) -> tuple[dict, str | None]:
 def _stratum_points(args):
     spec = _group_spec(args.group)
     orbit = _parse_orbit(args.orbit)
-    return spec, stratum_sample(spec, args.p, args.q, orbit, args.samples, seed=args.seed)
+    pts = stratum_sample(spec, args.p, args.q, orbit, args.samples, seed=args.seed)
+    if len(pts) < args.samples:
+        # a print, not warnings.warn, which -W error would turn into an exception
+        print("warning: sampled %d of %d requested points" % (len(pts), args.samples),
+              file=sys.stderr)
+    return spec, pts
 
 
 def _verify_tangent(args) -> tuple[dict, str | None]:
@@ -505,11 +519,47 @@ def _render_table(data: dict, indent: int = 0) -> list[str]:
     return lines
 
 
+def _json(obj, pad: str = "\n") -> str:
+    """The text ``json.dumps`` writes for ``obj`` with an indent of 2 and
+    sorted keys, written directly: with an indent, ``json.dumps`` builds a
+    new encoder on each call and runs json's pure-Python encoder, since
+    the C encoder writes only unindented text. ``pad`` is the newline and
+    indent that precede ``obj``'s closing bracket. Dicts must have str
+    keys; anything but dicts, lists, tuples, str, int, bool, None and
+    float raises TypeError, as ``json.dumps`` does."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(key) + ": " + _json(obj[key], inner) for key in sorted(obj)
+        ]) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in obj]) + pad + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return json.dumps(obj)  # repr, or NaN / Infinity / -Infinity
+    raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
+
+
 def _emit(report: dict, args: argparse.Namespace) -> None:
     if args.format == "table":
         text = "\n".join(_render_table(report)) + "\n"
     else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = _json(report) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

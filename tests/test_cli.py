@@ -2,9 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wdsmooth.cli as cli
+import wdsmooth.variety as variety
 from wdsmooth.kernels import P_MAX
 
 
@@ -68,10 +72,31 @@ def test_classify_product_count_mismatch(capsys):
     ("GL3", ";", "orbit is empty"),
     ("GL2xGL3", "", "orbit is empty"),
     ("", "2", "group is empty"),
+    ("x", "2", "group is empty"),
+    ("GL3", "2,,1", "orbit '2,,1' has an empty ','-separated field"),
+    ("GL3", "2,1,", "orbit '2,1,' has an empty ','-separated field"),
+    ("GL3", ",2,1", "orbit ',2,1' has an empty ','-separated field"),
+    ("GL3x", "2,1;", "group 'GL3x' has an empty 'x'-separated field"),
+    ("GL3", "2,1;", "orbit '2,1;' has an empty ';'-separated field"),
+    ("GL2xxGL3", "2;;2,1", "group 'GL2xxGL3' has an empty 'x'-separated field"),
+    ("GL2xGL3", "2;;2,1", "orbit '2;;2,1' has an empty ';'-separated field"),
+    ("GL2xGL3", "2;2,,1", "orbit '2,,1' has an empty ','-separated field"),
 ])
 def test_classify_names_an_empty_group_or_orbit(capsys, group, orbit, message):
     code, out, err = run(capsys, "classify", "--group", group, "--orbit", orbit, "--q", "4")
     assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("orbit", ["2,,1", "2,1,", ",2,1"])
+@pytest.mark.parametrize("argv", [
+    ("wdd", "--group", "GL3"),
+    ("verify", "tangent", "--group", "GL3", "--p", "11", "--q", "4"),
+    ("certify", "--group", "GL3", "--p", "11", "--q", "4"),
+], ids=lambda a: " ".join(a[:2]))
+def test_orbit_with_an_empty_part_is_a_usage_error(capsys, argv, orbit):
+    code, out, err = run(capsys, *argv, "--orbit", orbit)
+    assert (code, out, err) == (
+        1, "", "error: orbit %r has an empty ','-separated field\n" % orbit)
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -230,6 +255,22 @@ def test_certify_gsp4_reports_the_mark_it_used(capsys):
     assert rep["results"]["certifies_singular"] is True
 
 
+@pytest.mark.parametrize("command", ["tangent", "expbridge"])
+def test_short_sample_warns_on_stderr(capsys, monkeypatch, fresh_jordan_systems, command):
+    argv = ("verify", command, "--group", "GL3", "--orbit", "2,1", "--p", "7", "--q", "3",
+            "--samples", "3")
+    with monkeypatch.context() as patch:  # the Jordan system has no solution
+        patch.setattr(variety.kernels, "nullspace_mod",
+                      lambda a, p: np.zeros((0, a.shape[1]), dtype=np.int64))
+        code, out, err = run(capsys, *argv)
+    variety._jordan_system.cache_clear()  # drop the fake system
+    assert code == 2 and json.loads(out)["results"]["samples"] == 0
+    assert err.splitlines()[0] == "warning: sampled 0 of 3 requested points"
+    # a full sample prints no warning
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and "warning" not in err
+
+
 def test_check_failure_exit_code(capsys, monkeypatch):
     class FakeReport:
         p, q = 7, 4
@@ -377,6 +418,38 @@ def test_report_json_is_sorted_and_newline_terminated(capsys):
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
+#: strings json escapes: quotes, backslashes, control and non-ASCII characters
+JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+                              st.characters()))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | JSON_TEXT | st.floats()
+    | st.integers() | st.integers(min_value=-2**80, max_value=2**80),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(JSON_TEXT, children, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_report_writer_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_report_writer_covers_the_edge_values():
+    # in case the property's draws miss them
+    value = {"z": [[], {}, (), [[]], {"": {}}], "\"\\\x00\u00e9": (2**64, -2**63 - 1, True, None)}
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [np.int64(1), {1, 2}, {1: "a"}, {"a": [np.int64(1)]}],
+                         ids=["numpy int", "set", "int key", "nested numpy int"])
+def test_report_writer_rejects_what_json_cannot_write(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
 SWEEP_FLAGS = ("--families", "AB", "--rank-max", "2", "--q-max", "5")
 
 
@@ -422,6 +495,13 @@ def test_inputs_echo_the_command_flags(capsys, path):
     flags = cli._COMMANDS[path][2]
     assert sorted(rep["inputs"]) == sorted(f.dest for f in flags if f.name != "--s")
     assert rep["command"] == path[0]
+
+
+@pytest.mark.parametrize("path", COMMAND_PATHS, ids=" ".join)
+def test_every_report_is_written_as_json_dumps_writes_it(capsys, path):
+    code, out, err = run(capsys, *path, *VALID_CALLS[path])
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 def test_config_values_take_the_flag_type(tmp_path, capsys):

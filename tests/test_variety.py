@@ -209,15 +209,6 @@ def test_enumeration_keeps_the_walk_order():
     assert np.array_equal(enumerate_sg(GL2, 5, 2), np.stack(want))
 
 
-@pytest.fixture
-def fresh_jordan_systems():
-    # a test that fakes the kernel must neither read a kept Jordan system
-    # nor leave its fake one behind for later tests
-    _jordan_system.cache_clear()
-    yield
-    _jordan_system.cache_clear()
-
-
 def test_sampler_with_no_solutions_returns_an_empty_point_array(monkeypatch,
                                                                 fresh_jordan_systems):
     monkeypatch.setattr(variety.kernels, "nullspace_mod",
