@@ -70,8 +70,9 @@ _PROVENANCE = dict(sorted(PROVENANCE.items())) | {"package": "wdsmooth %s" % __v
 
 
 def _fields(text: str, sep: str, what: str) -> list[str]:
-    """``text`` split at ``sep``; an empty field is an error naming the text."""
-    fields = text.split(sep)
+    """``text`` split at ``sep``, each field stripped of the spaces around
+    it; an empty or blank field is an error naming the text."""
+    fields = [field.strip() for field in text.split(sep)]
     if not all(fields):
         raise ValueError("%s %r has an empty %r-separated field" % (what, text, sep))
     return fields
@@ -81,7 +82,8 @@ def _parse_orbit(text: str) -> OrbitLabel:
     text = text.strip()
     if text in ("0", "zero"):
         return OrbitLabel.zero()
-    if all(ch.isdigit() or ch == "," for ch in text) and text:
+    # a partition: digits separated by commas, with spaces around them allowed
+    if text and all(not field or field.isdigit() for field in map(str.strip, text.split(","))):
         return OrbitLabel.partition(tuple(int(x) for x in _fields(text, ",", "orbit")))
     return OrbitLabel.named(text)
 

@@ -11,9 +11,12 @@ the fields are wide enough that no intermediate value can carry from one
 entry into the next. ``rank_mod`` and ``nullity_mod`` read only the
 pivot count, so they stop at row echelon form; the others reduce fully
 (Gauss-Jordan). Matrices come in through ``tolist()`` and results go
-back out as int64 arrays. ``batch_nullity_mod`` reduces a whole
-(B, m, n) stack at once in int64, one column at a time, for callers that
-hold real batches.
+back out as int64 arrays. The stack entry points, ``batch_nullity_mod``
+and ``batch_rref_mod``, reduce a whole (B, m, n) stack at once in int64
+through one column loop, for callers that hold real batches: the first
+stops at what a rank needs, the second reduces fully and returns, matrix
+for matrix, what ``rref_mod`` returns. No public entry point calls
+another.
 """
 
 from __future__ import annotations
@@ -167,37 +170,73 @@ def _inverse_mod(x: NDArray[np.int64], p: int) -> NDArray[np.int64]:
     return out
 
 
-def batch_nullity_mod(stack, p: int) -> NDArray[np.int64]:
-    """Right-kernel dimension for each matrix in a (B, m, n) stack.
-
-    The stack is reduced one column at a time: each matrix takes as its
-    pivot the largest entry of the column among its rows not yet used as
-    pivot rows, and one rank-1 update with the pivot row scaled to a
-    leading 1 clears the column from those rows (the pivot row included;
-    it is never read again). Entries stay in [0, p), so the products in
-    the update are below (p - 1)^2 < 2^63 for p <= P_MAX and never
-    overflow int64. A column with no pivot is all zero in the unused
-    rows, so its update changes nothing.
-    """
+def _reduce_stack(stack, p: int, full: bool) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+    # Column loop shared by the stack entry points; returns the reduced
+    # stack and, per row, the column of its pivot (n for a row that never
+    # became a pivot row). Each matrix takes as its pivot the largest entry
+    # of the column among its rows not yet used as pivot rows, and one
+    # rank-1 update with the pivot row scaled to a leading 1 clears the
+    # column. With full=False it clears it from the unused rows only (the
+    # pivot row included; it is never read again), which is all a rank
+    # needs. With full=True it clears it from every row, and the pivot row
+    # then takes the scaled row, so each pivot row ends up reduced and every
+    # other row zero. Entries stay in [0, p), so the products in the update
+    # are below (p - 1)^2 < 2^63 for p <= P_MAX and never overflow int64. A
+    # matrix with no pivot in the column is all zero there in its unused
+    # rows, and with full=True its update is masked out, so it changes
+    # nothing.
     a = as_field(stack, p)
     if a.ndim != 3:
         raise ValueError("expected a 3-d array")
     b, m, n = a.shape
     which = np.arange(b)
-    used = np.zeros((b, m), dtype=bool)
-    rank = np.zeros(b, dtype=np.int64)
+    lead = np.full((b, m), n, dtype=np.int64)
     for col in range(n if b and m else 0):
-        column = np.where(used, 0, a[:, :, col])
+        column = np.where(lead < n, 0, a[:, :, col])
         piv = column.argmax(axis=1)
         val = column[which, piv]
         found = val != 0
         if not found.any():
             continue
-        row = a[which, piv, col + 1:] * _inverse_mod(val, p)[:, None] % p
-        a[:, :, col + 1:] = (a[:, :, col + 1:] - column[:, :, None] * row[:, None, :]) % p
-        used[which, piv] |= found
-        rank += found
-    return n - rank
+        start = col if full else col + 1
+        row = a[which, piv, start:] * _inverse_mod(val, p)[:, None] % p
+        if full:
+            column = a[:, :, col] * found[:, None]
+        a[:, :, start:] = (a[:, :, start:] - column[:, :, None] * row[:, None, :]) % p
+        if full:
+            a[which[found], piv[found], col:] = row[found]
+        lead[which[found], piv[found]] = col
+    return a, lead
+
+
+def batch_nullity_mod(stack, p: int) -> NDArray[np.int64]:
+    """Right-kernel dimension for each matrix in a (B, m, n) stack."""
+    a, lead = _reduce_stack(stack, p, full=False)
+    return a.shape[2] - (lead < a.shape[2]).sum(axis=1)
+
+
+def batch_rref_mod(stack, p: int
+                   ) -> tuple[NDArray[np.int64], NDArray[np.int64], NDArray[np.bool_]]:
+    """Reduced row echelon form of each matrix in a (B, m, n) stack.
+
+    Returns:
+        (rref, rank, pivots): the (B, m, n) reduced forms, the (B,) ranks,
+        and a (B, n) mask that is True at each matrix's pivot columns.
+        Matrix for matrix these are ``rref_mod``'s results, pivot columns
+        as a mask since their number varies: the reduced row echelon form
+        is unique, so the pivoting does not change it.
+    """
+    a, lead = _reduce_stack(stack, p, full=True)
+    b, m, n = a.shape
+    which = np.arange(b)[:, None]
+    # each pivot row moves up to the number of rows with an earlier pivot;
+    # the other rows are zero, and all land on the first row past the pivots
+    red = np.zeros_like(a)
+    red[which, (lead[:, None, :] < lead[:, :, None]).sum(axis=2)] = a
+    # column n of the mask collects the rows without a pivot
+    pivots = np.zeros((b, n + 1), dtype=bool)
+    pivots[which, lead] = True
+    return red, (lead < n).sum(axis=1), pivots[:, :n]
 
 
 def nullspace_mod(a, p: int) -> NDArray[np.int64]:

@@ -15,7 +15,10 @@ array), like ``sg_member``.
 
 All computations are exact over F_p; tangent dimensions come from the
 kernel of the defining map's differential, evaluated by deterministic
-Gaussian elimination.
+Gaussian elimination. The GL2 enumeration and nilpotency scan run on
+stacks: one ``batch_rref_mod`` of Ad(phi) - q over all of GL(2, F_p)
+gives every phi's canonical kernel basis, and the nonzero solutions come
+out as point arrays with a nilpotent mask, block by block.
 """
 
 from __future__ import annotations
@@ -258,15 +261,17 @@ def tangent_matrix(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.in
     """
     phi = kernels.as_field(phi, p)
     n_mat = kernels.as_field(n_mat, p)
-    q = q % p
     basis = spec.lie_basis
-    dim = basis.shape[0]
-    # the brackets [X, N] stacked over the Lie basis X, then the basis M
-    stack = np.concatenate([(basis @ n_mat - n_mat @ basis) % p, basis % p])
-    images = phi @ stack % p
-    images[dim:] = (images[dim:] - q * (basis @ phi % p)) % p
+    # phi X over the basis, reduced before N is applied, so that whatever
+    # the basis entries (the GSp4 basis has -1s) each entry below is a sum
+    # of n products of residues plus at most n (p - 1) from a basis side:
+    # under n (p - 1) p < 2^63 for p <= P_MAX.
+    phi_x = phi @ basis % p
+    # phi [X, N] = (phi X) N - (phi N) X, then phi M - q M phi
+    images = np.concatenate([phi_x @ n_mat - (phi @ n_mat % p) @ basis,
+                             phi_x - q % p * (basis @ phi)]) % p
     # column k of the map is the row-major vec of the k-th image
-    return images.reshape(2 * dim, -1).T
+    return images.reshape(2 * basis.shape[0], -1).T
 
 
 def tangent_dim(spec: GroupSpec, phi, n_mat, q: int, p: int) -> int:
@@ -295,31 +300,65 @@ def _inv_2x2_batch(mats: NDArray[np.int64], p: int) -> NDArray[np.int64]:
     return out * inv_dets[:, None, None] % p
 
 
-def _gl2_solutions(p: int, q: int):
-    """Yield (phi, nilpotent, other) for every phi in GL(2, F_p), in
-    lexicographic order: the nonzero solutions N of Ad(phi) N = q N,
-    split into two (k, 2, 2) stacks by whether N is nilpotent.
+#: about how many nonzero solutions one block of the GL2 walk holds: a new
+#: block starts at each phi whose solutions start past a multiple of it.
+#: At p = 13 and q = 1 there are 4.7 million, 300 MB as one point array.
+_WALK_BLOCK = 1 << 14
 
-    Each stack keeps the order of the combinations of the canonical
-    kernel basis (a 1 in each free column) with coefficients
-    1 .. p^d - 1 in base p, first coordinate fastest; that basis makes
-    them distinct and nonzero.
+
+def _kernel_bases(red: NDArray[np.int64], pivots: NDArray[np.bool_], d: int, p: int
+                  ) -> NDArray[np.int64]:
+    """The canonical kernel bases that ``nullspace_mod`` reads off, for a
+    (B, m, n) stack of reduced forms of nullity d with their (B, n) pivot
+    masks: a (B, d, n) stack.
+
+    Placing pivot row r at the index of its pivot column gives a (B, n, n)
+    stack P; the basis vector of free column f is then column f of I - P,
+    a 1 at f and the negated reduced column above the pivots.
+    """
+    b, _, n = red.shape
+    placed = np.zeros((b, n, n), dtype=np.int64)
+    placed[pivots] = red[:, :n - d].reshape(-1, n)
+    return ((np.eye(n, dtype=np.int64) - placed) % p).transpose(0, 2, 1)[~pivots].reshape(b, d, n)
+
+
+def _gl2_solutions(p: int, q: int):
+    """Walk GL(2, F_p) in lexicographic order and every nonzero solution N
+    of Ad(phi) N = q N, in blocks of consecutive phis holding about
+    ``_WALK_BLOCK`` solutions each. Yields, per block, (phis, owner, pts,
+    nilpotent): the block's (k, 2, 2) phis, then its solutions as a
+    (S, 2, 2, 2) point array with owner indexing each point's phi in phis
+    and nilpotent masking the nilpotent Ns.
+
+    One batched reduction of Ad(phi) - q serves the whole walk. Each phi's
+    points keep the order of the combinations of the canonical kernel
+    basis (a 1 in each free column) with coefficients 1 .. p^d - 1 in base
+    p, first coordinate fastest; that basis makes them distinct and
+    nonzero.
     """
     phis = _all_invertible_2x2(p)
-    ad = _ad_minus_q(phis, _inv_2x2_batch(phis, p), q, p)
-    nullities = kernels.batch_nullity_mod(ad, p)
-    empty = np.zeros((0, 2, 2), dtype=np.int64)
-    coeffs = {}
-    for phi, sys, d in zip(phis, ad, nullities.tolist()):
-        if d == 0:
-            yield phi, empty, empty
+    red, rank, pivots = kernels.batch_rref_mod(
+        _ad_minus_q(phis, _inv_2x2_batch(phis, p), q, p), p)
+    nullity = 4 - rank
+    counts = p**nullity - 1
+    starts = np.cumsum(counts) - counts
+    edges = np.searchsorted(starts, np.arange(_WALK_BLOCK, counts.sum(), _WALK_BLOCK))
+    for lo, hi in zip([0, *edges], [*edges, len(phis)]):
+        if lo == hi:
             continue
-        if d not in coeffs:
-            k = np.arange(1, p**d, dtype=np.int64)
-            coeffs[d] = k[:, None] // p ** np.arange(d, dtype=np.int64) % p
-        sols = (coeffs[d] @ kernels.nullspace_mod(sys, p) % p).reshape(-1, 2, 2)
-        nilpotent = _is_nilpotent(sols, p)
-        yield phi, sols[nilpotent], sols[~nilpotent]
+        block = phis[lo:hi]
+        owner = np.repeat(np.arange(hi - lo), counts[lo:hi])
+        offsets = starts[lo:hi] - starts[lo]
+        sols = np.empty((len(owner), 4), dtype=np.int64)
+        for d in range(1, 5):
+            members = lo + np.flatnonzero(nullity[lo:hi] == d)
+            if len(members):
+                basis = _kernel_bases(red[members], pivots[members], d, p)
+                k = np.arange(1, p**d, dtype=np.int64)
+                coeffs = k[:, None] // p ** np.arange(d, dtype=np.int64) % p
+                sols[offsets[members - lo][:, None] + k - 1] = coeffs @ basis % p
+        sols = sols.reshape(-1, 2, 2)
+        yield block, owner, np.stack([block[owner], sols], axis=1), _is_nilpotent(sols, p)
 
 
 def enumerate_sg(spec: GroupSpec, p: int, q: int) -> NDArray[np.int64]:
@@ -338,13 +377,14 @@ def enumerate_sg(spec: GroupSpec, p: int, q: int) -> NDArray[np.int64]:
     if p > 13:
         raise ValueError("full enumeration is capped at p = 13")
     q = _unit_q(q, p)
-    zero = np.zeros((1, 2, 2), dtype=np.int64)
-    phis, n_mats = [], []
-    for phi, nilpotent, _ in _gl2_solutions(p, q):
-        phis.append(phi)
-        n_mats.append(np.concatenate([zero, nilpotent]))
-    counts = [len(ns) for ns in n_mats]
-    return np.stack([np.repeat(phis, counts, axis=0), np.concatenate(n_mats)], axis=1)
+    out = []
+    for phis, owner, pts, nilpotent in _gl2_solutions(p, q):
+        # each phi's N = 0 point, then its nilpotent points: a stable sort
+        # on the phi index keeps the zero points first and the walk order
+        zero = np.stack([phis, np.zeros_like(phis)], axis=1)
+        order = np.concatenate([np.arange(len(phis)), owner[nilpotent]]).argsort(kind="stable")
+        out.append(np.concatenate([zero, pts[nilpotent]])[order])
+    return np.concatenate(out)
 
 
 def _jordan_nilpotent(parts: tuple[int, ...]) -> NDArray[np.int64]:
@@ -531,12 +571,12 @@ def nilpotency_redundancy_check(spec: GroupSpec, p: int, q: int) -> RedundancyRe
     bad = 0
     wphi = None
     wn = None
-    for phi, nilpotent, other in _gl2_solutions(p, q):
-        checked += len(nilpotent) + len(other)
+    for _, _, pts, nilpotent in _gl2_solutions(p, q):
+        other = pts[~nilpotent]
+        checked += len(pts)
         bad += len(other)
         if wphi is None and len(other):
-            wphi = phi.copy()
-            wn = other[0].copy()
+            wphi, wn = other[0].copy()
     return RedundancyReport(
         p=p, q=q, pairs_checked=checked, non_nilpotent_count=bad,
         witness_phi=wphi, witness_n=wn,

@@ -99,6 +99,26 @@ def test_orbit_with_an_empty_part_is_a_usage_error(capsys, argv, orbit):
         1, "", "error: orbit %r has an empty ','-separated field\n" % orbit)
 
 
+@pytest.mark.parametrize("spaced", ["2, 1", "2 ,1", " 2 , 1 "])
+@pytest.mark.parametrize("argv", [
+    ("classify", "--group", "GL3", "--q", "4"),
+    ("wdd", "--group", "GL3"),
+    ("verify", "tangent", "--group", "GL3", "--p", "11", "--q", "4"),
+    ("certify", "--group", "GL3", "--p", "11", "--q", "4"),
+], ids=lambda a: " ".join(a[:2]))
+def test_spaces_around_a_partitions_commas_are_allowed(capsys, argv, spaced):
+    got = run_json(capsys, *argv, "--orbit", spaced)
+    want = run_json(capsys, *argv, "--orbit", "2,1")
+    assert got["results"] == want["results"]
+
+
+@pytest.mark.parametrize("orbit", ["2, ,1", "2 ,, 1", " , 2"])
+def test_a_blank_part_between_commas_is_still_an_empty_field(capsys, orbit):
+    code, out, err = run(capsys, "classify", "--group", "GL3", "--orbit", orbit, "--q", "4")
+    assert (code, out, err) == (
+        1, "", "error: orbit %r has an empty ','-separated field\n" % orbit.strip())
+
+
 @pytest.mark.parametrize("argv, name", [
     (("orbits", "--group", "GL1"), "GL1"),
     (("orbits", "--group", "SO4"), "SO4"),

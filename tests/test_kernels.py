@@ -13,6 +13,7 @@ from sympy.polys.matrices import DomainMatrix
 from wdsmooth.kernels import (
     as_field,
     batch_nullity_mod,
+    batch_rref_mod,
     inv_mod,
     matpow_mod,
     nullity_mod,
@@ -497,3 +498,63 @@ def test_kernels_equal_the_reference_gauss_jordan(p, m, n, data):
                 inv_mod(a, p)
         else:
             assert inv_mod(a, p).tolist() == want
+
+
+def assert_batch_rref_matches_single(stack, p):
+    red, rank, pivots = batch_rref_mod(stack, p)
+    b, m, n = stack.shape
+    assert red.dtype == rank.dtype == np.int64 and pivots.dtype == bool
+    assert (red.shape, rank.shape, pivots.shape) == ((b, m, n), (b,), (b, n))
+    for a, got_red, got_rank, got_pivots in zip(stack, red, rank, pivots):
+        want_red, want_rank, want_pivots = rref_mod(a, p)
+        assert got_red.tolist() == want_red.tolist()
+        assert got_rank == want_rank
+        assert np.flatnonzero(got_pivots).tolist() == want_pivots.tolist()
+    assert batch_nullity_mod(stack, p).tolist() == [nullity_mod(a, p) for a in stack]
+
+
+@settings(max_examples=80, deadline=None)
+@given(PRIME, st.integers(0, 6), st.integers(1, 6), st.integers(1, 8), st.data())
+def test_batch_rref_equals_single_rref(p, batch, m, n, data):
+    # products of an m x r and an r x n factor, so every rank is drawn, with
+    # rows shuffled so that pivots sit in different rows of the stack
+    def factor(rows, cols):
+        cells = data.draw(st.lists(st.integers(0, p - 1), min_size=rows * cols,
+                                   max_size=rows * cols))
+        return np.array(cells, dtype=np.int64).reshape(rows, cols)
+
+    members = []
+    for _ in range(batch):
+        r = data.draw(st.integers(0, min(m, n)))
+        a = factor(m, r) @ factor(r, n) % p
+        members.append(a[data.draw(st.permutations(range(m)))])
+    stack = np.array(members, dtype=np.int64).reshape(batch, m, n)
+    assert_batch_rref_matches_single(stack, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 11, LARGE_P, TOP_P])
+@pytest.mark.parametrize("shape", [(6, 8), (8, 6), (4, 4), (1, 8), (6, 1)])
+def test_batch_rref_on_zero_full_rank_and_mixed_stacks(p, shape):
+    rng = np.random.default_rng(43)
+    stack = np.concatenate([
+        np.zeros((3, *shape), dtype=np.int64),
+        np.stack([full_rank(rng, shape, p) for _ in range(4)]),
+        mixed_stack(rng, 12, shape, p),
+    ])
+    assert_batch_rref_matches_single(stack, p)
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 5), (3, 0, 5), (3, 4, 0), (0, 0, 0)])
+def test_batch_rref_on_empty_shapes(shape):
+    red, rank, pivots = batch_rref_mod(np.zeros(shape, dtype=np.int64), 7)
+    assert red.shape == shape and red.dtype == np.int64
+    assert rank.tolist() == [0] * shape[0]
+    assert pivots.shape == (shape[0], shape[2]) and not pivots.any()
+
+
+def test_batch_rref_leaves_its_input_alone_and_rejects_a_single_matrix():
+    stack = np.array([[[2, 4], [1, 3]]], dtype=np.int64)
+    batch_rref_mod(stack, 5)
+    assert stack.tolist() == [[[2, 4], [1, 3]]]
+    with pytest.raises(ValueError):
+        batch_rref_mod(np.eye(3, dtype=np.int64), 7)

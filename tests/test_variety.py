@@ -36,8 +36,10 @@ from wdsmooth.variety import (
 from wdsmooth import variety
 from wdsmooth.variety import (
     _ad_minus_q,
-    _gl2_solutions,
+    _all_invertible_2x2,
     _gsp4_base_point,
+    _inv_2x2_batch,
+    _is_nilpotent,
     _jordan_nilpotent,
     _jordan_system,
     _random_gl,
@@ -201,12 +203,78 @@ def test_point_sets_are_reduced_int64_arrays(spec, p, make):
     assert ((pts >= 0) & (pts < p)).all()
 
 
+def reference_walk(p, q):
+    """The GL2 walk one phi at a time, one ``nullspace_mod`` per phi with a
+    nonzero kernel: yields (phi, nilpotent, other) for every phi in
+    lexicographic order, the nonzero solutions N of Ad(phi) N = q N split
+    into two (k, 2, 2) stacks by whether N is nilpotent, each in the order
+    of the base-p coefficients 1 .. p^d - 1 (first coordinate fastest) on
+    the canonical kernel basis."""
+    phis = _all_invertible_2x2(p)
+    ad = _ad_minus_q(phis, _inv_2x2_batch(phis, p), q, p)
+    empty = np.zeros((0, 2, 2), dtype=np.int64)
+    for phi, system, d in zip(phis, ad, batch_nullity_mod(ad, p).tolist()):
+        if d == 0:
+            yield phi, empty, empty
+            continue
+        k = np.arange(1, p**d, dtype=np.int64)
+        coeffs = k[:, None] // p ** np.arange(d, dtype=np.int64) % p
+        sols = (coeffs @ nullspace_mod(system, p) % p).reshape(-1, 2, 2)
+        nilpotent = _is_nilpotent(sols, p)
+        yield phi, sols[nilpotent], sols[~nilpotent]
+
+
+def reference_results(p, q):
+    """What ``enumerate_sg`` and ``nilpotency_redundancy_check`` report, from
+    the reference walk: the point array (per phi, N = 0 first, then its
+    nilpotent solutions), the pairs checked, the non-nilpotent count and
+    the first non-nilpotent (phi, N) of the walk, or None."""
+    zero = np.zeros((1, 2, 2), dtype=np.int64)
+    phis, ns = [], []
+    checked = bad = 0
+    witness = None
+    for phi, nilpotent, other in reference_walk(p, q):
+        phis.append(np.broadcast_to(phi, (1 + len(nilpotent), 2, 2)))
+        ns += [zero, nilpotent]
+        checked += len(nilpotent) + len(other)
+        bad += len(other)
+        if witness is None and len(other):
+            witness = phi, other[0]
+    pts = np.stack([np.concatenate(phis), np.concatenate(ns)], axis=1)
+    return pts, checked, bad, witness
+
+
 def test_enumeration_keeps_the_walk_order():
     # per phi of the walk, N = 0 first, then its nilpotent solutions in order
     zero = np.zeros((2, 2), dtype=np.int64)
-    want = [np.stack([phi, n_mat]) for phi, nilpotent, _ in _gl2_solutions(5, 2)
+    want = [np.stack([phi, n_mat]) for phi, nilpotent, _ in reference_walk(5, 2)
             for n_mat in [zero, *nilpotent]]
     assert np.array_equal(enumerate_sg(GL2, 5, 2), np.stack(want))
+
+
+@pytest.mark.parametrize("p, q", [(p, q) for p in (2, 3, 5, 7, 11, 13) for q in range(1, p)])
+def test_gl2_walk_matches_the_per_phi_reference(p, q):
+    # every unit q, so q = 1 and q = p - 1 (order <= 2, where non-nilpotent
+    # solutions and a witness exist) are covered at every prime
+    pts, checked, bad, witness = reference_results(p, q)
+    assert np.array_equal(enumerate_sg(GL2, p, q), pts)
+    rep = nilpotency_redundancy_check(GL2, p, q)
+    assert (rep.pairs_checked, rep.non_nilpotent_count) == (checked, bad)
+    if witness is None:
+        assert rep.witness_phi is None and rep.witness_n is None
+    else:
+        assert np.array_equal(rep.witness_phi, witness[0])
+        assert np.array_equal(rep.witness_n, witness[1])
+
+
+def test_gl2_walk_splits_into_blocks_in_order(monkeypatch):
+    # blocks far smaller than one phi's solutions change nothing
+    pts, checked, bad, witness = reference_results(5, 1)
+    monkeypatch.setattr(variety, "_WALK_BLOCK", 7)
+    assert np.array_equal(enumerate_sg(GL2, 5, 1), pts)
+    rep = nilpotency_redundancy_check(GL2, 5, 1)
+    assert (rep.pairs_checked, rep.non_nilpotent_count) == (checked, bad)
+    assert np.array_equal(np.stack([rep.witness_phi, rep.witness_n]), np.stack(witness))
 
 
 def test_sampler_with_no_solutions_returns_an_empty_point_array(monkeypatch,
@@ -872,3 +940,28 @@ def test_products_stay_exact(spec, parts, q, p):
         for before, after in zip(pt, moved):
             assert np.array_equal(after, g.astype(object) @ before.astype(object) @ ginv % p)
         assert sg_member(spec, moved[0], moved[1], q, p)
+
+
+#: the largest prime <= kernels.P_MAX: the widest entries the kernels accept
+TOP_P = 759_250_111
+
+
+@pytest.mark.parametrize("spec, orbits", [
+    (GroupSpec.gl(4), [(2, 1, 1), (2, 2), (4,)]),
+    (GSP4, [(2, 2), (4,), (2, 1, 1)]),
+], ids=["GL4", "GSp4"])
+def test_tangent_matrix_is_exact_at_the_largest_prime(spec, orbits):
+    # an int64 matmul wraps without a warning, so -W error cannot see an
+    # overflow; only an exact reference can. Sampled points, uniform random
+    # pairs (off the variety, which tangent_matrix does not need) and the
+    # all-(p - 1) pair, which makes every product as large as it gets
+    rng = np.random.default_rng(53)
+    q = int(rng.integers(2, TOP_P))
+    pairs = [pt for parts in orbits
+             for pt in stratum_sample(spec, TOP_P, q, OrbitLabel.partition(parts), 4, seed=7)]
+    pairs += list(rng.integers(0, TOP_P, size=(8, 2, spec.n, spec.n)))
+    pairs.append(np.full((2, spec.n, spec.n), TOP_P - 1))
+    for phi, n_mat in pairs:
+        for q_pair in (q, TOP_P - 1):
+            assert np.array_equal(tangent_matrix(spec, phi, n_mat, q_pair, TOP_P),
+                                  exact_tangent_matrix(spec, phi, n_mat, q_pair, TOP_P))
