@@ -226,7 +226,8 @@ def _verify_enumerate(args) -> tuple[dict, str | None]:
     spec = GroupSpec.gl(2)
     pts = enumerate_sg(spec, args.p, args.q)
     members = bool(sg_member(spec, pts[:, 0], pts[:, 1], args.q, args.p).all())
-    dims = Counter(tangent_dim(spec, phi, n_mat, args.q, args.p) for phi, n_mat in pts)
+    dims = Counter(tangent_dim(spec, phi, n_mat, args.q, args.p)
+                   for phi, n_mat in zip(pts[:, 0], pts[:, 1]))
     nonzero = int(pts[:, 1].any(axis=(1, 2)).sum())
     results = {
         "points": len(pts),
@@ -251,7 +252,8 @@ def _stratum_points(args):
 
 def _verify_tangent(args) -> tuple[dict, str | None]:
     spec, pts = _stratum_points(args)
-    dims = [tangent_dim(spec, phi, n_mat, args.q, args.p) for phi, n_mat in pts]
+    dims = [tangent_dim(spec, phi, n_mat, args.q, args.p)
+            for phi, n_mat in zip(pts[:, 0], pts[:, 1])]
     generic_smooth = len(pts) > 0 and min(dims) == spec.dim_g
     results = {
         "samples": len(pts),

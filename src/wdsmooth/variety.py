@@ -15,10 +15,13 @@ array), like ``sg_member``.
 
 All computations are exact over F_p; tangent dimensions come from the
 kernel of the defining map's differential, evaluated by deterministic
-Gaussian elimination. The GL2 enumeration and nilpotency scan run on
-stacks: one ``batch_rref_mod`` of Ad(phi) - q over all of GL(2, F_p)
-gives every phi's canonical kernel basis, and the nonzero solutions come
-out as point arrays with a nilpotent mask, block by block.
+Gaussian elimination; the tangent matrix applies phi to the brackets
+and the basis in one product. The GL2 enumeration and nilpotency scan
+run on stacks: one ``batch_rref_mod`` of Ad(phi) - q over all of
+GL(2, F_p) gives every phi's canonical kernel basis, and the nonzero
+solutions come out block by block as (S, 2, 2) stacks with a nilpotent
+mask read off their trace and determinant; only the enumeration builds
+points, and only of the nilpotent solutions it keeps.
 """
 
 from __future__ import annotations
@@ -238,6 +241,19 @@ def _unit_q(q: int, p: int) -> int:
     return q
 
 
+#: the most samples one call may ask for: the GL sampler makes up to 500
+#: attempts per sample and the GSp4 sampler draws every sample at once
+_MAX_SAMPLES = 10_000
+
+
+def _sample_count(count: int) -> None:
+    """Reject a sample count outside [1, _MAX_SAMPLES]."""
+    if count < 1:
+        raise ValueError("samples must be positive")
+    if count > _MAX_SAMPLES:
+        raise ValueError("samples must be at most %d" % _MAX_SAMPLES)
+
+
 def _ad_minus_q(phis: NDArray[np.int64], invs: NDArray[np.int64], q: int,
                 p: int) -> NDArray[np.int64]:
     """Ad(phi) - q on gl_n in row-major vec coordinates, for a (B, n, n)
@@ -262,16 +278,17 @@ def tangent_matrix(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.in
     phi = kernels.as_field(phi, p)
     n_mat = kernels.as_field(n_mat, p)
     basis = spec.lie_basis
-    # phi X over the basis, reduced before N is applied, so that whatever
-    # the basis entries (the GSp4 basis has -1s) each entry below is a sum
-    # of n products of residues plus at most n (p - 1) from a basis side:
-    # under n (p - 1) p < 2^63 for p <= P_MAX.
-    phi_x = phi @ basis % p
-    # phi [X, N] = (phi X) N - (phi N) X, then phi M - q M phi
-    images = np.concatenate([phi_x @ n_mat - (phi @ n_mat % p) @ basis,
-                             phi_x - q % p * (basis @ phi)]) % p
+    dim = len(basis)
+    # [X, N] over the basis, stacked with the basis itself (the M half),
+    # reduced, then one product by phi.
+    # A product entry is a sum of n products of residues, below n (p - 1)^2.
+    # The basis entries are 0 and +-1 (the GSp4 basis has -1s), so q M phi
+    # has entries of size below n (p - 1)^2 as well, and every entry stays
+    # within 2 n (p - 1)^2 < 2^63 for p <= P_MAX.
+    images = phi @ (np.concatenate([basis @ n_mat - n_mat @ basis, basis]) % p)
+    images[dim:] -= q % p * (basis @ phi)
     # column k of the map is the row-major vec of the k-th image
-    return images.reshape(2 * basis.shape[0], -1).T
+    return (images % p).reshape(2 * dim, -1).T
 
 
 def tangent_dim(spec: GroupSpec, phi, n_mat, q: int, p: int) -> int:
@@ -325,16 +342,19 @@ def _kernel_bases(red: NDArray[np.int64], pivots: NDArray[np.bool_], d: int, p: 
 def _gl2_solutions(p: int, q: int):
     """Walk GL(2, F_p) in lexicographic order and every nonzero solution N
     of Ad(phi) N = q N, in blocks of consecutive phis holding about
-    ``_WALK_BLOCK`` solutions each. Yields, per block, (phis, owner, pts,
-    nilpotent): the block's (k, 2, 2) phis, then its solutions as a
-    (S, 2, 2, 2) point array with owner indexing each point's phi in phis
-    and nilpotent masking the nilpotent Ns.
+    ``_WALK_BLOCK`` solutions each. Yields, per block, (phis, owner, sols,
+    nilpotent): the block's (k, 2, 2) phis, then its solutions as an
+    (S, 2, 2) stack with owner indexing each solution's phi in phis and
+    nilpotent masking the nilpotent ones. A 2x2 N is nilpotent exactly
+    when its trace and determinant vanish (Cayley-Hamilton), at every p.
 
-    One batched reduction of Ad(phi) - q serves the whole walk. Each phi's
-    points keep the order of the combinations of the canonical kernel
-    basis (a 1 in each free column) with coefficients 1 .. p^d - 1 in base
-    p, first coordinate fastest; that basis makes them distinct and
-    nonzero.
+    One batched reduction of Ad(phi) - q serves the whole walk. A block
+    lists the solutions of its phis of kernel dimension d = 1, then d = 2,
+    and so on, each group in walk order, so that every group is one product
+    written in place. Each phi's solutions stay together, in the order of
+    the combinations of the canonical kernel basis (a 1 in each free
+    column) with coefficients 1 .. p^d - 1 in base p, first coordinate
+    fastest; that basis makes them distinct and nonzero.
     """
     phis = _all_invertible_2x2(p)
     red, rank, pivots = kernels.batch_rref_mod(
@@ -346,19 +366,23 @@ def _gl2_solutions(p: int, q: int):
     for lo, hi in zip([0, *edges], [*edges, len(phis)]):
         if lo == hi:
             continue
-        block = phis[lo:hi]
-        owner = np.repeat(np.arange(hi - lo), counts[lo:hi])
-        offsets = starts[lo:hi] - starts[lo]
+        by_nullity = np.argsort(nullity[lo:hi], kind="stable")
+        owner = np.repeat(by_nullity, counts[lo:hi][by_nullity])
         sols = np.empty((len(owner), 4), dtype=np.int64)
+        pos = 0
         for d in range(1, 5):
             members = lo + np.flatnonzero(nullity[lo:hi] == d)
             if len(members):
-                basis = _kernel_bases(red[members], pivots[members], d, p)
                 k = np.arange(1, p**d, dtype=np.int64)
                 coeffs = k[:, None] // p ** np.arange(d, dtype=np.int64) % p
-                sols[offsets[members - lo][:, None] + k - 1] = coeffs @ basis % p
-        sols = sols.reshape(-1, 2, 2)
-        yield block, owner, np.stack([block[owner], sols], axis=1), _is_nilpotent(sols, p)
+                group = sols[pos:pos + len(members) * len(k)]
+                np.matmul(coeffs, _kernel_bases(red[members], pivots[members], d, p),
+                          out=group.reshape(len(members), len(k), 4))
+                pos += len(group)
+        sols %= p
+        tr = (sols[:, 0] + sols[:, 3]) % p
+        det = (sols[:, 0] * sols[:, 3] - sols[:, 1] * sols[:, 2]) % p
+        yield phis[lo:hi], owner, sols.reshape(-1, 2, 2), (tr == 0) & (det == 0)
 
 
 def enumerate_sg(spec: GroupSpec, p: int, q: int) -> NDArray[np.int64]:
@@ -378,12 +402,13 @@ def enumerate_sg(spec: GroupSpec, p: int, q: int) -> NDArray[np.int64]:
         raise ValueError("full enumeration is capped at p = 13")
     q = _unit_q(q, p)
     out = []
-    for phis, owner, pts, nilpotent in _gl2_solutions(p, q):
+    for phis, owner, sols, nilpotent in _gl2_solutions(p, q):
         # each phi's N = 0 point, then its nilpotent points: a stable sort
         # on the phi index keeps the zero points first and the walk order
+        kept = owner[nilpotent]
         zero = np.stack([phis, np.zeros_like(phis)], axis=1)
-        order = np.concatenate([np.arange(len(phis)), owner[nilpotent]]).argsort(kind="stable")
-        out.append(np.concatenate([zero, pts[nilpotent]])[order])
+        order = np.concatenate([np.arange(len(phis)), kept]).argsort(kind="stable")
+        out.append(np.concatenate([zero, np.stack([phis[kept], sols[nilpotent]], axis=1)])[order])
     return np.concatenate(out)
 
 
@@ -507,8 +532,7 @@ def stratum_sample(
     invertible solution in its attempts returns fewer points.
     """
     _field(p)
-    if count < 1:
-        raise ValueError("samples must be positive")
+    _sample_count(count)
     q = _unit_q(q, p)
     if orbit.parts is None:
         raise ValueError("stratum sampling needs a partition orbit label")
@@ -571,12 +595,14 @@ def nilpotency_redundancy_check(spec: GroupSpec, p: int, q: int) -> RedundancyRe
     bad = 0
     wphi = None
     wn = None
-    for _, _, pts, nilpotent in _gl2_solutions(p, q):
-        other = pts[~nilpotent]
-        checked += len(pts)
+    for phis, owner, sols, nilpotent in _gl2_solutions(p, q):
+        other = np.flatnonzero(~nilpotent)
+        checked += len(sols)
         bad += len(other)
         if wphi is None and len(other):
-            wphi, wn = other[0].copy()
+            # the walk's first: of the lowest owner, the first listed
+            first = other[owner[other].argmin()]
+            wphi, wn = phis[owner[first]].copy(), sols[first].copy()
     return RedundancyReport(
         p=p, q=q, pairs_checked=checked, non_nilpotent_count=bad,
         witness_phi=wphi, witness_n=wn,
@@ -668,8 +694,7 @@ def bundle_count_check(
     z diag(1, q, q^2) with a seeded generator.
     """
     _field(p)
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    _sample_count(samples)
     q = _unit_q(q, p)
     if spec.kind != "GL" or spec.n not in (2, 3):
         raise ValueError("bundle check supports GL(2) and GL(3)")

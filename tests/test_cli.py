@@ -389,6 +389,17 @@ def test_samples_must_be_positive(capsys, argv, samples):
     assert (code, out, err) == (1, "", "error: samples must be positive\n")
 
 
+@pytest.mark.parametrize("argv", SAMPLES_COMMANDS + (
+    ("verify", "tangent", "--group", "GL2", "--orbit", "2"),
+    ("verify", "tangent", "--group", "GSp4", "--orbit", "2,2"),
+    ("verify", "bundle", "--group", "GL2"),
+), ids=lambda a: " ".join(a[1:4]))
+@pytest.mark.parametrize("samples", ["10001", "100000", "1000000000"])
+def test_samples_are_capped(capsys, argv, samples):
+    code, out, err = run(capsys, *argv, "--p", "7", "--q", "3", "--samples", samples)
+    assert (code, out, err) == (1, "", "error: samples must be at most 10000\n")
+
+
 def test_samples_from_config_must_be_positive(tmp_path, capsys):
     cfg = tmp_path / "wd.cfg"
     cfg.write_text("samples=0\n")

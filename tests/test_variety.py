@@ -268,13 +268,28 @@ def test_gl2_walk_matches_the_per_phi_reference(p, q):
 
 
 def test_gl2_walk_splits_into_blocks_in_order(monkeypatch):
-    # blocks far smaller than one phi's solutions change nothing
+    # blocks far smaller than one phi's solutions change nothing, and nor
+    # does one block for the whole walk, which lists the scalar phis'
+    # solutions (kernel dimension 4) after those of the phis walked after them
     pts, checked, bad, witness = reference_results(5, 1)
-    monkeypatch.setattr(variety, "_WALK_BLOCK", 7)
-    assert np.array_equal(enumerate_sg(GL2, 5, 1), pts)
+    for block in (7, 1 << 30):
+        monkeypatch.setattr(variety, "_WALK_BLOCK", block)
+        assert np.array_equal(enumerate_sg(GL2, 5, 1), pts)
+        rep = nilpotency_redundancy_check(GL2, 5, 1)
+        assert (rep.pairs_checked, rep.non_nilpotent_count) == (checked, bad)
+        assert np.array_equal(np.stack([rep.witness_phi, rep.witness_n]), np.stack(witness))
+
+
+def test_redundancy_witness_is_the_first_of_the_walk(monkeypatch):
+    # a block lists solutions by their phi's kernel dimension, so the first
+    # non-nilpotent one listed may belong to a later phi of the walk
+    phis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+    sols = np.array([[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 1], [1, 0]]])
+    block = (phis, np.array([1, 1, 0]), sols, np.array([False, True, False]))
+    monkeypatch.setattr(variety, "_gl2_solutions", lambda p, q: iter([block]))
     rep = nilpotency_redundancy_check(GL2, 5, 1)
-    assert (rep.pairs_checked, rep.non_nilpotent_count) == (checked, bad)
-    assert np.array_equal(np.stack([rep.witness_phi, rep.witness_n]), np.stack(witness))
+    assert (rep.pairs_checked, rep.non_nilpotent_count) == (3, 2)
+    assert np.array_equal(rep.witness_phi, phis[0]) and np.array_equal(rep.witness_n, sols[2])
 
 
 def test_sampler_with_no_solutions_returns_an_empty_point_array(monkeypatch,
@@ -553,6 +568,11 @@ def test_field_guard(call):
 def test_sample_count_guard(call):
     for n in (0, -2):
         with pytest.raises(ValueError, match="samples must be positive"):
+            call(n)
+    # the GL sampler makes up to 500 attempts a sample and the GSp4 sampler
+    # draws all samples at once, so a huge count must fail before any work
+    for n in (10_001, 1_000_000_000):
+        with pytest.raises(ValueError, match="samples must be at most 10000"):
             call(n)
 
 
@@ -901,7 +921,11 @@ def test_tangent_dims_match_adjoint_form_on_samples(name, p, q):
 
 @pytest.mark.parametrize("q", range(1, 7))
 def test_tangent_dims_match_adjoint_form_on_enumeration(q):
-    assert_adjoint_form_agrees(GL2, enumerate_sg(GL2, 7, q), q, 7)
+    # every unit q at p = 2, 3, 5 and 7; at p = 2 the walk decides
+    # nilpotency by trace and determinant in characteristic 2
+    for p in (2, 3, 5, 7):
+        if q < p:
+            assert_adjoint_form_agrees(GL2, enumerate_sg(GL2, p, q), q, p)
 
 
 # ------------------------------------------------------- int64 exactness
@@ -947,9 +971,11 @@ TOP_P = 759_250_111
 
 
 @pytest.mark.parametrize("spec, orbits", [
+    (GL2, [(2,), (1, 1)]),
+    (GL3, [(3,), (2, 1), (1, 1, 1)]),
     (GroupSpec.gl(4), [(2, 1, 1), (2, 2), (4,)]),
     (GSP4, [(2, 2), (4,), (2, 1, 1)]),
-], ids=["GL4", "GSp4"])
+], ids=["GL2", "GL3", "GL4", "GSp4"])
 def test_tangent_matrix_is_exact_at_the_largest_prime(spec, orbits):
     # an int64 matmul wraps without a warning, so -W error cannot see an
     # overflow; only an exact reference can. Sampled points, uniform random
