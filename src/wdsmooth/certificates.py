@@ -75,10 +75,6 @@ class BasePoint:
     reflection: NDArray[np.int64] | None
 
 
-def _coxeter_number(spec: GroupSpec) -> int:
-    return spec.n if spec.kind == "GL" else 4
-
-
 #: GSp4 orbits with a certificate base point; (2, 1, 1) has none yet
 _GSP4_CERTIFIED = ((4,), (2, 2))
 
@@ -113,7 +109,7 @@ def build_phi0(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
         q = _unit_q(q, p)
     except ValueError as exc:
         raise CertificateError(str(exc)) from exc
-    h = _coxeter_number(spec)
+    h = spec.n  # the Coxeter number: h(GL_n) = n, h(GSp4) = h(C2) = 4
     if order_capped(q, p, h) is not None:
         raise CertificateError(
             "order of q mod p must exceed %d to separate eigenvalue ratios" % h

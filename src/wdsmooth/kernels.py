@@ -239,6 +239,22 @@ def batch_rref_mod(stack, p: int
     return red, (lead < n).sum(axis=1), pivots[:, :n]
 
 
+def _kernel_bases(red: NDArray[np.int64], pivots: NDArray[np.bool_], d: int, p: int
+                  ) -> NDArray[np.int64]:
+    """The canonical kernel bases of a (B, m, n) stack of reduced forms of
+    nullity d, given their (B, n) pivot masks: a (B, d, n) stack, each
+    matrix's basis being the one ``nullspace_mod`` returns.
+
+    Placing pivot row r at the index of its pivot column gives a (B, n, n)
+    stack P; the basis vector of free column f is then column f of I - P,
+    a 1 at f and the negated reduced column above the pivots.
+    """
+    b, _, n = red.shape
+    placed = np.zeros((b, n, n), dtype=np.int64)
+    placed[pivots] = red[:, :n - d].reshape(b * (n - d), n)
+    return ((np.eye(n, dtype=np.int64) - placed) % p).transpose(0, 2, 1)[~pivots].reshape(b, d, n)
+
+
 def nullspace_mod(a, p: int) -> NDArray[np.int64]:
     """Basis of the right kernel of a mod p, one vector per row.
 
@@ -246,16 +262,12 @@ def nullspace_mod(a, p: int) -> NDArray[np.int64]:
     each free column contributes the vector with a 1 there and the
     negated reduced column above the pivots.
     """
-    rows, (_, n) = _rows(a, p)
+    rows, (m, n) = _rows(a, p)
     pivots = _rref(rows, p)
-    pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for r, c in enumerate(pivots):
-            basis[k, c] = -rows[r][f] % p
-    return basis
+    mask = np.zeros((1, n), dtype=bool)
+    mask[0, pivots] = True
+    red = np.array(rows, dtype=np.int64).reshape(1, m, n)
+    return _kernel_bases(red, mask, n - len(pivots), p)[0]
 
 
 def inv_mod(a, p: int) -> NDArray[np.int64]:

@@ -323,22 +323,6 @@ def _inv_2x2_batch(mats: NDArray[np.int64], p: int) -> NDArray[np.int64]:
 _WALK_BLOCK = 1 << 14
 
 
-def _kernel_bases(red: NDArray[np.int64], pivots: NDArray[np.bool_], d: int, p: int
-                  ) -> NDArray[np.int64]:
-    """The canonical kernel bases that ``nullspace_mod`` reads off, for a
-    (B, m, n) stack of reduced forms of nullity d with their (B, n) pivot
-    masks: a (B, d, n) stack.
-
-    Placing pivot row r at the index of its pivot column gives a (B, n, n)
-    stack P; the basis vector of free column f is then column f of I - P,
-    a 1 at f and the negated reduced column above the pivots.
-    """
-    b, _, n = red.shape
-    placed = np.zeros((b, n, n), dtype=np.int64)
-    placed[pivots] = red[:, :n - d].reshape(-1, n)
-    return ((np.eye(n, dtype=np.int64) - placed) % p).transpose(0, 2, 1)[~pivots].reshape(b, d, n)
-
-
 def _gl2_solutions(p: int, q: int):
     """Walk GL(2, F_p) in lexicographic order and every nonzero solution N
     of Ad(phi) N = q N, in blocks of consecutive phis holding about
@@ -376,7 +360,7 @@ def _gl2_solutions(p: int, q: int):
                 k = np.arange(1, p**d, dtype=np.int64)
                 coeffs = k[:, None] // p ** np.arange(d, dtype=np.int64) % p
                 group = sols[pos:pos + len(members) * len(k)]
-                np.matmul(coeffs, _kernel_bases(red[members], pivots[members], d, p),
+                np.matmul(coeffs, kernels._kernel_bases(red[members], pivots[members], d, p),
                           out=group.reshape(len(members), len(k), 4))
                 pos += len(group)
         sols %= p

@@ -1,6 +1,7 @@
 """Tangent lower-bound certificates at degenerate base points."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -157,6 +158,15 @@ def test_phi0_rejects_small_order():
     # ord(3 mod 13) = 3 but GL3 needs order > 3
     with pytest.raises(CertificateError, match="order of q mod p"):
         build_phi0(GL3, part(2, 1), 3, 13)
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.gl(2), GL3, GL4, GSP4], ids=lambda s: s.name)
+def test_phi0_order_gate_names_the_coxeter_number(spec):
+    # q = 1 has order 1, below every bound
+    with pytest.raises(CertificateError, match="order of q mod p") as exc:
+        build_phi0(spec, part(spec.n), 1, 13)
+    bound = int(re.search(r"must exceed (\d+)", str(exc.value)).group(1))
+    assert bound == build_root_system(parse_group(spec.name)).coxeter_number
 
 
 def test_phi0_rejects_bad_marks():

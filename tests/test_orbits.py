@@ -252,6 +252,12 @@ def test_exposed_root_sweep_small():
     assert exposed_root_sweep(ambients) == []
 
 
+def test_exposed_root_sweep_exceptional():
+    # types D4-D7, E6, E7, B3 and C3 factors inside the exceptional diagrams
+    ambients = [rs_of(name) for name in ("E6", "E7", "E8", "F4", "G2")]
+    assert exposed_root_sweep(ambients) == []
+
+
 def test_weighted_diagram_label_domain():
     with pytest.raises(ValueError):
         WeightedDynkinDiagram((3, 0))

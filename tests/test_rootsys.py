@@ -5,11 +5,13 @@ them through Bourbaki's Euclidean simple roots (plates I-IV and IX) and
 compare with the root sets enumerated straight from each Euclidean model.
 """
 
+import hashlib
 import itertools
 
 import pytest
 
 from wdsmooth.rootsys import (
+    _RANK_RULES,
     DynkinType,
     build_root_system,
     levi_factors,
@@ -250,6 +252,44 @@ def test_levi_factor_typing_classical():
     a4 = build_root_system(DynkinType("A", 4))
     assert [t.name for t, _ in levi_factors(a4, {0, 1, 3}).factors] == ["A2", "A1"]
     assert levi_factors(a4, set()).factors == ()
+
+
+#: SHA-256 of the typing of every nonempty subset of simple roots of every
+#: ambient type, serialized as ``_levi_typing_lines`` spells out
+LEVI_TYPING_SHA256 = "d43e45d27056fdc78ab937a9c5b4efd280cca153ceeb8aef2fe44b4e08ed2d6f"
+
+
+def _levi_typing_lines():
+    # one line per (ambient, subset): the ambient's name, the subset's
+    # indices, then each factor as name:embedding, in levi_factors' order;
+    # ambients by family and rank, subsets by their bit mask
+    for family, (lo, hi) in sorted(_RANK_RULES.items()):
+        for rank in range(lo, hi + 1):
+            rs = build_root_system(DynkinType(family, rank))
+            for mask in range(1, 2**rank):
+                subset = [i for i in range(rank) if mask >> i & 1]
+                factors = levi_factors(rs, subset).factors
+                yield rs, subset, factors, "%s %s %s" % (
+                    rs.dynkin_type.name,
+                    ",".join(map(str, subset)),
+                    " ".join("%s:%s" % (t.name, ",".join(map(str, emb))) for t, emb in factors),
+                )
+
+
+def test_levi_typing_of_every_subset_is_pinned():
+    lines = []
+    for rs, subset, factors, line in _levi_typing_lines():
+        lines.append(line)
+        # independent of the typing: the factors split the subset, and the
+        # ambient roots supported on it are exactly the factors' roots
+        assert sum(t.rank for t, _ in factors) == len(subset)
+        assert sorted(i for _, emb in factors for i in emb) == subset
+        supported = sum(1 for c in rs.positive_root_coords
+                        if all(x == 0 or i in subset for i, x in enumerate(c)))
+        assert supported == sum(build_root_system(t).num_positive_roots for t, _ in factors)
+    assert len(lines) == 2465
+    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+    assert digest == LEVI_TYPING_SHA256
 
 
 def test_levi_subset_records_ambient():
