@@ -14,8 +14,11 @@ and sorted keys); --format table renders the same data as text. Exit codes:
 0 success, 1 usage or unsupported input, 2 a property check failed
 (one machine-parsable line on stderr).
 
-A call that starts with its command words is parsed by that command's
-parser alone; any other call goes through the full parser tree.
+A call that starts with its command words, followed by exact ``--name
+value`` pairs that the command's flags accept, is parsed straight from the
+command table; any other call (help, ``--name=value``, an abbreviation,
+a value starting with ``-``, an unknown, missing or invalid flag) goes
+through the argparse tree, which prints the help and the errors.
 """
 
 from __future__ import annotations
@@ -323,10 +326,11 @@ def _certify(args) -> tuple[dict, str | None]:
 
 
 class _Flag(NamedTuple):
-    """One flag: argparse parses it; an unset flag takes its value from
-    the config file (converted with ``type``), else from ``default``.
-    argparse itself sets no default, so a flag given to a command group
-    is not overwritten by its subcommand's unset copy."""
+    """One flag, parsed from the command table or by argparse; an unset
+    flag takes its value from the config file (converted with ``type``),
+    else from ``default``. argparse itself sets no default, so a flag
+    given to a command group is not overwritten by its subcommand's unset
+    copy."""
 
     name: str
     type: Callable[[str], object] = str
@@ -409,15 +413,25 @@ def _add_flags(parser: argparse.ArgumentParser, flags: tuple[_Flag, ...]) -> Non
                             default=argparse.SUPPRESS)
 
 
+#: each command's namespace defaults by its ``_COMMANDS`` path: its
+#: handler, its flags by dest over ``_COMMON`` and the command, and the
+#: dests its report echoes
+_DEFAULTS = {
+    path: {
+        "handler": handler,
+        "flags": {flag.dest: flag for flag in _COMMON + flags},
+        "inputs": tuple(flag.dest for flag in flags if flag.name != "--s"),
+    }
+    for path, (_, handler, flags) in _COMMANDS.items()
+    if handler is not None
+}
+
+
 @functools.cache
-def _build_parser() -> tuple[
-    argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]
-]:
-    """The parser of every command, and each command's own parser by its
-    ``_COMMANDS`` path (the objects the tree hands those commands to),
-    built once per process: parsing returns a new namespace each call,
-    and a command's defaults are its handler, its flags by dest over
-    ``_COMMON`` and the command, and the dests its report echoes."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process, on the first
+    call that the direct parse refuses: parsing returns a new namespace
+    each call, and a command's defaults are its ``_DEFAULTS``."""
     # copying a parent's actions is cheaper than adding them anew to every parser
     common = argparse.ArgumentParser(add_help=False)
     _add_flags(common, _COMMON)
@@ -427,7 +441,6 @@ def _build_parser() -> tuple[
         parents=[common],
     )
     subparsers = {(): parser.add_subparsers(dest="command", required=True)}
-    leaves = {}
     for path, (help_text, handler, flags) in _COMMANDS.items():
         # a help=None keyword would still list the subcommand in --help
         extra = {"help": help_text} if help_text else {}
@@ -436,34 +449,46 @@ def _build_parser() -> tuple[
         if handler is None:
             subparsers[path] = sp.add_subparsers(dest=path[-1] + "_command", required=True)
         else:
-            sp.set_defaults(
-                handler=handler,
-                flags={flag.dest: flag for flag in _COMMON + flags},
-                inputs=tuple(flag.dest for flag in flags if flag.name != "--s"),
-            )
-            leaves[path] = sp
+            sp.set_defaults(**_DEFAULTS[path])
     for action in subparsers.values():
         # a "required" error names the action by its metavar, else by its dest
         action.metavar = "{%s}" % ",".join(action.choices)
-    return parser, leaves
+    return parser
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse a call whose argv starts with a command's words with that
-    command's parser alone, and anything else with the whole tree. The
-    tree hands a command parser exactly the words after the command's,
-    so both give the same namespace, help and errors; a call that leaves
-    words unparsed goes through the tree, whose top-level parser reports
-    them."""
-    tree, leaves = _build_parser()
-    k = 1 if tuple(argv[:1]) in leaves else 2
-    leaf = leaves.get(tuple(argv[:k]))
-    if leaf is not None:
-        args, rest = leaf.parse_known_args(argv[k:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return tree.parse_args(argv)
+    """Parse a call straight from the command table when ``argv[:1]`` or
+    ``argv[:2]`` is a command's path and the words after it are
+    ``--name value`` pairs where each name is exactly one of the command's
+    flags (no abbreviation, no ``=``), no value starts with ``-``, each
+    value converts with its flag's type and lies in its choices, and every
+    required flag is given. The namespace then holds the command's
+    defaults, the values (the last of a repeated flag wins) and
+    ``command``, as the tree's would. Every other call, help included,
+    goes through the argparse tree, which prints the help and errors."""
+    k = 1 if tuple(argv[:1]) in _DEFAULTS else 2
+    defaults = _DEFAULTS.get(tuple(argv[:k]))
+    if defaults is not None and (len(argv) - k) % 2 == 0:
+        flags = defaults["flags"]
+        values = {}
+        for name, text in zip(argv[k::2], argv[k + 1::2]):
+            flag = flags.get(name[2:].replace("-", "_"))
+            if flag is None or flag.name != name or text.startswith("-"):
+                break
+            try:
+                value = flag.type(text)
+            except ValueError:
+                break
+            if flag.choices is not None and value not in flag.choices:
+                break
+            values[flag.dest] = value
+        else:
+            if all(dest in values for dest, flag in flags.items() if flag.required):
+                # cheaper than Namespace(**kwargs), which sets each attribute in turn
+                args = argparse.Namespace(command=argv[0])
+                vars(args).update(defaults, **values)
+                return args
+    return _build_parser().parse_args(argv)
 
 
 def _load_config(path: str) -> dict[str, str]:

@@ -246,12 +246,16 @@ def _unit_q(q: int, p: int) -> int:
 _MAX_SAMPLES = 10_000
 
 
-def _sample_count(count: int) -> None:
-    """Reject a sample count outside [1, _MAX_SAMPLES]."""
+def _sample_count(count: int, seed: int) -> None:
+    """Reject a sample count outside [1, _MAX_SAMPLES], and a negative
+    seed: numpy's generator rejects one without naming the seed, and the
+    GL(2) bundle branch, which samples nothing, would ignore it."""
     if count < 1:
         raise ValueError("samples must be positive")
     if count > _MAX_SAMPLES:
         raise ValueError("samples must be at most %d" % _MAX_SAMPLES)
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
 
 
 def _ad_minus_q(phis: NDArray[np.int64], invs: NDArray[np.int64], q: int,
@@ -516,7 +520,7 @@ def stratum_sample(
     invertible solution in its attempts returns fewer points.
     """
     _field(p)
-    _sample_count(count)
+    _sample_count(count, seed)
     q = _unit_q(q, p)
     if orbit.parts is None:
         raise ValueError("stratum sampling needs a partition orbit label")
@@ -678,7 +682,7 @@ def bundle_count_check(
     z diag(1, q, q^2) with a seeded generator.
     """
     _field(p)
-    _sample_count(samples)
+    _sample_count(samples, seed)
     q = _unit_q(q, p)
     if spec.kind != "GL" or spec.n not in (2, 3):
         raise ValueError("bundle check supports GL(2) and GL(3)")

@@ -1,6 +1,9 @@
 """Command line interface: subcommands, report shape, exit codes."""
 
+import contextlib
+import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -390,6 +393,14 @@ def test_samples_must_be_positive(capsys, argv, samples):
 
 
 @pytest.mark.parametrize("argv", SAMPLES_COMMANDS + (
+    ("verify", "bundle", "--group", "GL2"),  # a branch that samples nothing
+), ids=lambda a: " ".join(a[1:4]))
+def test_seed_must_be_non_negative(capsys, argv):
+    code, out, err = run(capsys, *argv, "--p", "7", "--q", "3", "--seed", "-1")
+    assert (code, out, err) == (1, "", "error: seed must be non-negative\n")
+
+
+@pytest.mark.parametrize("argv", SAMPLES_COMMANDS + (
     ("verify", "tangent", "--group", "GL2", "--orbit", "2"),
     ("verify", "tangent", "--group", "GSp4", "--orbit", "2,2"),
     ("verify", "bundle", "--group", "GL2"),
@@ -645,25 +656,30 @@ def test_repeated_calls_match_a_fresh_parser(tmp_path, capsys):
     assert "usage: wdsmooth" in fresh[0][1] and fresh[2][2].startswith("error: ")
 
 
-# ------------------------------------------------------- leaf dispatch parity
+# ------------------------------------------------------- direct parse parity
 
 CLASSIFY = ("classify", "--group", "GL3", "--orbit", "2,1", "--q", "4")
 ENUMERATE = ("enumerate", "--p", "5", "--q", "2")
 TANGENT = ("verify", "tangent", "--group", "GL2", "--orbit", "2", "--p", "7", "--q", "3")
 
-#: calls that start with a command's words and that its parser parses alone
-#: ("CFG" and "OUT" stand for a config file and a report path)
-LEAF_PARSED = [
+#: calls that start with a command's words and whose other words are all
+#: the command's: the direct parse takes the well-formed ones, and the
+#: command's own argparse parser the rest ("CFG" and "OUT" stand for a
+#: config file and a report path)
+DIRECT_PARSED = [
     *((*path, *flags) for path, flags in VALID_CALLS.items()),
+    (*CLASSIFY, "--format", "table"),
+    (*CLASSIFY[:-2], "--config", "CFG"),
+    ("arith", "sweep", "--config", "CFG"),
+]
+LEAF_PARSED = DIRECT_PARSED + [
     ("classify", "-h"),
     ("verify", "enumerate", "-h"),
     ("arith", "sweep", "--help"),
-    (*CLASSIFY, "--format", "table"),
     (*CLASSIFY, "--format=table"),
-    (*CLASSIFY[:-2], "--config", "CFG"),
-    ("arith", "sweep", "--config", "CFG"),
     (*TANGENT, "--sam", "3"),  # an abbreviation
     (*TANGENT, "--s", "3"),  # ambiguous: --samples or --seed
+    ("arith", "sweep", "--rank_max", "2"),  # spelled as a config key
     ("classify", "--", *CLASSIFY[1:]),
     ("classify", "--orbit", "2,1", "--q", "4"),  # missing required flag
     ("verify", "enumerate", "--p", "5"),
@@ -672,7 +688,8 @@ LEAF_PARSED = [
     ("classify", "--group", "GL3", "--orbit", "2,1", "--q", "-1"),
     ("verify", *ENUMERATE[:-1], "-1"),
 ]
-#: calls the full parser tree parses
+#: calls that a parser above the command's reads: a top-level or group
+#: parser, which also reports the words a command's parser leaves
 TREE_PARSED = [
     (),
     ("-h",),
@@ -703,26 +720,117 @@ TREE_PARSED = [
 ]
 
 
-def run_with_parsers(capsys, monkeypatch, parsers, argv):
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "_build_parser", lambda: parsers)
-        return run(capsys, *argv)
+class TreeBuilt(Exception):
+    """Raised in place of building the argparse tree."""
+
+
+def no_tree():
+    raise TreeBuilt
+
+
+def run_quietly(argv, parse_args=cli._parse_args, build_parser=cli._build_parser):
+    """(exit code, stdout, stderr) of one call, with ``cli._parse_args``
+    and ``cli._build_parser`` replaced by the given functions."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "_parse_args", parse_args), \
+            mock.patch.object(cli, "_build_parser", build_parser), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_through_tree(argv):
+    tree = cli._build_parser()
+    return run_quietly(argv, tree.parse_args, lambda: tree)
+
+
+def run_without_tree(argv):
+    return run_quietly(argv, build_parser=no_tree)
 
 
 @pytest.mark.parametrize("parser, argv", [
     *(("leaf", argv) for argv in LEAF_PARSED),
     *(("tree", argv) for argv in TREE_PARSED),
 ], ids=lambda a: " ".join(a) if isinstance(a, tuple) else a)
-def test_leaf_dispatch_matches_the_full_tree(tmp_path, capsys, monkeypatch, parser, argv):
+def test_leaf_dispatch_matches_the_full_tree(tmp_path, capsys, parser, argv):
+    direct = parser == "leaf" and argv in DIRECT_PARSED
     cfg = tmp_path / "wd.cfg"
     cfg.write_text("q = 4\nfamilies = AB\nrank-max = 2\nq_max = 5\n")
     files = {"CFG": str(cfg), "OUT": str(tmp_path / "report.json")}
     argv = [files.get(word, word) for word in argv]
-    tree, leaves = cli._build_parser()
     dispatched = run(capsys, *argv)
-    assert dispatched == run_with_parsers(capsys, monkeypatch, (tree, {}), argv)
-    if parser == "leaf":  # with no tree to fall back to, the call still runs
-        assert dispatched == run_with_parsers(capsys, monkeypatch, (None, leaves), argv)
+    assert dispatched == run_through_tree(argv)
+    if direct:  # with no tree to fall back to, the call still runs
+        assert dispatched == run_without_tree(argv)
     else:
-        with pytest.raises(AttributeError):
-            run_with_parsers(capsys, monkeypatch, (None, leaves), argv)
+        with pytest.raises(TreeBuilt):
+            run_without_tree(argv)
+
+
+#: small pools of values per flag dest: (values the direct parse takes,
+#: some of which the command rejects; values it leaves to argparse). The
+#: work stays cheap: p in {5, 7} (9 is not prime), at most 3 samples
+VALUE_POOLS = {
+    "group": (("GL2", "GL3", "GSp4", "Sp4", "GL2xGL3", "", "GL 3"), ()),
+    "orbit": (("2", "2,1", "2,2", "3", "1,1", "2;2,1", "", "2, 1"), ()),
+    "p": (("5", "7", "9"), ("x", "-7", "", "5.0")),
+    "q": (("2", "3", "4", " 3"), ("-1", "x", "")),
+    "s": (("2", "3"), ("-2", "x")),
+    "l": (("0", "5", "11"), ("-5", "x")),
+    "samples": (("1", "3", "0"), ("-1", "x")),
+    "seed": (("0", "2"), ("-1", "x")),
+    "marked": (("1", "2", "9"), ("-1", "x")),
+    "families": (("AB", "G", "Z", "", "A B"), ()),
+    "rank_max": (("1", "2", "0"), ("-1", "x")),
+    "l_max": (("3", "7"), ("-3", "x")),
+    "q_max": (("3", "5"), ("x",)),
+    "format": (("json", "table"), ("xml", "")),
+}
+FORMAT = next(flag for flag in cli._COMMON if flag.name == "--format")
+
+
+@st.composite
+def command_words(draw, path):
+    """The words after a command's path: its flags and --format in a
+    random order, some left out and some repeated, each with a value from
+    its pool; ``well_formed`` is whether the direct parse must take them."""
+    flags = draw(st.permutations(cli._COMMANDS[path][2] + (FORMAT,)))
+    well_formed = draw(st.booleans())
+    # required flags are rarely dropped, so that most calls get past argparse
+    kept = [flag for flag in flags
+            if draw(st.integers(0, 9)) > (0 if flag.required else 4) or
+            well_formed and flag.required]
+    kept += draw(st.lists(st.sampled_from(flags), max_size=2))
+    words = []
+    for flag in kept:
+        accepted, refused = VALUE_POOLS[flag.dest]
+        pool = accepted if well_formed or not refused else accepted + refused
+        words += [flag.name, draw(st.sampled_from(pool))]
+    if not well_formed and words:
+        i = 2 * draw(st.integers(0, len(words) // 2 - 1))
+        name = words[i]
+        spelling = draw(st.sampled_from(["=", "abbreviation", "_", "-h", "trailing", None]))
+        if spelling == "=":
+            words[i:i + 2] = [name + "=" + words[i + 1]]
+        elif spelling == "abbreviation" and len(name) > 4:
+            words[i] = name[:-1]
+        elif spelling == "_":  # a config key's spelling
+            words[i] = "--" + name[2:].replace("-", "_")
+        elif spelling == "-h":
+            words.insert(i, "-h")
+        elif spelling == "trailing":
+            words.append("extra")
+    return words, well_formed
+
+
+@pytest.mark.parametrize("path", COMMAND_PATHS, ids=" ".join)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_direct_parse_matches_the_tree(path, data):
+    words, well_formed = data.draw(command_words(path))
+    argv = [*path, *words]
+    expected = run_through_tree(argv)
+    if well_formed:
+        assert run_without_tree(argv) == expected
+    else:
+        assert run_quietly(argv) == expected

@@ -576,6 +576,21 @@ def test_sample_count_guard(call):
             call(n)
 
 
+@pytest.mark.parametrize("call", [
+    lambda seed: stratum_sample(GL3, 7, 3, OrbitLabel.partition((2, 1)), 2, seed=seed),
+    lambda seed: stratum_sample(GSP4, 7, 3, OrbitLabel.partition((2, 2)), 2, seed=seed),
+    lambda seed: bundle_count_check(GL2, 7, 3, samples=2, seed=seed),
+    lambda seed: bundle_count_check(GL3, 7, 3, samples=2, seed=seed),
+], ids=["stratum_sample-GL3", "stratum_sample-GSp4", "bundle_count_check-GL2",
+        "bundle_count_check-GL3"])
+def test_negative_seed_guard(call):
+    # the GL(2) bundle branch samples nothing, yet rejects the seed all the same
+    for seed in (-1, -2**70):
+        with pytest.raises(ValueError, match="^seed must be non-negative$"):
+            call(seed)
+    call(0)
+
+
 @pytest.mark.parametrize("call", GUARDED, ids=GUARDED_IDS)
 def test_unit_q_guard(call):
     for q in (0, 7, -14):
