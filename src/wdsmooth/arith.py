@@ -78,7 +78,7 @@ class QContext:
 def multiplicative_order(q: int, l: int) -> int:
     """Order of q in (Z/l)^*, for l prime not dividing q."""
     if not is_prime(l):
-        raise ValueError("l must be prime")
+        raise ValueError("l must be a prime, got %r" % (l,))
     if q % l == 0:
         raise ValueError("q must be a unit mod l")
     return order_capped(q, l, l - 1)  # Fermat: the order divides l - 1
@@ -123,7 +123,7 @@ def chevalley_steinberg_order(rs: RootSystem, q: int) -> int:
 def is_banal(l: int, rs: RootSystem, q: int) -> bool:
     """True when the prime l does not divide the group order over F_q."""
     if not is_prime(l):
-        raise ValueError("l must be prime")
+        raise ValueError("l must be a prime, got %r" % (l,))
     return chevalley_steinberg_order(rs, q) % l != 0
 
 

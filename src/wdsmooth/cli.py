@@ -204,6 +204,7 @@ def _arith_considerate(args) -> tuple[dict, str | None]:
 
 def _arith_banal(args) -> tuple[dict, str | None]:
     rs = _root_system(args.group)
+    QContext(q=args.q, l=args.l)  # q a prime power, l not dividing it
     results = {
         "banal": is_banal(args.l, rs, args.q),
         "group_order": chevalley_steinberg_order(rs, args.q),

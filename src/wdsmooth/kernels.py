@@ -10,18 +10,21 @@ it reduces entries mod p only where a pivot is read and once at the end:
 the fields are wide enough that no intermediate value can carry from one
 entry into the next. ``rank_mod`` and ``nullity_mod`` read only the
 pivot count, so they stop at row echelon form; the others reduce fully
-(Gauss-Jordan). Matrices come in through ``tolist()`` and results go
-back out as int64 arrays. The stack entry points, ``batch_nullity_mod``
-and ``batch_rref_mod``, reduce a whole (B, m, n) stack at once in int64
+(Gauss-Jordan). Rows go in and out as bytes: the field width is rounded
+up to 8, 16 or 32 bits or to whole 64-bit words, so the matrix cast to
+that unsigned type is one ``tobytes()`` and each row one
+``int.from_bytes``; the reduced rows come back through one
+``np.frombuffer``, with a field of several words reduced mod p by
+Horner's rule. The stack entry points, ``batch_nullity_mod`` and
+``batch_rref_mod``, reduce a whole (B, m, n) stack at once in int64
 through one column loop, for callers that hold real batches: the first
 stops at what a rank needs, the second reduces fully and returns, matrix
 for matrix, what ``rref_mod`` returns. No public entry point calls
-another.
+another. Every routine needs p <= ``P_MAX``, so that a product of two
+residues fits int64; the single-matrix entry points check it.
 """
 
 from __future__ import annotations
-
-from operator import lshift
 
 import numpy as np
 from numpy.typing import NDArray
@@ -34,16 +37,20 @@ from numpy.typing import NDArray
 P_MAX = 759_250_125
 
 _INT64 = np.dtype(np.int64)
+#: little-endian unsigned types by byte size: the field items of ``_rref``
+_UNSIGNED = {size: np.dtype("<u%d" % size) for size in (1, 2, 4, 8)}
 
 
-def _rref(rows: list[list[int]], p: int, full: bool = True) -> list[int]:
-    # Elimination of rows of ints in [0, p), p prime, with first-nonzero
-    # pivoting; returns the pivot column of each nonzero row, in order.
-    # full=True clears each pivot column from every other row and replaces
-    # rows by the reduced row echelon form; full=False clears it only from
-    # the rows below, which is all a rank needs, and leaves rows as given.
+def _rref(mat: NDArray[np.int64], p: int, full: bool = True
+          ) -> tuple[list[int], NDArray[np.int64] | None]:
+    # Elimination of an (m, n) int64 array with entries in [0, p), p prime,
+    # with first-nonzero pivoting; returns the pivot column of each nonzero
+    # row, in order, and with full=True the reduced row echelon form as a
+    # new (m, n) int64 array (None with full=False). full=True clears each
+    # pivot column from every other row; full=False clears it only from the
+    # rows below, which is all a rank needs.
     #
-    # Each row is packed into one int, entry c in bits [w c, w (c + 1)),
+    # Each row is packed into one int, entry c in bits [W c, W (c + 1)),
     # so clearing a column from a row is one big-int update: a row whose
     # entry there is f gains (-f inv % p) times the unscaled pivot row
     # (inv the pivot's inverse), which makes that entry 0 mod p. On the
@@ -55,20 +62,42 @@ def _rref(rows: list[list[int]], p: int, full: bool = True) -> list[int]:
     #   no field ever borrows from the next;
     # - an update multiplies the largest field by at most p, so after k
     #   pivots every field is below p^(k + 1); there are at most min(m, n)
-    #   pivots, so with w the bit length of p^(min(m, n) + 1) no field
-    #   ever carries into the next;
+    #   pivots, so with w the bit length of p^(min(m, n) + 1) and W >= w
+    #   no field ever carries into the next;
     # - each field stays congruent mod p to its entry in the usual
     #   Gauss-Jordan (which scales pivot rows to a leading 1) up to a unit,
     #   so the pivot columns are the same, and the reduced row echelon
     #   form is unique, so the result equals that of the usual method.
     # A zero row stays zero and is never a pivot, so zero rows are left
     # out of the elimination and come back as the last rows.
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    w = (p ** (min(m, n) + 1)).bit_length()
-    mask = (1 << w) - 1
-    shifts = range(0, w * n, w)
-    packed = [sum(map(lshift, row, shifts)) for row in rows if any(row)]
+    #
+    # Rows move in and out as bytes. W (`width`) is w rounded up to 8, 16
+    # or 32 bits or to whole 64-bit words, so the fields are the items of
+    # an unsigned little-endian array, with `words` items per field: the
+    # matrix cast to that type (zero-padded to (m, n, words) when a field
+    # spans several words) is one tobytes(), and each row one
+    # int.from_bytes of its slice. Rounding W up only widens the margin
+    # against carries. On the way out the pivot rows' to_bytes are joined
+    # into one np.frombuffer; each word is reduced mod p, a field of
+    # several words is reduced by Horner's rule with 2^64 mod p, and each
+    # row is scaled by its pivot's inverse in int64. Every product there
+    # is of two residues, below p^2 < 2^63 for p <= P_MAX (a Horner step
+    # adds one more residue), so nothing overflows.
+    m, n = mat.shape
+    size = -(-(p ** (min(m, n) + 1)).bit_length() // 8)  # bytes of w
+    item = 8 if size > 4 else 1 << (size - 1).bit_length()
+    words = -(-size // item)
+    dtype = _UNSIGNED[item]
+    width = 8 * item * words
+    mask = (1 << width) - 1
+    shifts = range(0, width * n, width)
+    fields = mat.astype(dtype)
+    if words > 1:  # each field: its value, then zero words
+        fields = np.concatenate([fields[:, :, None], np.zeros((m, n, words - 1), dtype)], axis=2)
+    data = fields.tobytes()
+    step = item * words * n  # bytes per row; with n = 0 the range below is empty
+    packed = [v for i in range(0, m * step, step or 1)
+              if (v := int.from_bytes(data[i:i + step], "little"))]
     k = len(packed)
     pivots: list[int] = []
     invs: list[int] = []
@@ -95,10 +124,14 @@ def _rref(rows: list[list[int]], p: int, full: bool = True) -> list[int]:
         pivots.append(col)
         invs.append(inv)
         r += 1
-    if full:
-        rows[:] = [[(v >> s & mask) * inv % p for s in shifts] for v, inv in zip(packed, invs)]
-        rows += [[0] * n for _ in range(m - r)]
-    return pivots
+    if not full:
+        return pivots, None
+    data = b"".join([v.to_bytes(step, "little") for v in packed[:r]]) + bytes(step * (m - r))
+    fields = (np.frombuffer(data, dtype).reshape(m, n, words) % p).astype(np.int64)
+    red = fields[:, :, -1]
+    for j in range(words - 2, -1, -1):  # Horner's rule in base 2^64
+        red = (red * (2**64 % p) + fields[:, :, j]) % p
+    return pivots, red * np.array(invs + [0] * (m - r), dtype=np.int64)[:, None] % p
 
 
 def as_field(a, p: int) -> NDArray[np.int64]:
@@ -126,11 +159,13 @@ def as_field(a, p: int) -> NDArray[np.int64]:
     return arr % p
 
 
-def _rows(a, p: int) -> tuple[list, tuple[int, ...]]:
+def _matrix(a, p: int) -> NDArray[np.int64]:
+    if p > P_MAX:
+        raise ValueError("p exceeds the int64-safe bound %d" % P_MAX)
     mat = as_field(a, p)
     if mat.ndim != 2:
         raise ValueError("expected a 2-d array")
-    return mat.tolist(), mat.shape
+    return mat
 
 
 def rref_mod(a, p: int) -> tuple[NDArray[np.int64], int, NDArray[np.int64]]:
@@ -140,20 +175,17 @@ def rref_mod(a, p: int) -> tuple[NDArray[np.int64], int, NDArray[np.int64]]:
         (rref, rank, pivot_columns). Deterministic: the first nonzero
         entry in each column is used as the pivot.
     """
-    rows, shape = _rows(a, p)
-    pivots = _rref(rows, p)
-    red = np.array(rows, dtype=np.int64).reshape(shape)
+    pivots, red = _rref(_matrix(a, p), p)
     return red, len(pivots), np.array(pivots, dtype=np.int64)
 
 
 def rank_mod(a, p: int) -> int:
-    rows, _ = _rows(a, p)
-    return len(_rref(rows, p, full=False))
+    return len(_rref(_matrix(a, p), p, full=False)[0])
 
 
 def nullity_mod(a, p: int) -> int:
-    rows, shape = _rows(a, p)
-    return shape[1] - len(_rref(rows, p, full=False))
+    mat = _matrix(a, p)
+    return mat.shape[1] - len(_rref(mat, p, full=False)[0])
 
 
 def _inverse_mod(x: NDArray[np.int64], p: int) -> NDArray[np.int64]:
@@ -245,14 +277,17 @@ def _kernel_bases(red: NDArray[np.int64], pivots: NDArray[np.bool_], d: int, p: 
     nullity d, given their (B, n) pivot masks: a (B, d, n) stack, each
     matrix's basis being the one ``nullspace_mod`` returns.
 
-    Placing pivot row r at the index of its pivot column gives a (B, n, n)
-    stack P; the basis vector of free column f is then column f of I - P,
-    a 1 at f and the negated reduced column above the pivots.
+    Placing pivot row r, negated, at the index of its pivot column gives a
+    (B, n, n) stack whose column f, for a free column f, is the basis
+    vector of f once its diagonal entry is 1: the rows at free columns are
+    zero, and the diagonal entries at pivot columns are never read. Only
+    those d columns are reduced mod p.
     """
     b, _, n = red.shape
     placed = np.zeros((b, n, n), dtype=np.int64)
-    placed[pivots] = red[:, :n - d].reshape(b * (n - d), n)
-    return ((np.eye(n, dtype=np.int64) - placed) % p).transpose(0, 2, 1)[~pivots].reshape(b, d, n)
+    placed[pivots] = p - red[:, :n - d].reshape(b * (n - d), n)
+    placed.reshape(b, n * n)[:, :: n + 1] = 1  # the diagonals
+    return (placed.transpose(0, 2, 1)[~pivots] % p).reshape(b, d, n)
 
 
 def nullspace_mod(a, p: int) -> NDArray[np.int64]:
@@ -262,24 +297,23 @@ def nullspace_mod(a, p: int) -> NDArray[np.int64]:
     each free column contributes the vector with a 1 there and the
     negated reduced column above the pivots.
     """
-    rows, (m, n) = _rows(a, p)
-    pivots = _rref(rows, p)
-    mask = np.zeros((1, n), dtype=bool)
-    mask[0, pivots] = True
-    red = np.array(rows, dtype=np.int64).reshape(1, m, n)
-    return _kernel_bases(red, mask, n - len(pivots), p)[0]
+    pivots, red = _rref(_matrix(a, p), p)
+    n = red.shape[1]
+    mask = np.zeros(n, dtype=bool)
+    mask[pivots] = True
+    return _kernel_bases(red[None], mask[None], n - len(pivots), p)[0]
 
 
 def inv_mod(a, p: int) -> NDArray[np.int64]:
     """Inverse of a square matrix mod p. Raises ValueError if singular."""
-    rows, shape = _rows(a, p)
-    n = shape[0]
-    if shape != (n, n):
+    mat = _matrix(a, p)
+    n = mat.shape[0]
+    if mat.shape != (n, n):
         raise ValueError("expected a square matrix")
-    aug = [row + [0] * i + [1] + [0] * (n - 1 - i) for i, row in enumerate(rows)]
-    if _rref(aug, p) != list(range(n)):
+    pivots, red = _rref(np.concatenate([mat, np.eye(n, dtype=np.int64)], axis=1), p)
+    if pivots != list(range(n)):
         raise ValueError("matrix is singular mod %d" % p)
-    return np.array([row[n:] for row in aug], dtype=np.int64).reshape(n, n)
+    return red[:, n:]
 
 
 def matpow_mod(a, e: int, p: int) -> NDArray[np.int64]:

@@ -181,6 +181,28 @@ def test_arith_considerate_and_banal(capsys):
     assert rep["results"]["banal"] is True
 
 
+@pytest.mark.parametrize("command", ["banal", "considerate"])
+@pytest.mark.parametrize("q, l, message", [
+    ("6", "5", "q must be a prime power >= 2, got 6"),  # no field has 6 elements
+    ("-3", "5", "q must be a prime power >= 2, got -3"),
+    ("1", "5", "q must be a prime power >= 2, got 1"),
+    ("4", "2", "l must not divide q"),
+    ("4", "9", "l must be 0 or a prime, got 9"),
+])
+def test_banal_and_considerate_check_q_and_l_alike(capsys, command, q, l, message):
+    code, out, err = run(capsys, "arith", command, "--group", "GL3", "--q", q, "--l", l)
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("order", "--q", "3", "--l", "-5"), "l must be a prime, got -5"),
+    (("order", "--q", "3", "--l", "12"), "l must be a prime, got 12"),
+    (("banal", "--group", "GL3", "--q", "4", "--l", "0"), "l must be a prime, got 0"),
+])
+def test_arith_names_an_l_that_is_not_prime(capsys, argv, message):
+    assert run(capsys, "arith", *argv) == (1, "", "error: %s\n" % message)
+
+
 def test_arith_sweep(capsys):
     rep = run_json(capsys, "arith", "sweep", "--families", "AB",
                    "--rank-max", "2", "--l-max", "7", "--q-max", "5")

@@ -471,18 +471,8 @@ def test_matpow_on_a_stack_equals_per_matrix_powers(p, shape, n, e, data):
     assert got.reshape(-1, n, n).tolist() == [matpow_mod(m, e, p).tolist() for m in flat]
 
 
-@settings(max_examples=150, deadline=None)
-@given(PRIME, st.integers(1, 12), st.integers(1, 12), st.data())
-def test_kernels_equal_the_reference_gauss_jordan(p, m, n, data):
-    def factor(rows, cols):
-        cells = data.draw(st.lists(st.integers(0, p - 1), min_size=rows * cols,
-                                   max_size=rows * cols))
-        return np.array(cells, dtype=np.int64).reshape(rows, cols)
-
-    # a product of an m x r and an r x n factor, so every rank is drawn; its
-    # r <= 12 int64 terms are each below p^2 < 2^59, so the sum (< 2^62.6) is exact
-    r = data.draw(st.integers(0, min(m, n)))
-    a = factor(m, r) @ factor(r, n) % p
+def assert_kernels_equal_the_reference(a, p):
+    m, n = a.shape
     rows = a.tolist()
     pivots = reference_rref(rows, p)
     red, rank, got_pivots = rref_mod(a, p)
@@ -498,6 +488,64 @@ def test_kernels_equal_the_reference_gauss_jordan(p, m, n, data):
                 inv_mod(a, p)
         else:
             assert inv_mod(a, p).tolist() == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(PRIME, st.integers(1, 12), st.integers(1, 12), st.data())
+def test_kernels_equal_the_reference_gauss_jordan(p, m, n, data):
+    def factor(rows, cols):
+        cells = data.draw(st.lists(st.integers(0, p - 1), min_size=rows * cols,
+                                   max_size=rows * cols))
+        return np.array(cells, dtype=np.int64).reshape(rows, cols)
+
+    # a product of an m x r and an r x n factor, so every rank is drawn; its
+    # r <= 12 int64 terms are each below p^2 < 2^59, so the sum (< 2^62.6) is exact
+    r = data.draw(st.integers(0, min(m, n)))
+    assert_kernels_equal_the_reference(factor(m, r) @ factor(r, n) % p, p)
+
+
+#: (w, p, k): the elimination packs each entry of a matrix with min(m, n)
+#: = k into a field of w = bitlen(p^(k + 1)) bits rounded up to 8, 16 or
+#: 32 bits or to whole 64-bit words; each w sits on one side of a boundary
+PACKING_WIDTHS = [
+    (8, 3, 4), (9, 7, 2), (16, 37, 2), (17, 5, 6), (32, 11, 8),
+    (33, 5, 13), (64, 29, 12), (65, 31, 12), (129, 1627, 11),
+]
+
+
+@pytest.mark.parametrize("w, p, k", PACKING_WIDTHS, ids=lambda v: str(v))
+def test_kernels_equal_the_reference_at_each_packing_width(w, p, k):
+    assert (p ** (k + 1)).bit_length() == w
+    rng = np.random.default_rng(53)
+    for shape in ((k, k), (k, k + 3), (k + 2, k)):
+        assert_kernels_equal_the_reference(np.full(shape, p - 1, dtype=np.int64), p)
+        assert_kernels_equal_the_reference(full_rank(rng, shape, p), p)
+        for rank in sorted({0, 1, k // 2, k - 1}):
+            a = low_rank(rng, shape, rank, p)
+            assert_kernels_equal_the_reference(a[rng.permutation(shape[0])], p)
+
+
+def test_single_matrix_results_are_new_writable_arrays():
+    p = 11
+    a = np.array([[3, 4, 15], [1, -2, 0], [4, 2, 15]], dtype=np.int64)  # rank 2 mod 11
+    b = np.array([[2, 3, 1], [0, 1, 5], [7, 0, 1]], dtype=np.int64)
+    given = a.copy(), b.copy()
+    results = [(rref_mod(a, p)[0], a), (nullspace_mod(a, p), a), (inv_mod(b, p), b),
+               (rref_mod(b, p)[0], b)]
+    for got, source in results:
+        assert got.dtype == np.int64 and got.flags.writeable
+        assert not np.shares_memory(got, source)
+        got[...] = 0
+    assert np.array_equal(a, given[0]) and np.array_equal(b, given[1])
+    assert rank_mod(a, p) == 2 and rank_mod(b, p) == 3
+
+
+def test_single_matrix_kernels_reject_p_past_the_bound():
+    # their int64 products of two residues are exact only up to P_MAX
+    for fn in (rref_mod, rank_mod, nullity_mod, nullspace_mod, inv_mod):
+        for p in (759_250_133, 2**61 - 1):  # primes past P_MAX
+            with pytest.raises(ValueError, match="int64-safe bound"):
+                fn(np.eye(2, dtype=np.int64), p)
 
 
 def assert_batch_rref_matches_single(stack, p):
