@@ -121,10 +121,12 @@ def chevalley_steinberg_order(rs: RootSystem, q: int) -> int:
 
 
 def is_banal(l: int, rs: RootSystem, q: int) -> bool:
-    """True when the prime l does not divide the group order over F_q."""
-    if not is_prime(l):
-        raise ValueError("l must be a prime, got %r" % (l,))
-    return chevalley_steinberg_order(rs, q) % l != 0
+    """True when the prime l does not divide the group order over F_q. In
+    characteristic l = 0, as for ``is_considerate``, it is always true."""
+    if l != 0 and not is_prime(l):
+        raise ValueError("l must be 0 or a prime, got %r" % (l,))
+    order = chevalley_steinberg_order(rs, q)  # which checks q, also at l = 0
+    return l == 0 or order % l != 0
 
 
 @dataclass

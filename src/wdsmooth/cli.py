@@ -187,7 +187,9 @@ def _wdd(args) -> tuple[dict, str | None]:
 
 
 def _arith_order(args) -> tuple[dict, str | None]:
-    return {"order": multiplicative_order(args.q, args.l)}, None
+    order = multiplicative_order(args.q, args.l)
+    QContext(q=args.q)  # q a prime power, after l's own checks
+    return {"order": order}, None
 
 
 def _arith_considerate(args) -> tuple[dict, str | None]:

@@ -21,7 +21,7 @@ through one column loop, for callers that hold real batches: the first
 stops at what a rank needs, the second reduces fully and returns, matrix
 for matrix, what ``rref_mod`` returns. No public entry point calls
 another. Every routine needs p <= ``P_MAX``, so that a product of two
-residues fits int64; the single-matrix entry points check it.
+residues fits int64; every public entry point but ``as_field`` checks it.
 """
 
 from __future__ import annotations
@@ -159,9 +159,13 @@ def as_field(a, p: int) -> NDArray[np.int64]:
     return arr % p
 
 
-def _matrix(a, p: int) -> NDArray[np.int64]:
+def _check_p(p: int) -> None:
     if p > P_MAX:
         raise ValueError("p exceeds the int64-safe bound %d" % P_MAX)
+
+
+def _matrix(a, p: int) -> NDArray[np.int64]:
+    _check_p(p)
     mat = as_field(a, p)
     if mat.ndim != 2:
         raise ValueError("expected a 2-d array")
@@ -217,6 +221,7 @@ def _reduce_stack(stack, p: int, full: bool) -> tuple[NDArray[np.int64], NDArray
     # matrix with no pivot in the column is all zero there in its unused
     # rows, and with full=True its update is masked out, so it changes
     # nothing.
+    _check_p(p)
     a = as_field(stack, p)
     if a.ndim != 3:
         raise ValueError("expected a 3-d array")
@@ -321,6 +326,7 @@ def matpow_mod(a, e: int, p: int) -> NDArray[np.int64]:
     each matrix of a (..., n, n) stack."""
     if e < 0:
         raise ValueError("negative exponent; invert first")
+    _check_p(p)
     base = as_field(a, p)
     if base.ndim < 2 or base.shape[-2] != base.shape[-1]:
         raise ValueError("expected a square matrix")

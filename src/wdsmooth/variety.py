@@ -16,12 +16,11 @@ array), like ``sg_member``.
 All computations are exact over F_p; tangent dimensions come from the
 kernel of the defining map's differential, evaluated by deterministic
 Gaussian elimination; the tangent matrix applies phi to the brackets
-and the basis in one product. The GL2 enumeration and nilpotency scan
-run on stacks: one ``batch_rref_mod`` of Ad(phi) - q over all of
-GL(2, F_p) gives every phi's canonical kernel basis, and the nonzero
-solutions come out block by block as (S, 2, 2) stacks with a nilpotent
-mask read off their trace and determinant; only the enumeration builds
-points, and only of the nilpotent solutions it keeps.
+and the basis in one product. The GL2 enumeration reads every phi's
+canonical kernel basis from one ``batch_rref_mod`` of Ad(phi) - q over
+all of GL(2, F_p) and builds only the nilpotent solutions into points;
+the nilpotency scan counts the solutions from one ``batch_nullity_mod``
+of the same stack and lists none.
 """
 
 from __future__ import annotations
@@ -321,56 +320,17 @@ def _inv_2x2_batch(mats: NDArray[np.int64], p: int) -> NDArray[np.int64]:
     return out * inv_dets[:, None, None] % p
 
 
-#: about how many nonzero solutions one block of the GL2 walk holds: a new
-#: block starts at each phi whose solutions start past a multiple of it.
-#: At p = 13 and q = 1 there are 4.7 million, 300 MB as one point array.
+def _digits(d: int, p: int) -> NDArray[np.int64]:
+    """The (p^d - 1, d) coefficients 1 .. p^d - 1 in base p, first digit
+    least significant: on a canonical kernel basis (a 1 in each free
+    column) they give its nonzero vectors, distinct, in a fixed order."""
+    k = np.arange(1, p**d, dtype=np.int64)
+    return k[:, None] // p ** np.arange(d, dtype=np.int64) % p
+
+
+#: about how many nonzero solutions ``enumerate_sg`` builds at once. At
+#: p = 13 and q = 1 there are 4.7 million, 300 MB as one point array.
 _WALK_BLOCK = 1 << 14
-
-
-def _gl2_solutions(p: int, q: int):
-    """Walk GL(2, F_p) in lexicographic order and every nonzero solution N
-    of Ad(phi) N = q N, in blocks of consecutive phis holding about
-    ``_WALK_BLOCK`` solutions each. Yields, per block, (phis, owner, sols,
-    nilpotent): the block's (k, 2, 2) phis, then its solutions as an
-    (S, 2, 2) stack with owner indexing each solution's phi in phis and
-    nilpotent masking the nilpotent ones. A 2x2 N is nilpotent exactly
-    when its trace and determinant vanish (Cayley-Hamilton), at every p.
-
-    One batched reduction of Ad(phi) - q serves the whole walk. A block
-    lists the solutions of its phis of kernel dimension d = 1, then d = 2,
-    and so on, each group in walk order, so that every group is one product
-    written in place. Each phi's solutions stay together, in the order of
-    the combinations of the canonical kernel basis (a 1 in each free
-    column) with coefficients 1 .. p^d - 1 in base p, first coordinate
-    fastest; that basis makes them distinct and nonzero.
-    """
-    phis = _all_invertible_2x2(p)
-    red, rank, pivots = kernels.batch_rref_mod(
-        _ad_minus_q(phis, _inv_2x2_batch(phis, p), q, p), p)
-    nullity = 4 - rank
-    counts = p**nullity - 1
-    starts = np.cumsum(counts) - counts
-    edges = np.searchsorted(starts, np.arange(_WALK_BLOCK, counts.sum(), _WALK_BLOCK))
-    for lo, hi in zip([0, *edges], [*edges, len(phis)]):
-        if lo == hi:
-            continue
-        by_nullity = np.argsort(nullity[lo:hi], kind="stable")
-        owner = np.repeat(by_nullity, counts[lo:hi][by_nullity])
-        sols = np.empty((len(owner), 4), dtype=np.int64)
-        pos = 0
-        for d in range(1, 5):
-            members = lo + np.flatnonzero(nullity[lo:hi] == d)
-            if len(members):
-                k = np.arange(1, p**d, dtype=np.int64)
-                coeffs = k[:, None] // p ** np.arange(d, dtype=np.int64) % p
-                group = sols[pos:pos + len(members) * len(k)]
-                np.matmul(coeffs, kernels._kernel_bases(red[members], pivots[members], d, p),
-                          out=group.reshape(len(members), len(k), 4))
-                pos += len(group)
-        sols %= p
-        tr = (sols[:, 0] + sols[:, 3]) % p
-        det = (sols[:, 0] * sols[:, 3] - sols[:, 1] * sols[:, 2]) % p
-        yield phis[lo:hi], owner, sols.reshape(-1, 2, 2), (tr == 0) & (det == 0)
 
 
 def enumerate_sg(spec: GroupSpec, p: int, q: int) -> NDArray[np.int64]:
@@ -382,6 +342,11 @@ def enumerate_sg(spec: GroupSpec, p: int, q: int) -> NDArray[np.int64]:
     lexicographic phi order; for each phi, N = 0 first, then the nonzero
     N ordered by their coordinates in the canonical kernel basis, read
     as base-p numbers with the first coordinate least significant.
+
+    One batched reduction of Ad(phi) - q gives every kernel basis. The
+    solutions are built per kernel dimension, about ``_WALK_BLOCK`` at
+    once, and those of zero trace and determinant, the nilpotent ones
+    (Cayley-Hamilton), are kept.
     """
     _field(p)
     if spec.kind != "GL" or spec.n != 2:
@@ -389,15 +354,27 @@ def enumerate_sg(spec: GroupSpec, p: int, q: int) -> NDArray[np.int64]:
     if p > 13:
         raise ValueError("full enumeration is capped at p = 13")
     q = _unit_q(q, p)
-    out = []
-    for phis, owner, sols, nilpotent in _gl2_solutions(p, q):
-        # each phi's N = 0 point, then its nilpotent points: a stable sort
-        # on the phi index keeps the zero points first and the walk order
-        kept = owner[nilpotent]
-        zero = np.stack([phis, np.zeros_like(phis)], axis=1)
-        order = np.concatenate([np.arange(len(phis)), kept]).argsort(kind="stable")
-        out.append(np.concatenate([zero, np.stack([phis[kept], sols[nilpotent]], axis=1)])[order])
-    return np.concatenate(out)
+    phis = _all_invertible_2x2(p)
+    red, rank, pivots = kernels.batch_rref_mod(
+        _ad_minus_q(phis, _inv_2x2_batch(phis, p), q, p), p)
+    owners = [np.arange(len(phis))]  # each phi's N = 0 point
+    ns = [np.zeros((len(phis), 4), dtype=np.int64)]
+    for d in range(1, 5):
+        coeffs = _digits(d, p)
+        members = np.flatnonzero(rank == 4 - d)
+        step = max(1, _WALK_BLOCK // len(coeffs))
+        for chunk in np.split(members, range(step, len(members), step)):
+            sols = coeffs @ kernels._kernel_bases(red[chunk], pivots[chunk], d, p) % p
+            tr = (sols[..., 0] + sols[..., 3]) % p
+            det = (sols[..., 0] * sols[..., 3] - sols[..., 1] * sols[..., 2]) % p
+            keep = (tr == 0) & (det == 0)
+            owners.append(np.repeat(chunk, keep.sum(axis=1)))
+            ns.append(sols[keep])
+    # a stable sort on the phi index restores the walk order, keeping each
+    # phi's N = 0 point first and its solutions in the order built
+    owner = np.concatenate(owners)
+    order = owner.argsort(kind="stable")
+    return np.stack([phis[owner[order]], np.concatenate(ns)[order].reshape(-1, 2, 2)], axis=1)
 
 
 def _jordan_nilpotent(parts: tuple[int, ...]) -> NDArray[np.int64]:
@@ -561,7 +538,9 @@ def stratum_sample(
 class RedundancyReport:
     """Outcome of scanning every phi for non-nilpotent solutions N of
     Ad(phi) N = q N. With q of large order there are none, so imposing
-    nilpotency on N is redundant; with small order a witness appears."""
+    nilpotency on N is redundant; with small order a witness appears:
+    the first phi in lexicographic order with a non-nilpotent N, and its
+    first such N in the order of ``enumerate_sg``."""
 
     p: int
     q: int
@@ -572,25 +551,30 @@ class RedundancyReport:
 
 
 def nilpotency_redundancy_check(spec: GroupSpec, p: int, q: int) -> RedundancyReport:
-    """Scan all phi in GL(2, F_p) and all solutions of Ad(phi) N = q N."""
+    """Count the nonzero solutions of Ad(phi) N = q N over all phi in
+    GL(2, F_p) from one batched nullity d of Ad(phi) - q, as p^d - 1 per
+    phi. Exactly |GL(2, F_p)| of them are nilpotent: the p^2 - 1 nonzero
+    nilpotent N form one class and each is conjugate to q N, so the phi
+    solving phi N = q N phi form a coset of its centralizer. The witness
+    is searched for only when the rest is nonzero."""
     _field(p)
     q = _unit_q(q, p)
     if spec.kind != "GL" or spec.n != 2:
         raise ValueError("redundancy scan is only supported for GL(2)")
     if p > 13:
         raise ValueError("redundancy scan is capped at p = 13")
-    checked = 0
-    bad = 0
-    wphi = None
-    wn = None
-    for phis, owner, sols, nilpotent in _gl2_solutions(p, q):
-        other = np.flatnonzero(~nilpotent)
-        checked += len(sols)
-        bad += len(other)
-        if wphi is None and len(other):
-            # the walk's first: of the lowest owner, the first listed
-            first = other[owner[other].argmin()]
-            wphi, wn = phis[owner[first]].copy(), sols[first].copy()
+    phis = _all_invertible_2x2(p)
+    ad = _ad_minus_q(phis, _inv_2x2_batch(phis, p), q, p)
+    nullity = kernels.batch_nullity_mod(ad, p)
+    checked = int((p**nullity - 1).sum())
+    bad = checked - len(phis)
+    wphi = wn = None
+    for i in np.flatnonzero(nullity) if bad else ():
+        sols = (_digits(int(nullity[i]), p) @ kernels.nullspace_mod(ad[i], p) % p).reshape(-1, 2, 2)
+        other = np.flatnonzero(~_is_nilpotent(sols, p))
+        if len(other):
+            wphi, wn = phis[i].copy(), sols[other[0]]
+            break
     return RedundancyReport(
         p=p, q=q, pairs_checked=checked, non_nilpotent_count=bad,
         witness_phi=wphi, witness_n=wn,

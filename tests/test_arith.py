@@ -175,3 +175,7 @@ def test_banal_agrees_with_order_divisibility():
             if q % l == 0:
                 continue
             assert is_banal(l, rs, q) == (chevalley_steinberg_order(rs, q) % l != 0)
+        assert is_banal(0, rs, q)  # characteristic zero
+    for l in (-5, 1, 4):
+        with pytest.raises(ValueError, match="l must be 0 or a prime, got %d" % l):
+            is_banal(l, rs, 3)

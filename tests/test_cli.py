@@ -197,10 +197,25 @@ def test_banal_and_considerate_check_q_and_l_alike(capsys, command, q, l, messag
 @pytest.mark.parametrize("argv, message", [
     (("order", "--q", "3", "--l", "-5"), "l must be a prime, got -5"),
     (("order", "--q", "3", "--l", "12"), "l must be a prime, got 12"),
-    (("banal", "--group", "GL3", "--q", "4", "--l", "0"), "l must be a prime, got 0"),
 ])
 def test_arith_names_an_l_that_is_not_prime(capsys, argv, message):
     assert run(capsys, "arith", *argv) == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("q, l, message", [
+    ("6", "5", "q must be a prime power >= 2, got 6"),  # no field has 6 elements
+    ("1", "5", "q must be a prime power >= 2, got 1"),
+    ("6", "12", "l must be a prime, got 12"),  # l is checked first
+])
+def test_arith_order_checks_q_after_l(capsys, q, l, message):
+    assert run(capsys, "arith", "order", "--q", q, "--l", l) == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("command", ["banal", "considerate"])
+def test_arith_accepts_characteristic_zero(capsys, command):
+    # no prime divides the group order in characteristic zero
+    rep = run_json(capsys, "arith", command, "--group", "GL3", "--q", "4", "--l", "0")
+    assert rep["results"][command] is True
 
 
 def test_arith_sweep(capsys):

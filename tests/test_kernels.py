@@ -548,6 +548,26 @@ def test_single_matrix_kernels_reject_p_past_the_bound():
                 fn(np.eye(2, dtype=np.int64), p)
 
 
+def test_stack_kernels_reject_p_past_the_bound():
+    # at 2^61 - 1 numpy's int64 matmul wraps without a warning: the first
+    # entry of this square came out as 13 where the exact value is 7
+    calls = (lambda a, p: batch_nullity_mod(a[None], p),
+             lambda a, p: batch_rref_mod(a[None], p),
+             lambda a, p: matpow_mod(a, 2, p))
+    for p in (759_250_133, 2**61 - 1):
+        a = np.array([[p - 1, p - 2], [p - 3, p - 5]], dtype=np.int64)
+        for call in calls:
+            with pytest.raises(ValueError, match="^p exceeds the int64-safe bound 759250125$"):
+                call(a, p)
+    # the largest prime within the bound is accepted, and exact
+    a = [[TOP_P - 1, TOP_P - 2], [TOP_P - 3, TOP_P - 5]]
+    exact = [[sum(a[i][k] * a[k][j] for k in range(2)) % TOP_P for j in range(2)]
+             for i in range(2)]
+    assert matpow_mod(a, 2, TOP_P).tolist() == exact
+    assert batch_nullity_mod(np.array([a]), TOP_P).tolist() == [0]
+    assert batch_rref_mod(np.array([a]), TOP_P)[1].tolist() == [2]
+
+
 def assert_batch_rref_matches_single(stack, p):
     red, rank, pivots = batch_rref_mod(stack, p)
     b, m, n = stack.shape

@@ -257,9 +257,14 @@ def test_gl2_walk_matches_the_per_phi_reference(p, q):
     # every unit q, so q = 1 and q = p - 1 (order <= 2, where non-nilpotent
     # solutions and a witness exist) are covered at every prime
     pts, checked, bad, witness = reference_results(p, q)
-    assert np.array_equal(enumerate_sg(GL2, p, q), pts)
+    got = enumerate_sg(GL2, p, q)
+    assert np.array_equal(got, pts)
     rep = nilpotency_redundancy_check(GL2, p, q)
     assert (rep.pairs_checked, rep.non_nilpotent_count) == (checked, bad)
+    # the scan counts the nilpotent pairs as |GL2(F_p)|, one conjugacy
+    # class of p^2 - 1 nonzero nilpotent N with a fibre coset each
+    nonzero = int(got[:, 1].any(axis=(1, 2)).sum())
+    assert nonzero == rep.pairs_checked - rep.non_nilpotent_count == (p**2 - 1) * (p**2 - p)
     if witness is None:
         assert rep.witness_phi is None and rep.witness_n is None
     else:
@@ -268,28 +273,13 @@ def test_gl2_walk_matches_the_per_phi_reference(p, q):
 
 
 def test_gl2_walk_splits_into_blocks_in_order(monkeypatch):
-    # blocks far smaller than one phi's solutions change nothing, and nor
-    # does one block for the whole walk, which lists the scalar phis'
+    # chunks far smaller than one phi's solutions change nothing, and nor
+    # does one chunk per kernel dimension, which lists the scalar phis'
     # solutions (kernel dimension 4) after those of the phis walked after them
-    pts, checked, bad, witness = reference_results(5, 1)
+    pts = reference_results(5, 1)[0]
     for block in (7, 1 << 30):
         monkeypatch.setattr(variety, "_WALK_BLOCK", block)
         assert np.array_equal(enumerate_sg(GL2, 5, 1), pts)
-        rep = nilpotency_redundancy_check(GL2, 5, 1)
-        assert (rep.pairs_checked, rep.non_nilpotent_count) == (checked, bad)
-        assert np.array_equal(np.stack([rep.witness_phi, rep.witness_n]), np.stack(witness))
-
-
-def test_redundancy_witness_is_the_first_of_the_walk(monkeypatch):
-    # a block lists solutions by their phi's kernel dimension, so the first
-    # non-nilpotent one listed may belong to a later phi of the walk
-    phis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
-    sols = np.array([[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 1], [1, 0]]])
-    block = (phis, np.array([1, 1, 0]), sols, np.array([False, True, False]))
-    monkeypatch.setattr(variety, "_gl2_solutions", lambda p, q: iter([block]))
-    rep = nilpotency_redundancy_check(GL2, 5, 1)
-    assert (rep.pairs_checked, rep.non_nilpotent_count) == (3, 2)
-    assert np.array_equal(rep.witness_phi, phis[0]) and np.array_equal(rep.witness_n, sols[2])
 
 
 def test_sampler_with_no_solutions_returns_an_empty_point_array(monkeypatch,
