@@ -16,11 +16,15 @@ array), like ``sg_member``.
 All computations are exact over F_p; tangent dimensions come from the
 kernel of the defining map's differential, evaluated by deterministic
 Gaussian elimination; the tangent matrix applies phi to the brackets
-and the basis in one product. The GL2 enumeration reads every phi's
-canonical kernel basis from one ``batch_rref_mod`` of Ad(phi) - q over
-all of GL(2, F_p) and builds only the nilpotent solutions into points;
-the nilpotency scan counts the solutions from one ``batch_nullity_mod``
-of the same stack and lists none.
+and the basis in one product, and ``tangent_dim`` eliminates it with
+the M half's columns first. The GL sampler reads all its draws from one
+buffered stream of its generator; numpy's bounded draws concatenate, so
+the samples are those of one generator call per block. The GL2
+enumeration reads every phi's canonical kernel basis from one
+``batch_rref_mod`` of Ad(phi) - q over all of GL(2, F_p) and builds only
+the nilpotent solutions into points; the nilpotency scan counts the
+solutions from one ``batch_nullity_mod`` of the same stack and lists
+none.
 """
 
 from __future__ import annotations
@@ -295,8 +299,15 @@ def tangent_matrix(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.in
 
 
 def tangent_dim(spec: GroupSpec, phi, n_mat, q: int, p: int) -> int:
-    """Tangent space dimension at (phi, N), by exact elimination."""
-    return kernels.nullity_mod(tangent_matrix(spec, phi, n_mat, q, p), p)
+    """Tangent space dimension at (phi, N), by exact elimination.
+
+    The nullity of ``tangent_matrix`` with its columns reversed, so that
+    the M half, M -> phi M - q M phi, comes first. A rank does not depend
+    on the order of the columns, and the elimination stops once every
+    nonzero row has a pivot. The M half holds most of the rank at the
+    sampled points, and all of it at N = 0, where the X half is zero.
+    """
+    return kernels.nullity_mod(tangent_matrix(spec, phi, n_mat, q, p)[:, ::-1], p)
 
 
 def _all_invertible_2x2(p: int) -> NDArray[np.int64]:
@@ -440,6 +451,30 @@ def _random_gl(rng: np.random.Generator, n: int, p: int
             continue
 
 
+def _draw_blocks(rng: np.random.Generator, p: int, size: int):
+    """take(k), the next k draws from [0, p) of rng, as a view.
+
+    The draws come from one buffer of ``rng.integers(0, p, size=size)``,
+    refilled from rng when a block would run past its end; the entries
+    left unread open the new buffer. numpy's bounded draws from one
+    generator concatenate, k calls drawing as much as one call of their
+    total size, so the blocks equal those of one
+    ``rng.integers(0, p, size=k)`` call per block.
+    """
+    buf = np.empty(0, dtype=np.int64)
+    pos = 0
+
+    def take(k: int) -> NDArray[np.int64]:
+        nonlocal buf, pos
+        if pos + k > len(buf):
+            buf = np.concatenate([buf[pos:], rng.integers(0, p, size=max(size, k))])
+            pos = 0
+        pos += k
+        return buf[pos - k:pos]
+
+    return take
+
+
 def _random_gsp4_stack(rng: np.random.Generator, spec: GroupSpec, p: int, count: int
                        ) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
     """count random GSp4 elements and their inverses, as two (count, 4, 4)
@@ -486,10 +521,16 @@ def stratum_sample(
     GL(n): conjugate the Jordan form J by random invertible matrices g
     and sample invertible solutions phi of phi N = q N phi, N = g J g^-1.
     The system phi J = q J phi is solved once per (orbit, q, p) and the
-    solution kept; its kernel basis, conjugated by g, spans the solutions
-    for N, and its RREF with the columns reversed is the canonical kernel
-    basis that ``nullspace_mod`` of N's own system would give, so the
-    samples do not depend on which of the two is eliminated. GSp4:
+    solution kept; its kernel basis, conjugated by g in one product with
+    J, spans the solutions for N, and its RREF with the columns reversed
+    is the canonical kernel basis that ``nullspace_mod`` of N's own
+    system would give, so the samples do not depend on which of the two
+    is eliminated. At N = 0 a draw of g is kept on its rank and not
+    inverted. Every entry of g and every try's coefficients are read in
+    turn from one stream of ``rng.integers(0, p)`` draws, buffered
+    count (n^2 + d) at a time for d solutions and refilled as needed;
+    numpy's bounded draws from one generator concatenate, so the samples
+    equal those of one generator call per matrix and per try. GSp4:
     conjugate a base point by random group elements built from torus and
     root elements, all count of them built, inverted and applied as one
     stack. The generator is seeded, so samples are deterministic. Returns the
@@ -511,23 +552,35 @@ def stratum_sample(
     n = spec.n
     jordan, jordan_basis = _jordan_system(tuple(orbit.parts), q, p)
     d = jordan_basis.shape[0]
+    # J and the solutions for J, conjugated together by each g
+    stack = np.concatenate([jordan[None], jordan_basis.reshape(d, n, n)])
+    take = _draw_blocks(rng, p, count * (n * n + d))
     points = []
     attempts = 0
     while d and len(points) < count and attempts < 500 * count:
         attempts += 1
-        g, ginv = _random_gl(rng, n, p)
-        n_mat = (g @ jordan % p) @ ginv % p
         if d == n * n:
-            basis = jordan_basis  # N = 0: every phi solves; the identity
+            # N = J = 0: every phi solves, the identity is the basis, and
+            # g conjugates only zeros, so a draw is kept on its rank and
+            # never inverted
+            while kernels.rank_mod(take(n * n).reshape(n, n), p) < n:
+                continue
+            n_mat, basis = jordan, jordan_basis
         else:
+            while True:  # a uniform g in GL(n, F_p), as _random_gl draws it
+                g = take(n * n).reshape(n, n)
+                try:
+                    ginv = kernels.inv_mod(g, p)
+                    break
+                except ValueError:  # singular draw
+                    continue
+            conj = (g @ stack % p) @ ginv % p
+            n_mat = conj[0]
             # the solutions for N = g J g^-1 are g X g^-1; the canonical
             # kernel basis is their RREF with the columns reversed
-            conj = (g @ jordan_basis.reshape(d, n, n) % p) @ ginv % p
-            conj = conj.reshape(d, n * n)
-            basis = kernels.rref_mod(conj[:, ::-1], p)[0][::-1, ::-1]
+            basis = kernels.rref_mod(conj[1:].reshape(d, n * n)[:, ::-1], p)[0][::-1, ::-1]
         for _ in range(40):
-            coeffs = rng.integers(0, p, size=d).astype(np.int64)
-            phi = (coeffs @ basis % p).reshape(n, n)
+            phi = (take(d) @ basis % p).reshape(n, n)
             if kernels.rank_mod(phi, p) == n:
                 points.append((phi, n_mat))
                 break

@@ -11,10 +11,12 @@ from wdsmooth.kernels import (
     batch_nullity_mod,
     inv_mod,
     matpow_mod,
+    nullity_mod,
     nullspace_mod,
     rank_mod,
     rref_mod,
 )
+from wdsmooth.arith import multiplicative_order
 from wdsmooth.orbits import OrbitLabel, classical_orbits
 from wdsmooth.rootsys import build_root_system, parse_group
 from wdsmooth.variety import (
@@ -305,8 +307,8 @@ def test_jordan_system_is_solved_once_and_read_only(fresh_jordan_systems):
 
 
 def reference_stratum_sample(spec, p, q, parts, count, seed):
-    # one elimination of N's own system per attempt, draw for draw the
-    # loop that stratum_sample replaces
+    # one elimination of N's own system per attempt, and one generator
+    # call per block: _random_gl for each g, rng.integers for each try
     rng = np.random.default_rng(seed)
     n, jordan = spec.n, _jordan_nilpotent(parts)
     eye = np.eye(n, dtype=np.int64)
@@ -328,14 +330,61 @@ def reference_stratum_sample(spec, p, q, parts, count, seed):
     return np.array(points, dtype=np.int64).reshape(-1, 2, n, n)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_sampler_matches_a_per_attempt_elimination(n):
+def units_of_each_order(p):
+    # the least unit of each order dividing p - 1; q = 1 comes first
+    first = {}
+    for u in range(1, p):
+        first.setdefault(multiplicative_order(u, p), u)
+    return sorted(first.values())
+
+
+class CountingGenerator:
+    # forwards integers() to a numpy generator and counts the calls
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sampler_matches_a_per_attempt_elimination(n, monkeypatch):
+    # every orbit, q = 1 and a unit of each order, at p <= 13. The N = 0
+    # orbit takes the rank-only branch, and at p = 2 most draws of g are
+    # singular, so the sampler's buffer runs out and is refilled
+    draw_blocks = variety._draw_blocks
+    generators = []
+
+    def counted(rng, p, size):
+        generators.append(CountingGenerator(rng))
+        return draw_blocks(generators[-1], p, size)
+
+    monkeypatch.setattr(variety, "_draw_blocks", counted)
     spec = GroupSpec.gl(n)
-    for orbit in classical_orbits(build_root_system(parse_group("GL%d" % n))):
-        for p, q in ((5, 2), (7, 3), (11, 4), (13, 5), (11, 1), (7, 6)):
-            for seed in range(4):
-                want = reference_stratum_sample(spec, p, q, orbit.parts, 3, seed)
-                assert np.array_equal(stratum_sample(spec, p, q, orbit, 3, seed=seed), want)
+    for parts in [pt for pt in PARTITIONS if sum(pt) == n]:
+        for p in (2, 3, 5, 7, 11, 13):
+            for q in units_of_each_order(p):
+                for seed in range(5):
+                    for count in (1, 5, 17):
+                        want = reference_stratum_sample(spec, p, q, parts, count, seed)
+                        got = stratum_sample(spec, p, q, OrbitLabel.partition(parts), count,
+                                             seed=seed)
+                        assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert max(g.calls for g in generators) > 1
+
+
+def test_one_stream_sampler_refills_with_blocks_astride_the_buffer_end(monkeypatch):
+    # a 7-entry buffer leaves part of nearly every block in the old buffer
+    draw_blocks = variety._draw_blocks
+    monkeypatch.setattr(variety, "_draw_blocks", lambda rng, p, size: draw_blocks(rng, p, 7))
+    for parts in PARTITIONS:
+        spec = GroupSpec.gl(sum(parts))
+        for p, q in ((2, 1), (3, 2), (11, 4)):
+            for seed in range(3):
+                want = reference_stratum_sample(spec, p, q, parts, 5, seed)
+                got = stratum_sample(spec, p, q, OrbitLabel.partition(parts), 5, seed=seed)
+                assert np.array_equal(got, want)
 
 
 def test_reversed_rref_of_a_conjugated_basis_is_the_canonical_kernel():
@@ -931,6 +980,33 @@ def test_tangent_dims_match_adjoint_form_on_enumeration(q):
     for p in (2, 3, 5, 7):
         if q < p:
             assert_adjoint_form_agrees(GL2, enumerate_sg(GL2, p, q), q, p)
+
+
+def h2_dim(spec, phi, n_mat, q, p):
+    # dim H^2 = {Y in g : Ad(phi) Y = q^-1 Y, [N, Y] = 0}: the nullity of
+    # Y -> (q phi Y - Y phi, N Y - Y N) over the Lie algebra basis
+    basis = spec.lie_basis
+    images = np.concatenate([q * (phi @ basis) - basis @ phi, n_mat @ basis - basis @ n_mat],
+                            axis=1) % p
+    return nullity_mod(images.reshape(len(basis), -1).T, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_tangent_dim_is_dim_g_plus_h2(p):
+    # the cokernel of the differential is dual to H^2 under the trace form,
+    # which is nondegenerate on gl_n at every p and on gsp4 at odd p; N = 0
+    # points come from the zero orbits and from the GL2 enumeration
+    names = ["GL2", "GL3", "GL4"] + (["GSp4"] if p > 2 else [])
+    for q in units_of_each_order(p):
+        cases = [(GL2, enumerate_sg(GL2, p, q))] if p <= 5 else []
+        for name in names:
+            spec = GSP4 if name == "GSp4" else GroupSpec.gl(int(name[2:]))
+            for orbit in classical_orbits(build_root_system(parse_group(name))):
+                cases.append((spec, stratum_sample(spec, p, q, orbit, 2, seed=p)))
+        for spec, pts in cases:
+            for phi, n_mat in pts:
+                assert (tangent_dim(spec, phi, n_mat, q, p)
+                        == spec.dim_g + h2_dim(spec, phi, n_mat, q, p))
 
 
 # ------------------------------------------------------- int64 exactness
