@@ -34,7 +34,7 @@ from numpy.typing import NDArray
 
 from . import kernels
 from .arith import order_capped
-from .orbits import OrbitLabel
+from .orbits import OrbitLabel, _sl2_weights
 from .variety import (
     GroupSpec,
     _field,
@@ -77,13 +77,6 @@ class BasePoint:
 
 #: GSp4 orbits with a certificate base point; (2, 1, 1) has none yet
 _GSP4_CERTIFIED = ((4,), (2, 2))
-
-
-def _gl_grading(parts: tuple[int, ...]) -> NDArray[np.int64]:
-    diag = []
-    for part in parts:
-        diag.extend(range(part - 1, -part, -2))
-    return np.diag(np.array(diag, dtype=np.int64))
 
 
 def _transposition(n: int, i: int, j: int) -> NDArray[np.int64]:
@@ -155,7 +148,8 @@ def build_phi0(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
             reflection[marked, marked - 1] = -1  # so that w preserves the form
     return BasePoint(
         spec=spec, orbit=OrbitLabel.partition(parts), p=p, q=q,
-        phi0=phi0, e_mat=e, marked=marked, grading=_gl_grading(parts),
+        phi0=phi0, e_mat=e, marked=marked,
+        grading=np.diag(np.array(_sl2_weights(parts), dtype=np.int64)),
         levi_basis=levi, reflection=reflection,
     )
 

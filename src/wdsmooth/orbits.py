@@ -229,12 +229,10 @@ def is_distinguished(rs: RootSystem, o: OrbitLabel) -> bool:
     return all(p % 2 == 0 for p in parts)
 
 
-def _weight_multiset(parts: Sequence[int]) -> list[int]:
-    out: list[int] = []
-    for p in parts:
-        out.extend(range(p - 1, -p, -2))
-    out.sort(reverse=True)
-    return out
+def _sl2_weights(parts: Sequence[int]) -> list[int]:
+    """The sl2 weights of a partition, block by block: part - 1, part - 3,
+    ..., 1 - part for each part, unsorted."""
+    return [w for part in parts for w in range(part - 1, -part, -2)]
 
 
 def weighted_dynkin(rs: RootSystem, o: OrbitLabel) -> WeightedDynkinDiagram:
@@ -256,7 +254,7 @@ def weighted_dynkin(rs: RootSystem, o: OrbitLabel) -> WeightedDynkinDiagram:
         raise ValueError("unknown orbit name %r" % (o.name,))
     parts = o.parts
     assert parts is not None
-    weights = _weight_multiset(parts)
+    weights = sorted(_sl2_weights(parts), reverse=True)
     n = t.rank
     if t.family == "A":
         h = weights

@@ -19,12 +19,16 @@ Gaussian elimination; the tangent matrix applies phi to the brackets
 and the basis in one product, and ``tangent_dim`` eliminates it with
 the M half's columns first. The GL sampler reads all its draws from one
 buffered stream of its generator; numpy's bounded draws concatenate, so
-the samples are those of one generator call per block. The GL2
-enumeration reads every phi's canonical kernel basis from one
-``batch_rref_mod`` of Ad(phi) - q over all of GL(2, F_p) and builds only
-the nilpotent solutions into points; the nilpotency scan counts the
-solutions from one ``batch_nullity_mod`` of the same stack and lists
-none.
+the samples are those of one generator call per block. Every linear
+system on gl_n comes from one builder of X -> a X - X b, with no
+inverse: the GL2 walk, the nilpotency scan and the bundle fibres solve
+N -> phi N - q N phi, which is Ad(phi) - q times the invertible phi and
+so has the same RREF and kernel, and the sampler solves its negated
+Jordan system q J phi - phi J. The GL2 enumeration reads every phi's
+canonical kernel basis from one ``batch_rref_mod`` of that stack over
+all of GL(2, F_p) and builds only the nilpotent solutions into points;
+the nilpotency scan counts the solutions from one ``batch_nullity_mod``
+of the same stack and lists none.
 """
 
 from __future__ import annotations
@@ -261,14 +265,22 @@ def _sample_count(count: int, seed: int) -> None:
         raise ValueError("seed must be non-negative")
 
 
-def _ad_minus_q(phis: NDArray[np.int64], invs: NDArray[np.int64], q: int,
-                p: int) -> NDArray[np.int64]:
-    """Ad(phi) - q on gl_n in row-major vec coordinates, for a (B, n, n)
-    stack of phi and their inverses: a (B, n^2, n^2) stack."""
-    b, n, _ = phis.shape
-    # vec(phi X phi^{-1})[i, j] = sum over k, l of phi[i, k] X[k, l] inv[l, j]
-    ad = np.einsum("bik,blj->bijkl", phis, invs).reshape(b, n * n, n * n) % p
-    return (ad - q * np.eye(n * n, dtype=np.int64)) % p
+def _sylvester(a: NDArray[np.int64], b: NDArray[np.int64], p: int) -> NDArray[np.int64]:
+    """The matrix of X -> a X - X b on gl_n in row-major vec coordinates,
+    for (..., n, n) arrays a and b of residues: a (..., n^2, n^2) array.
+
+    With a = phi and b = q phi it is N -> phi N - q N phi, which is
+    (Ad(phi) - q) N right-multiplied by the invertible phi: the same
+    kernel, and, as an invertible matrix times Ad(phi) - q, the same row
+    space, so the same RREF, rank, pivots and canonical kernel basis,
+    with no inverse formed.
+    """
+    n = a.shape[-1]
+    eye = np.eye(n, dtype=np.int64)
+    # entry ((i, j), (k, l)) is a[i, k] [j = l] - [i = k] b[l, j]
+    out = (a[..., :, None, :, None] * eye[:, None, :]
+           - eye[:, None, :, None] * np.swapaxes(b, -1, -2)[..., None, :, None, :])
+    return out.reshape(a.shape[:-2] + (n * n, n * n)) % p
 
 
 def tangent_matrix(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.int64]:
@@ -320,15 +332,19 @@ def _all_invertible_2x2(p: int) -> NDArray[np.int64]:
     return mats[dets != 0]
 
 
-def _inv_2x2_batch(mats: NDArray[np.int64], p: int) -> NDArray[np.int64]:
-    dets = (mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]) % p
-    inv_dets = kernels._inverse_mod(dets, p)
-    out = np.empty_like(mats)
-    out[:, 0, 0] = mats[:, 1, 1]
-    out[:, 1, 1] = mats[:, 0, 0]
-    out[:, 0, 1] = (-mats[:, 0, 1]) % p
-    out[:, 1, 0] = (-mats[:, 1, 0]) % p
-    return out * inv_dets[:, None, None] % p
+def _gl2_systems(spec: GroupSpec, p: int, q: int, what: str
+                 ) -> tuple[int, NDArray[np.int64], NDArray[np.int64]]:
+    """(q, phis, systems) for a walk over GL(2, F_p), p <= 13: q reduced,
+    every invertible phi in lexicographic order, and the (B, 4, 4)
+    matrices of N -> phi N - q N phi. what names the walk in errors."""
+    _field(p)
+    q = _unit_q(q, p)
+    if spec.kind != "GL" or spec.n != 2:
+        raise ValueError("%s is only supported for GL(2)" % what)
+    if p > 13:
+        raise ValueError("%s is capped at p = 13" % what)
+    phis = _all_invertible_2x2(p)
+    return q, phis, _sylvester(phis, q * phis % p, p)
 
 
 def _digits(d: int, p: int) -> NDArray[np.int64]:
@@ -347,27 +363,21 @@ _WALK_BLOCK = 1 << 14
 def enumerate_sg(spec: GroupSpec, p: int, q: int) -> NDArray[np.int64]:
     """Exhaustively enumerate the pair variety for GL(2), p <= 13.
 
-    For each invertible phi the N side is the kernel of Ad(phi) - q
+    For each invertible phi the N side is the kernel of
+    N -> phi N - q N phi, that of Ad(phi) - q built with no inverse,
     intersected with the nilpotent cone, which is enumerated exactly.
     Returns the (B, 2, 2, 2) point array. Points come out in
     lexicographic phi order; for each phi, N = 0 first, then the nonzero
     N ordered by their coordinates in the canonical kernel basis, read
     as base-p numbers with the first coordinate least significant.
 
-    One batched reduction of Ad(phi) - q gives every kernel basis. The
+    One batched reduction of these systems gives every kernel basis. The
     solutions are built per kernel dimension, about ``_WALK_BLOCK`` at
     once, and those of zero trace and determinant, the nilpotent ones
     (Cayley-Hamilton), are kept.
     """
-    _field(p)
-    if spec.kind != "GL" or spec.n != 2:
-        raise ValueError("full enumeration is only supported for GL(2)")
-    if p > 13:
-        raise ValueError("full enumeration is capped at p = 13")
-    q = _unit_q(q, p)
-    phis = _all_invertible_2x2(p)
-    red, rank, pivots = kernels.batch_rref_mod(
-        _ad_minus_q(phis, _inv_2x2_batch(phis, p), q, p), p)
+    q, phis, systems = _gl2_systems(spec, p, q, "full enumeration")
+    red, rank, pivots = kernels.batch_rref_mod(systems, p)
     owners = [np.arange(len(phis))]  # each phi's N = 0 point
     ns = [np.zeros((len(phis), 4), dtype=np.int64)]
     for d in range(1, 5):
@@ -430,21 +440,20 @@ def _jordan_system(parts: tuple[int, ...], q: int, p: int
     """The Jordan nilpotent J of a partition and the canonical kernel basis
     of phi J = q J phi, a linear system on vec(phi), as read-only arrays:
     one elimination serves every sampler call on one (orbit, q, p)."""
-    n = sum(parts)
     jordan = _jordan_nilpotent(parts)
-    eye = np.eye(n, dtype=np.int64)
-    basis = kernels.nullspace_mod((np.kron(eye, jordan.T) - q * np.kron(jordan, eye)) % p, p)
+    # q J phi - phi J, the system negated: the same RREF and basis
+    basis = kernels.nullspace_mod(_sylvester(q * jordan, jordan, p), p)
     jordan.flags.writeable = False
     basis.flags.writeable = False
     return jordan, basis
 
 
-def _random_gl(rng: np.random.Generator, n: int, p: int
-               ) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
-    """A uniform random g in GL(n, F_p) and its inverse: draws (n, n)
-    matrices until one inverts, one elimination per draw."""
+def _random_gl(draw, n: int, p: int) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+    """A uniform random g in GL(n, F_p) and its inverse: reads g's n^2
+    entries, row by row, from draw(n^2), a callable returning that many
+    draws from [0, p), until one inverts, one elimination per try."""
     while True:
-        g = rng.integers(0, p, size=(n, n)).astype(np.int64)
+        g = draw(n * n).reshape(n, n)
         try:
             return g, kernels.inv_mod(g, p)
         except ValueError:  # singular draw
@@ -567,13 +576,7 @@ def stratum_sample(
                 continue
             n_mat, basis = jordan, jordan_basis
         else:
-            while True:  # a uniform g in GL(n, F_p), as _random_gl draws it
-                g = take(n * n).reshape(n, n)
-                try:
-                    ginv = kernels.inv_mod(g, p)
-                    break
-                except ValueError:  # singular draw
-                    continue
+            g, ginv = _random_gl(take, n, p)
             conj = (g @ stack % p) @ ginv % p
             n_mat = conj[0]
             # the solutions for N = g J g^-1 are g X g^-1; the canonical
@@ -605,25 +608,20 @@ class RedundancyReport:
 
 def nilpotency_redundancy_check(spec: GroupSpec, p: int, q: int) -> RedundancyReport:
     """Count the nonzero solutions of Ad(phi) N = q N over all phi in
-    GL(2, F_p) from one batched nullity d of Ad(phi) - q, as p^d - 1 per
-    phi. Exactly |GL(2, F_p)| of them are nilpotent: the p^2 - 1 nonzero
-    nilpotent N form one class and each is conjugate to q N, so the phi
-    solving phi N = q N phi form a coset of its centralizer. The witness
-    is searched for only when the rest is nonzero."""
-    _field(p)
-    q = _unit_q(q, p)
-    if spec.kind != "GL" or spec.n != 2:
-        raise ValueError("redundancy scan is only supported for GL(2)")
-    if p > 13:
-        raise ValueError("redundancy scan is capped at p = 13")
-    phis = _all_invertible_2x2(p)
-    ad = _ad_minus_q(phis, _inv_2x2_batch(phis, p), q, p)
-    nullity = kernels.batch_nullity_mod(ad, p)
+    GL(2, F_p) from one batched nullity d of N -> phi N - q N phi, built
+    with no inverse, as p^d - 1 per phi. Exactly |GL(2, F_p)| of them are
+    nilpotent: the p^2 - 1 nonzero nilpotent N form one class and each is
+    conjugate to q N, so the phi solving phi N = q N phi form a coset of
+    its centralizer. The witness is searched for only when the rest is
+    nonzero."""
+    q, phis, systems = _gl2_systems(spec, p, q, "redundancy scan")
+    nullity = kernels.batch_nullity_mod(systems, p)
     checked = int((p**nullity - 1).sum())
     bad = checked - len(phis)
     wphi = wn = None
     for i in np.flatnonzero(nullity) if bad else ():
-        sols = (_digits(int(nullity[i]), p) @ kernels.nullspace_mod(ad[i], p) % p).reshape(-1, 2, 2)
+        basis = kernels.nullspace_mod(systems[i], p)
+        sols = (_digits(int(nullity[i]), p) @ basis % p).reshape(-1, 2, 2)
         other = np.flatnonzero(~_is_nilpotent(sols, p))
         if len(other):
             wphi, wn = phis[i].copy(), sols[other[0]]
@@ -710,7 +708,8 @@ class BundleReport:
 def bundle_count_check(
     spec: GroupSpec, p: int, q: int, samples: int = 20, seed: int = 0
 ) -> BundleReport:
-    """Count solutions N of Ad(phi) N = q N over semisimple base points.
+    """Count solutions N of Ad(phi) N = q N over semisimple base points,
+    as the nullities of N -> phi N - q N phi, built with no inverse.
 
     GL(2): enumerate every phi whose eigenvalue multiset is {z, qz}
     (including pairs living in the quadratic extension, detected from
@@ -737,22 +736,17 @@ def bundle_count_check(
         euler = np.array([pow(d, (p - 1) // 2, p) for d in range(p)], dtype=np.int64)
         quad = int(((disc != 0) & (euler[disc] == p - 1)).sum())
         phis = phis[on_locus]
-        invs = _inv_2x2_batch(phis, p)
     else:
         rng = np.random.default_rng(seed)
-        phis, invs = [], []
+        phis = []
         for _ in range(samples):
             z = int(rng.integers(1, p))
             d = np.array([z, z * q % p, z * q * q % p], dtype=np.int64)
-            d_inv = kernels._inverse_mod(d, p)
-            g, ginv = _random_gl(rng, 3, p)
-            # phi = g diag(d) g^-1, so phi^-1 = g diag(d^-1) g^-1; g * d
-            # scales the columns of g, which is g diag(d)
+            g, ginv = _random_gl(lambda k: rng.integers(0, p, size=k), 3, p)
+            # phi = g diag(d) g^-1, where g * d = g diag(d) scales g's columns
             phis.append((g * d % p) @ ginv % p)
-            invs.append((g * d_inv % p) @ ginv % p)
-        phis = np.array(phis, dtype=np.int64).reshape(-1, 3, 3)
-        invs = np.array(invs, dtype=np.int64).reshape(-1, 3, 3)
-    nullities = kernels.batch_nullity_mod(_ad_minus_q(phis, invs, q, p), p)
+        phis = np.stack(phis)
+    nullities = kernels.batch_nullity_mod(_sylvester(phis, q * phis % p, p), p)
     return BundleReport(
         p=p, q=q, base_points=len(phis), expected_fiber=p ** (spec.n - 1),
         fiber_counts=tuple(p**d for d in nullities.tolist()),

@@ -1,5 +1,6 @@
 """Exact matrix models: membership, tangents, enumeration, bundle counts."""
 
+import functools
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from wdsmooth.kernels import (
     batch_nullity_mod,
+    batch_rref_mod,
     inv_mod,
     matpow_mod,
     nullity_mod,
@@ -37,16 +39,16 @@ from wdsmooth.variety import (
 )
 from wdsmooth import variety
 from wdsmooth.variety import (
-    _ad_minus_q,
     _all_invertible_2x2,
+    _draw_blocks,
     _gsp4_base_point,
-    _inv_2x2_batch,
     _is_nilpotent,
     _jordan_nilpotent,
     _jordan_system,
     _random_gl,
     _random_gsp4_stack,
     _similitude_inverse,
+    _sylvester,
 )
 
 GL2 = GroupSpec.gl(2)
@@ -205,6 +207,36 @@ def test_point_sets_are_reduced_int64_arrays(spec, p, make):
     assert ((pts >= 0) & (pts < p)).all()
 
 
+def adjoints(phis, p):
+    """The (B, n^2, n^2) stack of Ad(phi) on gl_n in row-major vec
+    coordinates, one inversion per phi: column k is vec(phi E_k phi^-1)
+    for the k-th matrix unit E_k."""
+    n = phis.shape[-1]
+    units = np.eye(n * n, dtype=np.int64).reshape(-1, n, n)
+    return np.stack([((phi @ units % p) @ inv_mod(phi, p) % p).reshape(n * n, n * n).T
+                     for phi in phis])
+
+
+def minus_q(ads, q, p):
+    return (ads - q * np.eye(ads.shape[-1], dtype=np.int64)) % p
+
+
+@functools.cache
+def gl2_adjoints(p):
+    """Every phi of GL(2, F_p) in lexicographic order, and their Ad(phi)."""
+    phis = _all_invertible_2x2(p)
+    return phis, adjoints(phis, p)
+
+
+def reference_gl(rng, n, p):
+    """A uniform g in GL(n, F_p) and its inverse: one (n, n) generator
+    call per try, kept once its rank is n."""
+    while True:
+        g = rng.integers(0, p, size=(n, n)).astype(np.int64)
+        if rank_mod(g, p) == n:
+            return g, inv_mod(g, p)
+
+
 def reference_walk(p, q):
     """The GL2 walk one phi at a time, one ``nullspace_mod`` per phi with a
     nonzero kernel: yields (phi, nilpotent, other) for every phi in
@@ -212,8 +244,8 @@ def reference_walk(p, q):
     into two (k, 2, 2) stacks by whether N is nilpotent, each in the order
     of the base-p coefficients 1 .. p^d - 1 (first coordinate fastest) on
     the canonical kernel basis."""
-    phis = _all_invertible_2x2(p)
-    ad = _ad_minus_q(phis, _inv_2x2_batch(phis, p), q, p)
+    phis, ads = gl2_adjoints(p)
+    ad = minus_q(ads, q, p)
     empty = np.zeros((0, 2, 2), dtype=np.int64)
     for phi, system, d in zip(phis, ad, batch_nullity_mod(ad, p).tolist()):
         if d == 0:
@@ -308,7 +340,7 @@ def test_jordan_system_is_solved_once_and_read_only(fresh_jordan_systems):
 
 def reference_stratum_sample(spec, p, q, parts, count, seed):
     # one elimination of N's own system per attempt, and one generator
-    # call per block: _random_gl for each g, rng.integers for each try
+    # call per block: reference_gl for each g, rng.integers for each try
     rng = np.random.default_rng(seed)
     n, jordan = spec.n, _jordan_nilpotent(parts)
     eye = np.eye(n, dtype=np.int64)
@@ -316,7 +348,7 @@ def reference_stratum_sample(spec, p, q, parts, count, seed):
     attempts = 0
     while len(points) < count and attempts < 500 * count:
         attempts += 1
-        g, ginv = _random_gl(rng, n, p)
+        g, ginv = reference_gl(rng, n, p)
         n_mat = (g @ jordan % p) @ ginv % p
         basis = nullspace_mod((np.kron(eye, n_mat.T) - q * np.kron(n_mat, eye)) % p, p)
         if basis.shape[0] == 0:
@@ -394,7 +426,7 @@ def test_reversed_rref_of_a_conjugated_basis_is_the_canonical_kernel():
         eye = np.eye(n, dtype=np.int64)
         basis = nullspace_mod((np.kron(eye, jordan.T) - q * np.kron(jordan, eye)) % p, p)
         for _ in range(5):
-            g, ginv = _random_gl(rng, n, p)
+            g, ginv = reference_gl(rng, n, p)
             n_mat = (g @ jordan % p) @ ginv % p
             conj = ((g @ basis.reshape(-1, n, n) % p) @ ginv % p).reshape(len(basis), n * n)
             want = nullspace_mod((np.kron(eye, n_mat.T) - q * np.kron(n_mat, eye)) % p, p)
@@ -463,37 +495,81 @@ def test_similitude_inverse_equals_elimination(p):
 
 
 def test_random_gl_pairs_and_draw_order():
-    # one inversion per draw returns (g, g^-1) and keeps the draws of a
-    # loop that rejects singular draws by rank
+    # one inversion per try returns (g, g^-1) and keeps the draws of a
+    # loop that rejects singular draws by rank, whether each try is one
+    # generator call or a block of one buffered stream
     for n, p in ((2, 2), (3, 3), (3, 11)):
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        take = _draw_blocks(np.random.default_rng(5), p, 7)
         for _ in range(30):
-            g, ginv = _random_gl(rng, n, p)
+            g, ginv = _random_gl(lambda k: rng.integers(0, p, size=k), n, p)
             assert np.array_equal(g @ ginv % p, np.eye(n, dtype=np.int64))
-            while True:
-                ref = ref_rng.integers(0, p, size=(n, n)).astype(np.int64)
-                if rank_mod(ref, p) == n:
-                    break
-            assert np.array_equal(g, ref)
+            ref, ref_inv = reference_gl(ref_rng, n, p)
+            assert np.array_equal(g, ref) and np.array_equal(ginv, ref_inv)
+            assert np.array_equal(_random_gl(take, n, p)[0], ref)
+
+
+# ------------------------------------------------------------ linear systems
+
+def test_sylvester_maps_vec_x_to_vec_of_ax_minus_xb():
+    # _sylvester(a, b) vec(X) = vec(a X - X b), row-major, on stacks of
+    # pairs and on one pair
+    p = 11
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 3, 4):
+        a, b = rng.integers(0, p, size=(2, 6, n, n))
+        mats = _sylvester(a, b, p)
+        assert mats.dtype == np.int64 and mats.shape == (6, n * n, n * n)
+        assert ((mats >= 0) & (mats < p)).all()
+        assert np.array_equal(_sylvester(a[2], b[2], p), mats[2])
+        x = rng.integers(0, p, size=(6, 5, n, n))
+        want = (a[:, None] @ x - x @ b[:, None]) % p
+        got = mats[:, None] @ x.reshape(6, 5, n * n, 1) % p
+        assert np.array_equal(got.reshape(want.shape), want)
+
+
+def assert_reduces_like_ad_minus_q(phis, ads, p):
+    # for every unit q the inverse-free system N -> phi N - q N phi
+    # reduces to the RREF, rank and pivots of Ad(phi) - q
+    for q in range(1, p):
+        want = batch_rref_mod(minus_q(ads, q, p), p)
+        got = batch_rref_mod(_sylvester(phis, q * phis % p, p), p)
+        for w, g in zip(want, got):
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_inverse_free_gl2_systems_reduce_like_ad_minus_q(p):
+    assert_reduces_like_ad_minus_q(*gl2_adjoints(p), p)
+
+
+@pytest.mark.parametrize("n, p", [(3, 11), (3, 13), (4, 11), (4, 13)])
+def test_inverse_free_systems_reduce_like_ad_minus_q(n, p):
+    # random phis, and per q a conjugate of z diag(1, q, ..., q^(n-1)),
+    # whose kernel at that q is a bundle fibre
+    rng = np.random.default_rng(n * p)
+    phis = [reference_gl(rng, n, p)[0] for _ in range(40)]
+    for q in range(1, p):
+        g, ginv = reference_gl(rng, n, p)
+        d = int(rng.integers(1, p)) * q ** np.arange(n) % p
+        phis.append((g * d % p) @ ginv % p)
+    phis = np.stack(phis)
+    assert_reduces_like_ad_minus_q(phis, adjoints(phis, p), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_jordan_system_matches_the_kron_system(p, fresh_jordan_systems):
+    # the basis of q J phi - phi J is that of phi J - q J phi, written as
+    # kron(I, J^T) - q kron(J, I) on row-major vec(phi)
+    for parts in PARTITIONS:
+        n, jordan = sum(parts), _jordan_nilpotent(parts)
+        eye = np.eye(n, dtype=np.int64)
+        for q in range(1, p):
+            want = nullspace_mod((np.kron(eye, jordan.T) - q * np.kron(jordan, eye)) % p, p)
+            assert np.array_equal(_jordan_system(parts, q, p)[1], want)
 
 
 # ------------------------------------------------------------------ tangents
-
-def test_ad_matrix_action():
-    # _ad_minus_q(phi) vec(X) = vec(phi X phi^{-1} - q X), on stacks of phis
-    p, q = 11, 4
-    rng = np.random.default_rng(0)
-    for n in (2, 3):
-        phis = np.stack([_random_gl(rng, n, p)[0] for _ in range(6)])
-        invs = np.stack([inv_mod(phi, p) for phi in phis])
-        ad = _ad_minus_q(phis, invs, q, p)
-        assert ad.shape == (6, n * n, n * n)
-        for phi, inv, sys in zip(phis, invs, ad):
-            for _ in range(5):
-                x = rng.integers(0, p, size=(n, n)).astype(np.int64)
-                want = ((phi @ x % p) @ inv % p - q * x) % p
-                assert np.array_equal(sys @ x.reshape(-1) % p, want.reshape(-1))
-
 
 def test_tangent_at_zero_n_counts_eigenspace():
     # at N = 0 the tangent splits: all of g plus ker(Ad(phi) - q)
