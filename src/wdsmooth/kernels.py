@@ -15,13 +15,16 @@ up to 8, 16 or 32 bits or to whole 64-bit words, so the matrix cast to
 that unsigned type is one ``tobytes()`` and each row one
 ``int.from_bytes``; the reduced rows come back through one
 ``np.frombuffer``, with a field of several words reduced mod p by
-Horner's rule. The stack entry points, ``batch_nullity_mod`` and
-``batch_rref_mod``, reduce a whole (B, m, n) stack at once in int64
-through one column loop, for callers that hold real batches: the first
-stops at what a rank needs, the second reduces fully and returns, matrix
-for matrix, what ``rref_mod`` returns. No public entry point calls
-another. Every routine needs p <= ``P_MAX``, so that a product of two
-residues fits int64; every public entry point but ``as_field`` checks it.
+Horner's rule; ``nullspace_mod`` reads its basis off the reduced form
+and its free columns. The stack entry point, ``batch_nullity_mod``,
+counts the nullity of each matrix of a (B, m, n) stack at once, in
+int64 through one column loop that stops at what a rank needs, for
+callers that hold real batches; ``matpow_mod`` powers one matrix or each
+matrix of a stack. No public entry point calls another. Every routine
+needs p <= ``P_MAX``, so that a product of two residues fits int64;
+every public entry point but ``as_field`` checks it, and so does
+``_square_stack``, the check on square (..., n, n) input that
+``matpow_mod`` and the matrix half's series and tangent matrices share.
 """
 
 from __future__ import annotations
@@ -172,6 +175,16 @@ def _matrix(a, p: int) -> NDArray[np.int64]:
     return mat
 
 
+def _square_stack(a, p: int) -> NDArray[np.int64]:
+    """a as a reduced (..., n, n) array; raises unless p <= P_MAX and its
+    matrices are square."""
+    _check_p(p)
+    a = as_field(a, p)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError("expected a square matrix")
+    return a
+
+
 def rref_mod(a, p: int) -> tuple[NDArray[np.int64], int, NDArray[np.int64]]:
     """Reduced row echelon form of a matrix mod p.
 
@@ -206,93 +219,36 @@ def _inverse_mod(x: NDArray[np.int64], p: int) -> NDArray[np.int64]:
     return out
 
 
-def _reduce_stack(stack, p: int, full: bool) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
-    # Column loop shared by the stack entry points; returns the reduced
-    # stack and, per row, the column of its pivot (n for a row that never
-    # became a pivot row). Each matrix takes as its pivot the largest entry
-    # of the column among its rows not yet used as pivot rows, and one
-    # rank-1 update with the pivot row scaled to a leading 1 clears the
-    # column. With full=False it clears it from the unused rows only (the
-    # pivot row included; it is never read again), which is all a rank
-    # needs. With full=True it clears it from every row, and the pivot row
-    # then takes the scaled row, so each pivot row ends up reduced and every
-    # other row zero. Entries stay in [0, p), so the products in the update
-    # are below (p - 1)^2 < 2^63 for p <= P_MAX and never overflow int64. A
-    # matrix with no pivot in the column is all zero there in its unused
-    # rows, and with full=True its update is masked out, so it changes
-    # nothing.
+def batch_nullity_mod(stack, p: int) -> NDArray[np.int64]:
+    """Right-kernel dimension for each matrix in a (B, m, n) stack.
+
+    One column loop over the whole stack, in int64. Each matrix takes as
+    its pivot the largest entry of the column among its rows not yet used
+    as pivot rows, and one rank-1 update with the pivot row scaled to a
+    leading 1 clears the column from those rows (the pivot row included;
+    it is never read again). Entries stay in [0, p), so the products in
+    the update are below (p - 1)^2 < 2^63 for p <= P_MAX. A matrix with
+    no pivot in the column is all zero there in its unused rows, so its
+    update changes nothing.
+    """
     _check_p(p)
     a = as_field(stack, p)
     if a.ndim != 3:
         raise ValueError("expected a 3-d array")
     b, m, n = a.shape
     which = np.arange(b)
-    lead = np.full((b, m), n, dtype=np.int64)
+    used = np.zeros((b, m), dtype=bool)
     for col in range(n if b and m else 0):
-        column = np.where(lead < n, 0, a[:, :, col])
+        column = np.where(used, 0, a[:, :, col])
         piv = column.argmax(axis=1)
         val = column[which, piv]
         found = val != 0
         if not found.any():
             continue
-        start = col if full else col + 1
-        row = a[which, piv, start:] * _inverse_mod(val, p)[:, None] % p
-        if full:
-            column = a[:, :, col] * found[:, None]
-        a[:, :, start:] = (a[:, :, start:] - column[:, :, None] * row[:, None, :]) % p
-        if full:
-            a[which[found], piv[found], col:] = row[found]
-        lead[which[found], piv[found]] = col
-    return a, lead
-
-
-def batch_nullity_mod(stack, p: int) -> NDArray[np.int64]:
-    """Right-kernel dimension for each matrix in a (B, m, n) stack."""
-    a, lead = _reduce_stack(stack, p, full=False)
-    return a.shape[2] - (lead < a.shape[2]).sum(axis=1)
-
-
-def batch_rref_mod(stack, p: int
-                   ) -> tuple[NDArray[np.int64], NDArray[np.int64], NDArray[np.bool_]]:
-    """Reduced row echelon form of each matrix in a (B, m, n) stack.
-
-    Returns:
-        (rref, rank, pivots): the (B, m, n) reduced forms, the (B,) ranks,
-        and a (B, n) mask that is True at each matrix's pivot columns.
-        Matrix for matrix these are ``rref_mod``'s results, pivot columns
-        as a mask since their number varies: the reduced row echelon form
-        is unique, so the pivoting does not change it.
-    """
-    a, lead = _reduce_stack(stack, p, full=True)
-    b, m, n = a.shape
-    which = np.arange(b)[:, None]
-    # each pivot row moves up to the number of rows with an earlier pivot;
-    # the other rows are zero, and all land on the first row past the pivots
-    red = np.zeros_like(a)
-    red[which, (lead[:, None, :] < lead[:, :, None]).sum(axis=2)] = a
-    # column n of the mask collects the rows without a pivot
-    pivots = np.zeros((b, n + 1), dtype=bool)
-    pivots[which, lead] = True
-    return red, (lead < n).sum(axis=1), pivots[:, :n]
-
-
-def _kernel_bases(red: NDArray[np.int64], pivots: NDArray[np.bool_], d: int, p: int
-                  ) -> NDArray[np.int64]:
-    """The canonical kernel bases of a (B, m, n) stack of reduced forms of
-    nullity d, given their (B, n) pivot masks: a (B, d, n) stack, each
-    matrix's basis being the one ``nullspace_mod`` returns.
-
-    Placing pivot row r, negated, at the index of its pivot column gives a
-    (B, n, n) stack whose column f, for a free column f, is the basis
-    vector of f once its diagonal entry is 1: the rows at free columns are
-    zero, and the diagonal entries at pivot columns are never read. Only
-    those d columns are reduced mod p.
-    """
-    b, _, n = red.shape
-    placed = np.zeros((b, n, n), dtype=np.int64)
-    placed[pivots] = p - red[:, :n - d].reshape(b * (n - d), n)
-    placed.reshape(b, n * n)[:, :: n + 1] = 1  # the diagonals
-    return (placed.transpose(0, 2, 1)[~pivots] % p).reshape(b, d, n)
+        row = a[which, piv, col + 1:] * _inverse_mod(val, p)[:, None] % p
+        a[:, :, col + 1:] = (a[:, :, col + 1:] - column[:, :, None] * row[:, None, :]) % p
+        used[which[found], piv[found]] = True
+    return n - used.sum(axis=1)
 
 
 def nullspace_mod(a, p: int) -> NDArray[np.int64]:
@@ -304,9 +260,15 @@ def nullspace_mod(a, p: int) -> NDArray[np.int64]:
     """
     pivots, red = _rref(_matrix(a, p), p)
     n = red.shape[1]
-    mask = np.zeros(n, dtype=bool)
-    mask[pivots] = True
-    return _kernel_bases(red[None], mask[None], n - len(pivots), p)[0]
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    # pivot row r, negated, at the index of its pivot column, and the
+    # identity's rows elsewhere: column f, for a free column f, is then the
+    # basis vector of f (the diagonal at pivot columns is overwritten, and
+    # no pivot column is read)
+    placed = np.eye(n, dtype=np.int64)
+    placed[pivots] = -red[:len(pivots)] % p
+    return placed.T[free]
 
 
 def inv_mod(a, p: int) -> NDArray[np.int64]:
@@ -326,10 +288,7 @@ def matpow_mod(a, e: int, p: int) -> NDArray[np.int64]:
     each matrix of a (..., n, n) stack."""
     if e < 0:
         raise ValueError("negative exponent; invert first")
-    _check_p(p)
-    base = as_field(a, p)
-    if base.ndim < 2 or base.shape[-2] != base.shape[-1]:
-        raise ValueError("expected a square matrix")
+    base = _square_stack(a, p)
     result = np.broadcast_to(np.eye(base.shape[-1], dtype=np.int64), base.shape).copy()
     while e > 0:
         if e & 1:

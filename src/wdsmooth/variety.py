@@ -21,14 +21,16 @@ the M half's columns first. The GL sampler reads all its draws from one
 buffered stream of its generator; numpy's bounded draws concatenate, so
 the samples are those of one generator call per block. Every linear
 system on gl_n comes from one builder of X -> a X - X b, with no
-inverse: the GL2 walk, the nilpotency scan and the bundle fibres solve
+inverse: the nilpotency scan and the bundle fibres solve
 N -> phi N - q N phi, which is Ad(phi) - q times the invertible phi and
 so has the same RREF and kernel, and the sampler solves its negated
-Jordan system q J phi - phi J. The GL2 enumeration reads every phi's
-canonical kernel basis from one ``batch_rref_mod`` of that stack over
-all of GL(2, F_p) and builds only the nilpotent solutions into points;
-the nilpotency scan counts the solutions from one ``batch_nullity_mod``
-of the same stack and lists none.
+Jordan system q J phi - phi J. The GL2 enumeration solves no system:
+it lists the points stratum by nilpotent orbit, N = 0 with every phi,
+then each nonzero nilpotent N = g E12 g^-1 with the conjugates by g of
+the closed-form fibre of phi E12 = q E12 phi. The nilpotency scan counts
+the solutions from one ``batch_nullity_mod`` over all of GL(2, F_p) and
+lists none. The three walks over GL(2, F_p) (enumeration, nilpotency
+scan, GL(2) bundle check) stop at p = 13.
 """
 
 from __future__ import annotations
@@ -236,8 +238,7 @@ def _field(p: int) -> None:
     """Reject a modulus the matrix layer cannot compute over exactly."""
     if not is_prime(p):
         raise ValueError("p must be prime")
-    if p > kernels.P_MAX:
-        raise ValueError("p exceeds the int64-safe bound %d" % kernels.P_MAX)
+    kernels._check_p(p)
 
 
 def _unit_q(q: int, p: int) -> int:
@@ -294,8 +295,8 @@ def tangent_matrix(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.in
     invertible phi, so the kernel is the same. Returns the
     (n^2, 2 dim_g) matrix of that map; the tangent space is its kernel.
     """
-    phi = kernels.as_field(phi, p)
-    n_mat = kernels.as_field(n_mat, p)
+    phi = kernels._square_stack(phi, p)
+    n_mat = kernels._square_stack(n_mat, p)
     basis = spec.lie_basis
     dim = len(basis)
     # [X, N] over the basis, stacked with the basis itself (the M half),
@@ -332,19 +333,17 @@ def _all_invertible_2x2(p: int) -> NDArray[np.int64]:
     return mats[dets != 0]
 
 
-def _gl2_systems(spec: GroupSpec, p: int, q: int, what: str
-                 ) -> tuple[int, NDArray[np.int64], NDArray[np.int64]]:
-    """(q, phis, systems) for a walk over GL(2, F_p), p <= 13: q reduced,
-    every invertible phi in lexicographic order, and the (B, 4, 4)
-    matrices of N -> phi N - q N phi. what names the walk in errors."""
+def _gl2_walk(spec: GroupSpec, p: int, q: int, what: str
+              ) -> tuple[int, NDArray[np.int64]]:
+    """(q, phis) for a walk over GL(2, F_p), p <= 13: q reduced, and every
+    invertible phi in lexicographic order. what names the walk in errors."""
     _field(p)
     q = _unit_q(q, p)
     if spec.kind != "GL" or spec.n != 2:
         raise ValueError("%s is only supported for GL(2)" % what)
     if p > 13:
         raise ValueError("%s is capped at p = 13" % what)
-    phis = _all_invertible_2x2(p)
-    return q, phis, _sylvester(phis, q * phis % p, p)
+    return q, _all_invertible_2x2(p)
 
 
 def _digits(d: int, p: int) -> NDArray[np.int64]:
@@ -355,47 +354,34 @@ def _digits(d: int, p: int) -> NDArray[np.int64]:
     return k[:, None] // p ** np.arange(d, dtype=np.int64) % p
 
 
-#: about how many nonzero solutions ``enumerate_sg`` builds at once. At
-#: p = 13 and q = 1 there are 4.7 million, 300 MB as one point array.
-_WALK_BLOCK = 1 << 14
-
-
 def enumerate_sg(spec: GroupSpec, p: int, q: int) -> NDArray[np.int64]:
     """Exhaustively enumerate the pair variety for GL(2), p <= 13.
 
-    For each invertible phi the N side is the kernel of
-    N -> phi N - q N phi, that of Ad(phi) - q built with no inverse,
-    intersected with the nilpotent cone, which is enumerated exactly.
-    Returns the (B, 2, 2, 2) point array. Points come out in
-    lexicographic phi order; for each phi, N = 0 first, then the nonzero
-    N ordered by their coordinates in the canonical kernel basis, read
-    as base-p numbers with the first coordinate least significant.
-
-    One batched reduction of these systems gives every kernel basis. The
-    solutions are built per kernel dimension, about ``_WALK_BLOCK`` at
-    once, and those of zero trace and determinant, the nilpotent ones
-    (Cayley-Hamilton), are kept.
+    Stratum by nilpotent orbit, with no elimination. N = 0 pairs with
+    every invertible phi. Every nonzero nilpotent N is g E12 g^-1 for
+    some invertible g, and phi N = q N phi exactly when g^-1 phi g lies in
+    F = {[[q d, b], [0, d]] : d != 0}, the solutions of phi E12 = q E12 phi;
+    so N pairs with the p (p - 1) phis g F g^-1, whichever such g is taken.
+    Returns the (B, 2, 2, 2) point array: the N = 0 points in
+    lexicographic phi order, then the others by N in lexicographic order,
+    and for each N its phis g [[q d, b], [0, d]] g^-1 in (d, b) order, g
+    the first invertible matrix in lexicographic order with g E12 g^-1 = N.
     """
-    q, phis, systems = _gl2_systems(spec, p, q, "full enumeration")
-    red, rank, pivots = kernels.batch_rref_mod(systems, p)
-    owners = [np.arange(len(phis))]  # each phi's N = 0 point
-    ns = [np.zeros((len(phis), 4), dtype=np.int64)]
-    for d in range(1, 5):
-        coeffs = _digits(d, p)
-        members = np.flatnonzero(rank == 4 - d)
-        step = max(1, _WALK_BLOCK // len(coeffs))
-        for chunk in np.split(members, range(step, len(members), step)):
-            sols = coeffs @ kernels._kernel_bases(red[chunk], pivots[chunk], d, p) % p
-            tr = (sols[..., 0] + sols[..., 3]) % p
-            det = (sols[..., 0] * sols[..., 3] - sols[..., 1] * sols[..., 2]) % p
-            keep = (tr == 0) & (det == 0)
-            owners.append(np.repeat(chunk, keep.sum(axis=1)))
-            ns.append(sols[keep])
-    # a stable sort on the phi index restores the walk order, keeping each
-    # phi's N = 0 point first and its solutions in the order built
-    owner = np.concatenate(owners)
-    order = owner.argsort(kind="stable")
-    return np.stack([phis[owner[order]], np.concatenate(ns)[order].reshape(-1, 2, 2)], axis=1)
+    q, gs = _gl2_walk(spec, p, q, "full enumeration")
+    a, b, c, d = gs.reshape(-1, 4).T
+    det_inv = kernels._inverse_mod((a * d - b * c) % p, p)
+    # g E12 g^-1 = g E12 adj(g) / det g = [[-ac, a^2], [-c^2, ac]] / det g
+    ns = np.stack([-a * c, a * a, -c * c, a * c], axis=1) % p * det_inv[:, None] % p
+    _, first = np.unique(ns @ p ** np.arange(3, -1, -1), return_index=True)
+    adj = np.stack([d, -b, -c, a], axis=1)[first]
+    g_inv = (adj * det_inv[first, None] % p).reshape(-1, 1, 2, 2)
+    d_f, b_f = np.divmod(np.arange(p, p * p), p)  # d = 1 .. p - 1, then b = 0 .. p - 1
+    fibre = np.stack([q * d_f % p, b_f, np.zeros_like(d_f), d_f], axis=1).reshape(-1, 2, 2)
+    phis = (gs[first, None] @ fibre % p) @ g_inv % p
+    regular = np.stack([phis, np.broadcast_to(ns[first].reshape(-1, 1, 2, 2), phis.shape)],
+                       axis=2)
+    return np.concatenate([np.stack([gs, np.zeros_like(gs)], axis=1),
+                           regular.reshape(-1, 2, 2, 2)])
 
 
 def _jordan_nilpotent(parts: tuple[int, ...]) -> NDArray[np.int64]:
@@ -596,7 +582,9 @@ class RedundancyReport:
     Ad(phi) N = q N. With q of large order there are none, so imposing
     nilpotency on N is redundant; with small order a witness appears:
     the first phi in lexicographic order with a non-nilpotent N, and its
-    first such N in the order of ``enumerate_sg``."""
+    first such N when the nonzero solutions are listed by their
+    coordinates in the canonical kernel basis, read as base-p numbers
+    with the first coordinate least significant."""
 
     p: int
     q: int
@@ -614,7 +602,8 @@ def nilpotency_redundancy_check(spec: GroupSpec, p: int, q: int) -> RedundancyRe
     conjugate to q N, so the phi solving phi N = q N phi form a coset of
     its centralizer. The witness is searched for only when the rest is
     nonzero."""
-    q, phis, systems = _gl2_systems(spec, p, q, "redundancy scan")
+    q, phis = _gl2_walk(spec, p, q, "redundancy scan")
+    systems = _sylvester(phis, q * phis % p, p)
     nullity = kernels.batch_nullity_mod(systems, p)
     checked = int((p**nullity - 1).sum())
     bad = checked - len(phis)
@@ -632,19 +621,11 @@ def nilpotency_redundancy_check(spec: GroupSpec, p: int, q: int) -> RedundancyRe
     )
 
 
-def _square_stack(a, p: int) -> NDArray[np.int64]:
-    """a as a reduced (..., n, n) array; raises unless its matrices are square."""
-    a = kernels.as_field(a, p)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise ValueError("expected a square matrix")
-    return a
-
-
 def exp_nilpotent(n_mat, p: int) -> NDArray[np.int64]:
     """exp(N) for nilpotent N via the terminating series, for one (n, n)
     matrix or each matrix of a (..., n, n) stack; needs p > n so the
     factorials are invertible."""
-    n_mat = _square_stack(n_mat, p)
+    n_mat = kernels._square_stack(n_mat, p)
     size = n_mat.shape[-1]
     if p <= size:
         raise ValueError("need p > matrix size for the exponential series")
@@ -658,7 +639,7 @@ def exp_nilpotent(n_mat, p: int) -> NDArray[np.int64]:
 def log_unipotent(u, p: int) -> NDArray[np.int64]:
     """log(u) for unipotent u via the terminating series, for one (n, n)
     matrix or each matrix of a (..., n, n) stack."""
-    u = _square_stack(u, p)
+    u = kernels._square_stack(u, p)
     size = u.shape[-1]
     if p <= size:
         raise ValueError("need p > matrix size for the logarithm series")
@@ -711,9 +692,9 @@ def bundle_count_check(
     """Count solutions N of Ad(phi) N = q N over semisimple base points,
     as the nullities of N -> phi N - q N phi, built with no inverse.
 
-    GL(2): enumerate every phi whose eigenvalue multiset is {z, qz}
-    (including pairs living in the quadratic extension, detected from
-    the characteristic polynomial) and count the N solutions, which
+    GL(2), p <= 13: enumerate every phi whose eigenvalue multiset is
+    {z, qz} (including pairs living in the quadratic extension, detected
+    from the characteristic polynomial) and count the N solutions, which
     should number p^{n-1} each. GL(3): sample conjugates of
     z diag(1, q, q^2) with a seeded generator.
     """
@@ -724,7 +705,7 @@ def bundle_count_check(
         raise ValueError("bundle check supports GL(2) and GL(3)")
     quad = 0
     if spec.n == 2:
-        phis = _all_invertible_2x2(p)
+        phis = _gl2_walk(spec, p, q, "GL(2) bundle check")[1]
         tr = (phis[:, 0, 0] + phis[:, 1, 1]) % p
         det = (phis[:, 0, 0] * phis[:, 1, 1] - phis[:, 0, 1] * phis[:, 1, 0]) % p
         # the eigenvalue multiset is {z, qz}, with z in F_p or in F_{p^2},

@@ -415,6 +415,17 @@ def test_unit_q_guard(capsys, argv, q):
     assert (code, out, err) == (1, "", "error: q must be a unit mod p\n")
 
 
+@pytest.mark.parametrize("argv, what", [
+    (("verify", "enumerate"), "full enumeration"),
+    (("verify", "nilpotency"), "redundancy scan"),
+    (("verify", "bundle", "--group", "GL2"), "GL(2) bundle check"),
+], ids=lambda v: " ".join(v[1:4]) if isinstance(v, tuple) else None)
+def test_gl2_walks_are_capped_at_13(capsys, argv, what):
+    # each walks all of GL2(F_p), p^4 entries; past p = 13 it exits 1 first
+    code, out, err = run(capsys, *argv, "--p", "17", "--q", "3")
+    assert (code, out, err) == (1, "", "error: %s is capped at p = 13\n" % what)
+
+
 SAMPLES_COMMANDS = (
     ("verify", "tangent", "--group", "GL3", "--orbit", "2,1"),
     ("verify", "expbridge", "--group", "GL3", "--orbit", "2,1"),

@@ -13,7 +13,6 @@ from sympy.polys.matrices import DomainMatrix
 from wdsmooth.kernels import (
     as_field,
     batch_nullity_mod,
-    batch_rref_mod,
     inv_mod,
     matpow_mod,
     nullity_mod,
@@ -21,6 +20,7 @@ from wdsmooth.kernels import (
     rank_mod,
     rref_mod,
 )
+from wdsmooth.variety import GroupSpec, exp_nilpotent, log_unipotent, tangent_matrix
 
 PRIMES = [2, 3, 5, 7, 11, 101]
 
@@ -369,7 +369,9 @@ def test_batch_nullity_matches_sympy(p):
     stack = np.stack([low_rank(rng, (9, 18), int(r), p)
                       for r in rng.integers(0, 10, size=24)])
     want = [18 - gf(a, p).rank() for a in stack]
+    given = stack.copy()
     assert batch_nullity_mod(stack, p).tolist() == want
+    assert np.array_equal(stack, given)  # reduces a copy
     assert batch_nullity_mod(stack[:0], p).shape == (0,)
 
 
@@ -550,10 +552,13 @@ def test_single_matrix_kernels_reject_p_past_the_bound():
 
 def test_stack_kernels_reject_p_past_the_bound():
     # at 2^61 - 1 numpy's int64 matmul wraps without a warning: the first
-    # entry of this square came out as 13 where the exact value is 7
+    # entry of this square came out as 13 where the exact value is 7, and
+    # the tangent matrix and the exp and log series went wrong the same way
     calls = (lambda a, p: batch_nullity_mod(a[None], p),
-             lambda a, p: batch_rref_mod(a[None], p),
-             lambda a, p: matpow_mod(a, 2, p))
+             lambda a, p: matpow_mod(a, 2, p),
+             lambda a, p: tangent_matrix(GroupSpec.gl(2), a, a, 2, p),
+             lambda a, p: exp_nilpotent(a, p),
+             lambda a, p: log_unipotent(a, p))
     for p in (759_250_133, 2**61 - 1):
         a = np.array([[p - 1, p - 2], [p - 3, p - 5]], dtype=np.int64)
         for call in calls:
@@ -565,64 +570,3 @@ def test_stack_kernels_reject_p_past_the_bound():
              for i in range(2)]
     assert matpow_mod(a, 2, TOP_P).tolist() == exact
     assert batch_nullity_mod(np.array([a]), TOP_P).tolist() == [0]
-    assert batch_rref_mod(np.array([a]), TOP_P)[1].tolist() == [2]
-
-
-def assert_batch_rref_matches_single(stack, p):
-    red, rank, pivots = batch_rref_mod(stack, p)
-    b, m, n = stack.shape
-    assert red.dtype == rank.dtype == np.int64 and pivots.dtype == bool
-    assert (red.shape, rank.shape, pivots.shape) == ((b, m, n), (b,), (b, n))
-    for a, got_red, got_rank, got_pivots in zip(stack, red, rank, pivots):
-        want_red, want_rank, want_pivots = rref_mod(a, p)
-        assert got_red.tolist() == want_red.tolist()
-        assert got_rank == want_rank
-        assert np.flatnonzero(got_pivots).tolist() == want_pivots.tolist()
-    assert batch_nullity_mod(stack, p).tolist() == [nullity_mod(a, p) for a in stack]
-
-
-@settings(max_examples=80, deadline=None)
-@given(PRIME, st.integers(0, 6), st.integers(1, 6), st.integers(1, 8), st.data())
-def test_batch_rref_equals_single_rref(p, batch, m, n, data):
-    # products of an m x r and an r x n factor, so every rank is drawn, with
-    # rows shuffled so that pivots sit in different rows of the stack
-    def factor(rows, cols):
-        cells = data.draw(st.lists(st.integers(0, p - 1), min_size=rows * cols,
-                                   max_size=rows * cols))
-        return np.array(cells, dtype=np.int64).reshape(rows, cols)
-
-    members = []
-    for _ in range(batch):
-        r = data.draw(st.integers(0, min(m, n)))
-        a = factor(m, r) @ factor(r, n) % p
-        members.append(a[data.draw(st.permutations(range(m)))])
-    stack = np.array(members, dtype=np.int64).reshape(batch, m, n)
-    assert_batch_rref_matches_single(stack, p)
-
-
-@pytest.mark.parametrize("p", [2, 3, 11, LARGE_P, TOP_P])
-@pytest.mark.parametrize("shape", [(6, 8), (8, 6), (4, 4), (1, 8), (6, 1)])
-def test_batch_rref_on_zero_full_rank_and_mixed_stacks(p, shape):
-    rng = np.random.default_rng(43)
-    stack = np.concatenate([
-        np.zeros((3, *shape), dtype=np.int64),
-        np.stack([full_rank(rng, shape, p) for _ in range(4)]),
-        mixed_stack(rng, 12, shape, p),
-    ])
-    assert_batch_rref_matches_single(stack, p)
-
-
-@pytest.mark.parametrize("shape", [(0, 4, 5), (3, 0, 5), (3, 4, 0), (0, 0, 0)])
-def test_batch_rref_on_empty_shapes(shape):
-    red, rank, pivots = batch_rref_mod(np.zeros(shape, dtype=np.int64), 7)
-    assert red.shape == shape and red.dtype == np.int64
-    assert rank.tolist() == [0] * shape[0]
-    assert pivots.shape == (shape[0], shape[2]) and not pivots.any()
-
-
-def test_batch_rref_leaves_its_input_alone_and_rejects_a_single_matrix():
-    stack = np.array([[[2, 4], [1, 3]]], dtype=np.int64)
-    batch_rref_mod(stack, 5)
-    assert stack.tolist() == [[[2, 4], [1, 3]]]
-    with pytest.raises(ValueError):
-        batch_rref_mod(np.eye(3, dtype=np.int64), 7)

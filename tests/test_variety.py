@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from wdsmooth.kernels import (
     batch_nullity_mod,
-    batch_rref_mod,
     inv_mod,
     matpow_mod,
     nullity_mod,
@@ -278,12 +277,30 @@ def reference_results(p, q):
     return pts, checked, bad, witness
 
 
+def by_key(pts, p):
+    """pts sorted by one base-p key over all eight entries of a point."""
+    return pts[np.argsort(pts.reshape(len(pts), 8) @ p ** np.arange(8))]
+
+
 def test_enumeration_keeps_the_walk_order():
-    # per phi of the walk, N = 0 first, then its nilpotent solutions in order
+    # the documented stratum order: N = 0 with every phi in lexicographic
+    # order, then the nonzero nilpotent N in lexicographic order, each with
+    # its phis g [[q d, b], [0, d]] g^-1 in (d, b) order, g the first
+    # invertible matrix in lexicographic order with g E12 g^-1 = N
+    p, q = 5, 2
+    phis = _all_invertible_2x2(p)
+    e12 = arr([[0, 1], [0, 0]])
+    first = {}
+    for g in phis:
+        first.setdefault(tuple((g @ e12 % p @ inv_mod(g, p) % p).flat), g)
     zero = np.zeros((2, 2), dtype=np.int64)
-    want = [np.stack([phi, n_mat]) for phi, nilpotent, _ in reference_walk(5, 2)
-            for n_mat in [zero, *nilpotent]]
-    assert np.array_equal(enumerate_sg(GL2, 5, 2), np.stack(want))
+    want = [np.stack([phi, zero]) for phi in phis]
+    for key in sorted(first):
+        g, n_mat = first[key], arr(key).reshape(2, 2)
+        want += [np.stack([g @ arr([[q * d % p, b], [0, d]]) % p @ inv_mod(g, p) % p, n_mat])
+                 for d in range(1, p) for b in range(p)]
+    assert len(first) == p * p - 1
+    assert np.array_equal(enumerate_sg(GL2, p, q), np.stack(want))
 
 
 @pytest.mark.parametrize("p, q", [(p, q) for p in (2, 3, 5, 7, 11, 13) for q in range(1, p)])
@@ -292,7 +309,7 @@ def test_gl2_walk_matches_the_per_phi_reference(p, q):
     # solutions and a witness exist) are covered at every prime
     pts, checked, bad, witness = reference_results(p, q)
     got = enumerate_sg(GL2, p, q)
-    assert np.array_equal(got, pts)
+    assert np.array_equal(by_key(got, p), by_key(pts, p))
     rep = nilpotency_redundancy_check(GL2, p, q)
     assert (rep.pairs_checked, rep.non_nilpotent_count) == (checked, bad)
     # the scan counts the nilpotent pairs as |GL2(F_p)|, one conjugacy
@@ -304,16 +321,6 @@ def test_gl2_walk_matches_the_per_phi_reference(p, q):
     else:
         assert np.array_equal(rep.witness_phi, witness[0])
         assert np.array_equal(rep.witness_n, witness[1])
-
-
-def test_gl2_walk_splits_into_blocks_in_order(monkeypatch):
-    # chunks far smaller than one phi's solutions change nothing, and nor
-    # does one chunk per kernel dimension, which lists the scalar phis'
-    # solutions (kernel dimension 4) after those of the phis walked after them
-    pts = reference_results(5, 1)[0]
-    for block in (7, 1 << 30):
-        monkeypatch.setattr(variety, "_WALK_BLOCK", block)
-        assert np.array_equal(enumerate_sg(GL2, 5, 1), pts)
 
 
 def test_sampler_with_no_solutions_returns_an_empty_point_array(monkeypatch,
@@ -532,10 +539,9 @@ def assert_reduces_like_ad_minus_q(phis, ads, p):
     # for every unit q the inverse-free system N -> phi N - q N phi
     # reduces to the RREF, rank and pivots of Ad(phi) - q
     for q in range(1, p):
-        want = batch_rref_mod(minus_q(ads, q, p), p)
-        got = batch_rref_mod(_sylvester(phis, q * phis % p, p), p)
-        for w, g in zip(want, got):
-            assert np.array_equal(g, w)
+        for ad, system in zip(minus_q(ads, q, p), _sylvester(phis, q * phis % p, p)):
+            for w, g in zip(rref_mod(ad, p), rref_mod(system, p)):
+                assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -654,6 +660,10 @@ def test_enumeration_guards():
         nilpotency_redundancy_check(GL3, 7, 4)
     with pytest.raises(ValueError, match="capped at p = 13"):
         nilpotency_redundancy_check(GL2, 17, 4)
+    # the GL2 bundle branch walks all of GL2(F_p) as well
+    with pytest.raises(ValueError, match="^GL\\(2\\) bundle check is capped at p = 13$"):
+        bundle_count_check(GL2, 17, 4)
+    assert bundle_count_check(GL2, 13, 4).base_points == 12 * 13 * 14  # (p - 1) p (p + 1)
 
 
 #: the library entry points that check p and q before any work
@@ -1051,8 +1061,7 @@ def test_tangent_dims_match_adjoint_form_on_samples(name, p, q):
 
 @pytest.mark.parametrize("q", range(1, 7))
 def test_tangent_dims_match_adjoint_form_on_enumeration(q):
-    # every unit q at p = 2, 3, 5 and 7; at p = 2 the walk decides
-    # nilpotency by trace and determinant in characteristic 2
+    # every unit q at p = 2, 3, 5 and 7
     for p in (2, 3, 5, 7):
         if q < p:
             assert_adjoint_form_agrees(GL2, enumerate_sg(GL2, p, q), q, p)
