@@ -24,7 +24,7 @@ matrix of a stack. No public entry point calls another. Every routine
 needs p <= ``P_MAX``, so that a product of two residues fits int64;
 every public entry point but ``as_field`` checks it, and so does
 ``_square_stack``, the check on square (..., n, n) input that
-``matpow_mod`` and the matrix half's series and tangent matrices share.
+``matpow_mod`` and the matrix half's exp and log series share.
 """
 
 from __future__ import annotations

@@ -15,13 +15,16 @@ array), like ``sg_member``.
 
 All computations are exact over F_p; tangent dimensions come from the
 kernel of the defining map's differential, evaluated by deterministic
-Gaussian elimination; the tangent matrix applies phi to the brackets
-and the basis in one product, and ``tangent_dim`` eliminates it with
-the M half's columns first. The GL sampler reads all its draws from one
-buffered stream of its generator; numpy's bounded draws concatenate, so
-the samples are those of one generator call per block. Every linear
-system on gl_n comes from one builder of X -> a X - X b, with no
-inverse: the nilpotency scan and the bundle fibres solve
+Gaussian elimination; the tangent matrix applies phi to its N half, the
+brackets [X, N] stacked with the basis, in one product, and
+``tangent_dim`` eliminates it with the M half's columns first. The N
+half depends on (spec, N, p) alone: the last few are kept read-only, so
+the points of one N, which the GL2 enumeration lists together, build it
+once. The GL sampler reads all its draws from one buffered stream of
+its generator; numpy's bounded draws concatenate, so the samples are
+those of one generator call per block. Every linear system on gl_n
+comes from one builder of X -> a X - X b, with no inverse: the
+nilpotency scan and the bundle fibres solve
 N -> phi N - q N phi, which is Ad(phi) - q times the invertible phi and
 so has the same RREF and kernel, and the sampler solves its negated
 Jordan system q J phi - phi J. The GL2 enumeration solves no system:
@@ -36,7 +39,7 @@ scan, GL(2) bundle check) stop at p = 13.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -110,7 +113,7 @@ def _gsp4_basis() -> NDArray[np.int64]:
 
 
 def _read_only(a: NDArray[np.int64]) -> NDArray[np.int64]:
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -119,37 +122,44 @@ class GroupSpec:
     """A matrix group with its Lie algebra basis.
 
     kind is "GL" or "GSp4"; lie_basis is a (dim_g, n, n) integer array
-    whose rows span the Lie algebra, n being the matrix size. Two specs
-    are equal when their kinds and bases are, so a spec can key a dict.
-    ``gl(n)`` and ``gsp4()`` return one spec per process, with a
-    read-only basis.
+    whose rows span the Lie algebra, n being the matrix size. The spec
+    keeps a read-only copy of the basis it is given. Two specs are equal
+    when their kinds and bases are, so a spec can key a dict; the key is
+    built once, at construction. ``gl(n)`` and ``gsp4()`` return one spec
+    per process.
     """
 
     kind: str
     lie_basis: NDArray[np.int64]
+    _key: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
-    def _key(self) -> tuple:
-        return self.kind, self.lie_basis.shape, self.lie_basis.tobytes()
+    def __post_init__(self) -> None:
+        basis = _read_only(np.array(self.lie_basis))
+        key = (self.kind, basis.shape, basis.tobytes())
+        object.__setattr__(self, "lie_basis", basis)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupSpec):
             return NotImplemented
-        return self._key() == other._key()
+        return self is other or self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return self._hash
 
     @staticmethod
     @functools.cache
     def gl(n: int) -> "GroupSpec":
         if not 1 <= n <= 4:
             raise ValueError("GL(n) realizations support n <= 4")
-        return GroupSpec(kind="GL", lie_basis=_read_only(_gl_basis(n)))
+        return GroupSpec(kind="GL", lie_basis=_gl_basis(n))
 
     @staticmethod
     @functools.cache
     def gsp4() -> "GroupSpec":
-        return GroupSpec(kind="GSp4", lie_basis=_read_only(_gsp4_basis()))
+        return GroupSpec(kind="GSp4", lie_basis=_gsp4_basis())
 
     @property
     def n(self) -> int:
@@ -284,6 +294,28 @@ def _sylvester(a: NDArray[np.int64], b: NDArray[np.int64], p: int) -> NDArray[np
     return out.reshape(a.shape[:-2] + (n * n, n * n)) % p
 
 
+def _point_matrix(spec: GroupSpec, a, p: int, name: str) -> NDArray[np.int64]:
+    """a reduced mod p; raises unless it is one (n, n) matrix of spec."""
+    a = kernels.as_field(a, p)
+    if a.shape != (spec.n, spec.n):
+        raise ValueError("%s must have shape (%d, %d) for %s, got %s"
+                         % (name, spec.n, spec.n, spec.name, a.shape))
+    return a
+
+
+# A few slots suffice: enumeration lists its points grouped by N, so one
+# slot serves all of an N's points, and the sampler's distinct Ns miss at
+# the cost of one lookup each.
+@functools.lru_cache(maxsize=8)
+def _n_half(spec: GroupSpec, p: int, n_bytes: bytes) -> NDArray[np.int64]:
+    """The brackets [X, N] over spec's basis stacked with the basis, reduced
+    mod p, for N the reduced (n, n) int64 matrix with bytes n_bytes: the
+    part of the tangent matrix that depends on N alone, read-only."""
+    n_mat = np.frombuffer(n_bytes, dtype=np.int64).reshape(spec.n, spec.n)
+    basis = spec.lie_basis
+    return _read_only(np.concatenate([basis @ n_mat - n_mat @ basis, basis]) % p)
+
+
 def tangent_matrix(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.int64]:
     """Differential of the defining equation at (phi, N).
 
@@ -294,18 +326,22 @@ def tangent_matrix(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.in
     is the differential of the adjoint form right-multiplied by the
     invertible phi, so the kernel is the same. Returns the
     (n^2, 2 dim_g) matrix of that map; the tangent space is its kernel.
+    phi and N must be (n, n) matrices of spec.
+
+    The brackets [X, N] stacked with the basis depend on (spec, N, p)
+    only; the last few are kept, read-only, so the points of one N share
+    them, and each point pays one product by phi and the q M phi term.
     """
-    phi = kernels._square_stack(phi, p)
-    n_mat = kernels._square_stack(n_mat, p)
+    kernels._check_p(p)
+    phi = _point_matrix(spec, phi, p, "phi")
+    n_mat = _point_matrix(spec, n_mat, p, "N")
     basis = spec.lie_basis
     dim = len(basis)
-    # [X, N] over the basis, stacked with the basis itself (the M half),
-    # reduced, then one product by phi.
     # A product entry is a sum of n products of residues, below n (p - 1)^2.
     # The basis entries are 0 and +-1 (the GSp4 basis has -1s), so q M phi
     # has entries of size below n (p - 1)^2 as well, and every entry stays
     # within 2 n (p - 1)^2 < 2^63 for p <= P_MAX.
-    images = phi @ (np.concatenate([basis @ n_mat - n_mat @ basis, basis]) % p)
+    images = phi @ _n_half(spec, p, n_mat.tobytes())
     images[dim:] -= q % p * (basis @ phi)
     # column k of the map is the row-major vec of the k-th image
     return (images % p).reshape(2 * dim, -1).T

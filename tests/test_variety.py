@@ -76,6 +76,20 @@ def test_group_specs_compare_by_kind_and_basis():
     assert hash(GroupSpec.gl(2)) == hash(GroupSpec(kind="GL", lie_basis=GL2.lie_basis.copy()))
 
 
+def test_group_spec_keeps_its_own_read_only_basis():
+    # the key is built once, over a copy: a later write to the array the
+    # caller passed changes neither the spec's basis nor its hash
+    basis = GL2.lie_basis.copy()
+    spec = GroupSpec(kind="GL", lie_basis=basis)
+    before = hash(spec)
+    basis[0, 0, 0] = 7
+    basis[1] += 1
+    assert spec == GL2 and hash(spec) == before == hash(GL2)
+    assert np.array_equal(spec.lie_basis, GL2.lie_basis)
+    with pytest.raises(ValueError, match="read-only"):
+        spec.lie_basis[0, 0, 0] = 7
+
+
 def test_group_specs_are_built_once_with_a_read_only_basis():
     assert GroupSpec.gl(2) is GL2 and GroupSpec.gsp4() is GSP4
     for spec in (GL2, GroupSpec.gl(4), GSP4):
@@ -589,6 +603,25 @@ def test_tangent_matrix_shape():
     phi = np.diag(arr([4, 1]))
     mat = tangent_matrix(GL2, phi, arr([[0, 1], [0, 0]]), 4, 7)
     assert mat.shape == (4, 8)
+
+
+@pytest.mark.parametrize("func", [tangent_matrix, tangent_dim])
+@pytest.mark.parametrize("spec, phi, n_mat", [
+    (GL2, np.eye(3, dtype=np.int64), np.zeros((3, 3), dtype=np.int64)),
+    (GL2, np.stack([np.eye(2, dtype=np.int64)] * 3), np.zeros((2, 2), dtype=np.int64)),
+    (GL2, np.eye(2, dtype=np.int64), np.zeros((3, 2, 2), dtype=np.int64)),
+    (GL2, np.eye(2, dtype=np.int64), np.zeros((2, 3), dtype=np.int64)),
+    (GL2, np.ones(4, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)),
+    (GSP4, np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)),
+], ids=["3x3-for-GL2", "stack-of-phis", "stack-of-Ns", "non-square-N", "flat-phi",
+        "2x2-for-GSp4"])
+def test_tangent_rejects_other_shapes(func, spec, phi, n_mat):
+    # one point only, phi and N each of the spec's (n, n) shape; the error
+    # names the argument and the shape it must have
+    name = "phi" if phi.shape != (spec.n, spec.n) else "N"
+    message = r"^%s must have shape \(%d, %d\) for %s, got " % (name, spec.n, spec.n, spec.name)
+    with pytest.raises(ValueError, match=message):
+        func(spec, phi, n_mat, 3, 7)
 
 
 def test_regular_stratum_tangents_are_smooth():
@@ -1109,6 +1142,36 @@ def exact_tangent_matrix(spec, phi, n_mat, q, p):
     cols = [phi @ (b @ n_mat - n_mat @ b) % p for b in spec.lie_basis.astype(object)]
     cols += [(phi @ b - q * b @ phi) % p for b in spec.lie_basis.astype(object)]
     return np.stack([c.reshape(-1) for c in cols], axis=1)
+
+
+def test_kept_n_halves_never_go_stale():
+    # tangent_matrix keeps the N half by (spec, p, reduced N): interleave
+    # points whose keys differ only in the spec, only in p, or in an N the
+    # caller changes in place, and a shuffled enumeration; every matrix must
+    # equal the oracle's, built from nothing kept
+    def check(spec, phi, n_mat, q, p):
+        exact = exact_tangent_matrix(spec, phi % p, n_mat % p, q, p).astype(np.int64)
+        assert np.array_equal(tangent_matrix(spec, phi, n_mat, q, p), exact)
+        assert tangent_dim(spec, phi, n_mat, q, p) == 2 * spec.dim_g - rank_mod(exact, p)
+
+    gl4, zero4 = GroupSpec.gl(4), np.zeros((4, 4), dtype=np.int64)
+    phi4 = np.diag(arr([2, 6, 1, 3]))  # a similitude too: 2 * 3 = 6 * 1
+    for _ in range(2):
+        check(gl4, phi4, zero4, 3, 11)  # GL4 and GSp4 share n = 4 and N = 0's bytes
+        check(GSP4, phi4, zero4, 3, 11)
+    phi2, e12 = arr([[2, 1], [0, 1]]), arr([[0, 1], [0, 0]])
+    for p in (11, 13, 11, 13):  # the same reduced bytes, brackets with -1 = p - 1
+        check(GL2, phi2, e12, 2, p)
+    n_mat = arr([[0, 1], [0, 0]])
+    check(GL2, phi2, n_mat, 2, 7)
+    n_mat[0, 1] = 3  # the caller's array changes between calls
+    check(GL2, phi2, n_mat, 2, 7)
+    pts = enumerate_sg(GL2, 5, 2)
+    for phi, n_mat in pts[np.random.default_rng(0).permutation(len(pts))]:
+        check(GL2, phi, n_mat, 2, 5)
+    half = variety._n_half(GL2, 5, pts[-1, 1].tobytes())
+    with pytest.raises(ValueError, match="read-only"):
+        half[0, 0, 0] = 1
 
 
 @pytest.mark.parametrize("p", [11, P_LARGE])
