@@ -37,7 +37,6 @@ from .arith import order_capped
 from .orbits import OrbitLabel, _sl2_weights
 from .variety import (
     GroupSpec,
-    _field,
     _gsp4_base_point,
     _jordan_nilpotent,
     _unit_q,
@@ -98,7 +97,6 @@ def build_phi0(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
     if orbit.parts is None:
         raise CertificateError("certificates need a partition orbit label")
     try:
-        _field(p)
         q = _unit_q(q, p)
     except ValueError as exc:
         raise CertificateError(str(exc)) from exc

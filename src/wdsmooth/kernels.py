@@ -21,16 +21,20 @@ counts the nullity of each matrix of a (B, m, n) stack at once, in
 int64 through one column loop that stops at what a rank needs, for
 callers that hold real batches; ``matpow_mod`` powers one matrix or each
 matrix of a stack. No public entry point calls another. Every routine
-needs p <= ``P_MAX``, so that a product of two residues fits int64;
-every public entry point but ``as_field`` checks it, and so does
-``_square_stack``, the check on square (..., n, n) input that
-``matpow_mod`` and the matrix half's exp and log series share.
+needs p to be a prime <= ``P_MAX``: prime so that every nonzero residue
+has a Fermat inverse, and within the bound so that a product of two
+residues fits int64. ``as_field``, which every entry point reduces its
+input through, is the one place that checks it, the bound first, so
+that no trial division runs past sqrt(P_MAX); a p that passed is kept,
+so a repeat costs one set lookup.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.typing import NDArray
+
+from .arith import is_prime
 
 #: Largest modulus whose int64 matrix products stay exact. The longest
 #: inner product the package forms in int64 has K = 16 terms (a
@@ -42,6 +46,8 @@ P_MAX = 759_250_125
 _INT64 = np.dtype(np.int64)
 #: little-endian unsigned types by byte size: the field items of ``_rref``
 _UNSIGNED = {size: np.dtype("<u%d" % size) for size in (1, 2, 4, 8)}
+#: the moduli ``_check_p`` has accepted
+_PRIMES: set[int] = set()
 
 
 def _rref(mat: NDArray[np.int64], p: int, full: bool = True
@@ -137,16 +143,31 @@ def _rref(mat: NDArray[np.int64], p: int, full: bool = True
     return pivots, red * np.array(invs + [0] * (m - r), dtype=np.int64)[:, None] % p
 
 
+def _check_p(p: int) -> None:
+    """Raise ValueError unless p is a prime <= P_MAX; a p that passed is
+    kept, so a repeat costs one set lookup."""
+    if p in _PRIMES:
+        return
+    if p > P_MAX:  # first, so that no trial division runs past sqrt(P_MAX) < 27,555
+        raise ValueError("p exceeds the int64-safe bound %d" % P_MAX)
+    if not is_prime(p):
+        raise ValueError("p must be prime")
+    _PRIMES.add(p)
+
+
 def as_field(a, p: int) -> NDArray[np.int64]:
     """Coerce to an int64 array with entries reduced into [0, p).
 
-    Floats are accepted only when every entry is an integer that int64
-    holds (``np.eye(n)`` is fine), unsigned integers only below 2^63, and
-    object arrays (a list holding a Python int past int64 makes one) only
-    when every entry is an integer that int64 holds; anything else,
-    complex input and fractions included, raises ValueError rather than
-    being truncated, wrapped or overflowing.
+    p must be a prime <= P_MAX. Floats are accepted only when every entry
+    is an integer that int64 holds (``np.eye(n)`` is fine), unsigned
+    integers only below 2^63, and object arrays (a list holding a Python
+    int past int64 makes one) only when every entry is an integer that
+    int64 holds; anything else, complex input and fractions included,
+    raises ValueError rather than being truncated, wrapped or
+    overflowing, and so does any other p.
     """
+    if p not in _PRIMES:  # a p seen before needs no call
+        _check_p(p)
     arr = np.asarray(a)
     if arr.dtype is not _INT64:  # int64 input, the common case, needs no check
         kind = arr.dtype.kind
@@ -162,13 +183,7 @@ def as_field(a, p: int) -> NDArray[np.int64]:
     return arr % p
 
 
-def _check_p(p: int) -> None:
-    if p > P_MAX:
-        raise ValueError("p exceeds the int64-safe bound %d" % P_MAX)
-
-
 def _matrix(a, p: int) -> NDArray[np.int64]:
-    _check_p(p)
     mat = as_field(a, p)
     if mat.ndim != 2:
         raise ValueError("expected a 2-d array")
@@ -176,9 +191,8 @@ def _matrix(a, p: int) -> NDArray[np.int64]:
 
 
 def _square_stack(a, p: int) -> NDArray[np.int64]:
-    """a as a reduced (..., n, n) array; raises unless p <= P_MAX and its
-    matrices are square."""
-    _check_p(p)
+    """a as a reduced (..., n, n) array; raises unless its matrices are
+    square."""
     a = as_field(a, p)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError("expected a square matrix")
@@ -231,7 +245,6 @@ def batch_nullity_mod(stack, p: int) -> NDArray[np.int64]:
     no pivot in the column is all zero there in its unused rows, so its
     update changes nothing.
     """
-    _check_p(p)
     a = as_field(stack, p)
     if a.ndim != 3:
         raise ValueError("expected a 3-d array")

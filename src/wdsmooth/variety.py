@@ -34,18 +34,24 @@ the closed-form fibre of phi E12 = q E12 phi. The nilpotency scan counts
 the solutions from one ``batch_nullity_mod`` over all of GL(2, F_p) and
 lists none. The three walks over GL(2, F_p) (enumeration, nilpotency
 scan, GL(2) bundle check) stop at p = 13.
+
+p must be a prime <= ``kernels.P_MAX``. Every entry point checks it
+through ``kernels.as_field``, which reduces its matrices, or, when it
+takes q, first through ``_unit_q``, which also rejects a q divisible
+by p; ``sg_member`` and ``exp_bridge_check`` reduce q as it is, since
+for them a non-unit q is just one that fails.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
 from . import kernels
-from .arith import is_prime
 from .orbits import OrbitLabel
 
 __all__ = [
@@ -235,24 +241,20 @@ def sg_member(spec: GroupSpec, phi, n_mat, q: int, p: int):
     N and returns a bool, or (B, n, n) stacks of both and returns a bool
     array.
     """
+    phi = kernels.as_field(phi, p)
+    n_mat = kernels.as_field(n_mat, p)
     q = q % p
 
     def mask(phis, ns):
         return (spec._group_mask(phis, p) & spec._lie_mask(ns, p) & _is_nilpotent(ns, p)
                 & (phis @ ns % p == q * (ns @ phis % p) % p).all(axis=(1, 2)))
 
-    return _per_matrix(spec.n, mask, kernels.as_field(phi, p), kernels.as_field(n_mat, p))
-
-
-def _field(p: int) -> None:
-    """Reject a modulus the matrix layer cannot compute over exactly."""
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    kernels._check_p(p)
+    return _per_matrix(spec.n, mask, phi, n_mat)
 
 
 def _unit_q(q: int, p: int) -> int:
-    """q reduced mod p; raises unless it is a unit."""
+    """q reduced mod p; raises unless p is a prime <= P_MAX and q a unit."""
+    kernels._check_p(p)
     q = q % p
     if q == 0:
         raise ValueError("q must be a unit mod p")
@@ -326,13 +328,13 @@ def tangent_matrix(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.in
     is the differential of the adjoint form right-multiplied by the
     invertible phi, so the kernel is the same. Returns the
     (n^2, 2 dim_g) matrix of that map; the tangent space is its kernel.
-    phi and N must be (n, n) matrices of spec.
+    phi and N must be (n, n) matrices of spec, and q a unit mod p.
 
     The brackets [X, N] stacked with the basis depend on (spec, N, p)
     only; the last few are kept, read-only, so the points of one N share
     them, and each point pays one product by phi and the q M phi term.
     """
-    kernels._check_p(p)
+    q = _unit_q(q, p)
     phi = _point_matrix(spec, phi, p, "phi")
     n_mat = _point_matrix(spec, n_mat, p, "N")
     basis = spec.lie_basis
@@ -342,7 +344,7 @@ def tangent_matrix(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.in
     # has entries of size below n (p - 1)^2 as well, and every entry stays
     # within 2 n (p - 1)^2 < 2^63 for p <= P_MAX.
     images = phi @ _n_half(spec, p, n_mat.tobytes())
-    images[dim:] -= q % p * (basis @ phi)
+    images[dim:] -= q * (basis @ phi)
     # column k of the map is the row-major vec of the k-th image
     return (images % p).reshape(2 * dim, -1).T
 
@@ -373,7 +375,6 @@ def _gl2_walk(spec: GroupSpec, p: int, q: int, what: str
               ) -> tuple[int, NDArray[np.int64]]:
     """(q, phis) for a walk over GL(2, F_p), p <= 13: q reduced, and every
     invertible phi in lexicographic order. what names the walk in errors."""
-    _field(p)
     q = _unit_q(q, p)
     if spec.kind != "GL" or spec.n != 2:
         raise ValueError("%s is only supported for GL(2)" % what)
@@ -568,9 +569,8 @@ def stratum_sample(
     (B, 2, n, n) point array, B <= count: a GL(n) sampler that finds no
     invertible solution in its attempts returns fewer points.
     """
-    _field(p)
-    _sample_count(count, seed)
     q = _unit_q(q, p)
+    _sample_count(count, seed)
     if orbit.parts is None:
         raise ValueError("stratum sampling needs a partition orbit label")
     rng = np.random.default_rng(seed)
@@ -657,37 +657,38 @@ def nilpotency_redundancy_check(spec: GroupSpec, p: int, q: int) -> RedundancyRe
     )
 
 
+def _series(x, shift: int, coeff, p: int, name: str) -> NDArray[np.int64]:
+    """The sum of coeff(k) a^k over k < n, a = x - shift I, for one (n, n)
+    matrix x or each matrix of a (..., n, n) stack, coeff(k) a residue:
+    with a nilpotent the series of exp and log end before a^n. Needs
+    p > n, so that the denominators of the coefficients, k! and k, are
+    units."""
+    x = kernels._square_stack(x, p)
+    size = x.shape[-1]
+    if p <= size:
+        raise ValueError("need p > matrix size for the %s series" % name)
+    eye = np.eye(size, dtype=np.int64)
+    a = (x - shift * eye) % p
+    power = np.broadcast_to(eye, x.shape)
+    out = coeff(0) * power
+    for k in range(1, size):
+        power = power @ a % p
+        out = (out + coeff(k) * power) % p
+    return out
+
+
 def exp_nilpotent(n_mat, p: int) -> NDArray[np.int64]:
     """exp(N) for nilpotent N via the terminating series, for one (n, n)
     matrix or each matrix of a (..., n, n) stack; needs p > n so the
     factorials are invertible."""
-    n_mat = kernels._square_stack(n_mat, p)
-    size = n_mat.shape[-1]
-    if p <= size:
-        raise ValueError("need p > matrix size for the exponential series")
-    out = term = np.broadcast_to(np.eye(size, dtype=np.int64), n_mat.shape)
-    for k in range(1, size):
-        term = term @ n_mat % p * pow(k, -1, p) % p
-        out = (out + term) % p
-    return out.copy()
+    return _series(n_mat, 0, lambda k: pow(math.factorial(k), -1, p), p, "exponential")
 
 
 def log_unipotent(u, p: int) -> NDArray[np.int64]:
     """log(u) for unipotent u via the terminating series, for one (n, n)
     matrix or each matrix of a (..., n, n) stack."""
-    u = kernels._square_stack(u, p)
-    size = u.shape[-1]
-    if p <= size:
-        raise ValueError("need p > matrix size for the logarithm series")
-    eye = np.eye(size, dtype=np.int64)
-    a = (u - eye) % p
-    out = np.zeros_like(u)
-    term = eye
-    for k in range(1, size):
-        term = term @ a % p
-        sign = 1 if k % 2 == 1 else -1
-        out = (out + sign * term * pow(k, -1, p)) % p
-    return out
+    return _series(u, 1, lambda k: (-1) ** (k + 1) * pow(k, -1, p) % p if k else 0, p,
+                   "logarithm")
 
 
 def exp_bridge_check(phi, n_mat, q: int, p: int):
@@ -734,9 +735,8 @@ def bundle_count_check(
     should number p^{n-1} each. GL(3): sample conjugates of
     z diag(1, q, q^2) with a seeded generator.
     """
-    _field(p)
-    _sample_count(samples, seed)
     q = _unit_q(q, p)
+    _sample_count(samples, seed)
     if spec.kind != "GL" or spec.n not in (2, 3):
         raise ValueError("bundle check supports GL(2) and GL(3)")
     quad = 0

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 from unittest import mock
 
 import numpy as np
@@ -388,11 +389,17 @@ FIELD_COMMANDS = (
     ("8", "p must be prime"),
     ("9", "p must be prime"),
     ("1", "p must be prime"),
+    ("0", "p must be prime"),
     ("2147483647", "p exceeds the int64-safe bound"),  # prime, 2^31 - 1
     ("759250133", "p exceeds the int64-safe bound"),  # first prime past P_MAX
+    ("2305843009213693951", "p exceeds the int64-safe bound"),  # prime, 2^61 - 1
 ])
 def test_field_guard(capsys, argv, p, message):
+    # the bound is checked before primality: trial division up to
+    # sqrt(2^61 - 1) would run for minutes
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv, "--p", p)
+    assert time.perf_counter() - start < 5
     assert (code, out) == (1, "")
     assert err.startswith("error: " + message)
 

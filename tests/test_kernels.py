@@ -542,12 +542,20 @@ def test_single_matrix_results_are_new_writable_arrays():
     assert rank_mod(a, p) == 2 and rank_mod(b, p) == 3
 
 
+#: moduli that are not primes: 9 = 3^2 has a residue, 3, with no inverse
+NOT_PRIME = (0, 1, 9)
+
+
 def test_single_matrix_kernels_reject_p_past_the_bound():
-    # their int64 products of two residues are exact only up to P_MAX
+    # their int64 products of two residues are exact only up to P_MAX, and
+    # their Fermat inverses exist only for a prime p
     for fn in (rref_mod, rank_mod, nullity_mod, nullspace_mod, inv_mod):
         for p in (759_250_133, 2**61 - 1):  # primes past P_MAX
             with pytest.raises(ValueError, match="int64-safe bound"):
                 fn(np.eye(2, dtype=np.int64), p)
+        for p in NOT_PRIME:
+            with pytest.raises(ValueError, match="^p must be prime$"):
+                fn(np.diag([3, 3]), p)
 
 
 def test_stack_kernels_reject_p_past_the_bound():
@@ -564,6 +572,11 @@ def test_stack_kernels_reject_p_past_the_bound():
         for call in calls:
             with pytest.raises(ValueError, match="^p exceeds the int64-safe bound 759250125$"):
                 call(a, p)
+    # p = 0 would divide by zero and 9 would give a wrong rank
+    for p in NOT_PRIME:
+        for call in calls:
+            with pytest.raises(ValueError, match="^p must be prime$"):
+                call(np.diag([3, 3]), p)
     # the largest prime within the bound is accepted, and exact
     a = [[TOP_P - 1, TOP_P - 2], [TOP_P - 3, TOP_P - 5]]
     exact = [[sum(a[i][k] * a[k][j] for k in range(2)) % TOP_P for j in range(2)]

@@ -699,23 +699,66 @@ def test_enumeration_guards():
     assert bundle_count_check(GL2, 13, 4).base_points == 12 * 13 * 14  # (p - 1) p (p + 1)
 
 
+EYE2 = np.eye(2, dtype=np.int64)
+ZERO2 = np.zeros((2, 2), dtype=np.int64)
+
 #: the library entry points that check p and q before any work
 GUARDED = [
     lambda p, q: enumerate_sg(GL2, p, q),
     lambda p, q: nilpotency_redundancy_check(GL2, p, q),
     lambda p, q: stratum_sample(GL3, p, q, OrbitLabel.partition((2, 1)), 3),
     lambda p, q: bundle_count_check(GL2, p, q),
+    lambda p, q: tangent_matrix(GL2, EYE2, ZERO2, q, p),
+    lambda p, q: tangent_dim(GL2, EYE2, ZERO2, q, p),
 ]
 GUARDED_IDS = ["enumerate_sg", "nilpotency_redundancy_check", "stratum_sample",
-               "bundle_count_check"]
+               "bundle_count_check", "tangent_matrix", "tangent_dim"]
+
+#: the library entry points that check p only: for these predicates a q
+#: divisible by p is one that fails
+P_GUARDED = [
+    lambda p: sg_member(GL2, EYE2, ZERO2, 3, p),
+    lambda p: exp_bridge_check(EYE2, ZERO2, 3, p),
+    lambda p: jordan_partition(ZERO2, p),
+    lambda p: conjugate_point(np.stack([EYE2, ZERO2]), EYE2, p),
+    lambda p: GL2.is_group_element(EYE2, p),
+]
+P_GUARDED_IDS = ["sg_member", "exp_bridge_check", "jordan_partition", "conjugate_point",
+                 "is_group_element"]
+
+#: moduli no entry point takes, with the message each gets
+BAD_P = [(0, "^p must be prime$"), (1, "^p must be prime$"), (9, "^p must be prime$"),
+         (759250133, "^p exceeds the int64-safe bound 759250125$"),  # first prime past P_MAX
+         (2**61 - 1, "^p exceeds the int64-safe bound 759250125$")]
+
+
+@pytest.fixture
+def no_trial_division_past_the_bound(monkeypatch):
+    # a p past P_MAX is rejected on the bound alone: trial division up to
+    # sqrt(2^61 - 1) would take minutes
+    from wdsmooth import kernels
+    original = kernels.is_prime
+
+    def is_prime(p):
+        assert p <= kernels.P_MAX
+        return original(p)
+
+    monkeypatch.setattr(kernels, "is_prime", is_prime)
 
 
 @pytest.mark.parametrize("call", GUARDED, ids=GUARDED_IDS)
-def test_field_guard(call):
-    for p, message in ((9, "p must be prime"), (1, "p must be prime"),
-                       (759250133, "p exceeds the int64-safe bound")):  # first prime past P_MAX
+def test_field_guard(call, no_trial_division_past_the_bound):
+    for p, message in BAD_P:
         with pytest.raises(ValueError, match=message):
             call(p, 2)
+
+
+@pytest.mark.parametrize("call", P_GUARDED, ids=P_GUARDED_IDS)
+def test_p_only_guard(call, no_trial_division_past_the_bound):
+    for p, message in BAD_P:
+        with pytest.raises(ValueError, match=message):
+            call(p)
+    call(7)  # a field, and q = 3 or no q at all: no error
 
 
 @pytest.mark.parametrize("call", [
@@ -1022,10 +1065,13 @@ def test_jordan_partition_is_a_conjugation_invariant(parts, p, data):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from([(GL2, (2,)), (GL3, (2, 1)), (GroupSpec.gl(4), (2, 2)),
+@given(st.sampled_from([(GroupSpec.gl(1), (1,)), (GL2, (2,)), (GL3, (2, 1)),
+                        (GroupSpec.gl(4), (2, 2)), (GroupSpec.gl(4), (3, 1)),
                         (GSP4, (2, 2)), (GSP4, (4,))]),
        st.sampled_from([(7, 3), (11, 4), (13, 2)]), st.integers(0, 2**16), st.data())
 def test_conjugate_point_keeps_samples_in_the_variety(case, pq, seed, data):
+    # conjugation by the group is an automorphism of the variety: it keeps
+    # membership, the tangent dimension and the exp bridge
     spec, parts = case
     p, q = pq
     pts = stratum_sample(spec, p, q, OrbitLabel.partition(parts), 1, seed=seed)
@@ -1036,6 +1082,8 @@ def test_conjugate_point_keeps_samples_in_the_variety(case, pq, seed, data):
         g = invertible(data, spec.n, p)
     moved = conjugate_point(pts[0], g, p)
     assert sg_member(spec, moved[0], moved[1], q, p)
+    assert tangent_dim(spec, *moved, q, p) == tangent_dim(spec, *pts[0], q, p)
+    assert exp_bridge_check(*moved, q, p) == exp_bridge_check(*pts[0], q, p)
 
 
 @settings(max_examples=60, deadline=None)
