@@ -11,6 +11,7 @@ fundamental degrees (times q - 1 per central torus factor).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from .rootsys import _RANK_RULES, DynkinType, RootSystem, build_root_system
 
@@ -27,7 +28,7 @@ __all__ = [
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
+    if not isinstance(n, Integral) or n < 2:  # 7.0 and 7.5 are not primes
         return False
     if n < 4:
         return True

@@ -106,7 +106,7 @@ def build_phi0(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
             "order of q mod p must exceed %d to separate eigenvalue ratios" % h
         )
     parts = tuple(sorted(orbit.parts, reverse=True))
-    if spec.kind == "GSp4" and parts not in _GSP4_CERTIFIED:
+    if spec.form is not None and parts not in _GSP4_CERTIFIED:
         raise CertificateError(
             "no base point construction for GSp4 orbit %r" % (parts,)
         )
@@ -123,7 +123,7 @@ def build_phi0(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
             raise CertificateError(
                 "marked position %d is not a block boundary %s" % (marked, sorted(boundaries))
             )
-    if spec.kind == "GSp4":
+    if spec.form is not None:
         phi0, e = _gsp4_base_point(spec, parts, q, p)
     else:
         # with no marked boundary every step is q: exponents n - 1, ..., 0
@@ -142,7 +142,7 @@ def build_phi0(spec: GroupSpec, orbit: OrbitLabel, q: int, p: int,
     reflection = None
     if marked is not None:
         reflection = _transposition(n, marked - 1, marked)
-        if spec.kind == "GSp4":
+        if spec.form is not None:
             reflection[marked, marked - 1] = -1  # so that w preserves the form
     return BasePoint(
         spec=spec, orbit=OrbitLabel.partition(parts), p=p, q=q,

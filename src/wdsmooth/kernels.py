@@ -24,9 +24,10 @@ matrix of a stack. No public entry point calls another. Every routine
 needs p to be a prime <= ``P_MAX``: prime so that every nonzero residue
 has a Fermat inverse, and within the bound so that a product of two
 residues fits int64. ``as_field``, which every entry point reduces its
-input through, is the one place that checks it, the bound first, so
-that no trial division runs past sqrt(P_MAX); a p that passed is kept,
-so a repeat costs one set lookup.
+input through, is the one place that checks it: first that p is a
+Python int, so that neither a float nor a numpy integer gets in, then
+the bound, so that no trial division runs past sqrt(P_MAX); a p that
+passed is kept, so a repeat costs one set lookup.
 """
 
 from __future__ import annotations
@@ -144,8 +145,10 @@ def _rref(mat: NDArray[np.int64], p: int, full: bool = True
 
 
 def _check_p(p: int) -> None:
-    """Raise ValueError unless p is a prime <= P_MAX; a p that passed is
-    kept, so a repeat costs one set lookup."""
+    """Raise ValueError unless p is a Python int that is a prime <= P_MAX;
+    a p that passed is kept, so a repeat costs one set lookup."""
+    if type(p) is not int:  # 7.0 == 7 would find 7 in the set
+        raise ValueError("p must be an int, got %r" % (p,))
     if p in _PRIMES:
         return
     if p > P_MAX:  # first, so that no trial division runs past sqrt(P_MAX) < 27,555
@@ -158,15 +161,15 @@ def _check_p(p: int) -> None:
 def as_field(a, p: int) -> NDArray[np.int64]:
     """Coerce to an int64 array with entries reduced into [0, p).
 
-    p must be a prime <= P_MAX. Floats are accepted only when every entry
-    is an integer that int64 holds (``np.eye(n)`` is fine), unsigned
-    integers only below 2^63, and object arrays (a list holding a Python
-    int past int64 makes one) only when every entry is an integer that
-    int64 holds; anything else, complex input and fractions included,
-    raises ValueError rather than being truncated, wrapped or
-    overflowing, and so does any other p.
+    p must be a Python int that is a prime <= P_MAX. Floats are accepted
+    only when every entry is an integer that int64 holds (``np.eye(n)``
+    is fine), unsigned integers only below 2^63, and object arrays (a
+    list holding a Python int past int64 makes one) only when every
+    entry is an integer that int64 holds; anything else, complex input
+    and fractions included, raises ValueError rather than being
+    truncated, wrapped or overflowing, and so does any other p.
     """
-    if p not in _PRIMES:  # a p seen before needs no call
+    if type(p) is not int or p not in _PRIMES:  # an int p seen before needs no call
         _check_p(p)
     arr = np.asarray(a)
     if arr.dtype is not _INT64:  # int64 input, the common case, needs no check

@@ -1,9 +1,11 @@
 """Exact matrix models of the pair variety over a prime field.
 
 Points are pairs (phi, N) with phi in the group, N nilpotent in its Lie
-algebra, and Ad(phi) N = q N. Supported realizations: GL(n) for n <= 4,
-and GSp4 for the similitude form Omega = antidiag(1, 1, -1, -1), i.e.
-g^T Omega g = mu(g) Omega with mu a unit.
+algebra, and Ad(phi) N = q N. A ``GroupSpec`` is a group's name, its Lie
+algebra basis and the form it preserves up to a similitude. Supported
+realizations: GL(n) for n <= 4, which preserves no form, and GSp4, whose
+form is Omega = antidiag(1, 1, -1, -1): g^T Omega g = mu(g) Omega with
+mu a unit. The membership tests read the form off the spec.
 
 A set of B points is one int64 array of shape (B, 2, n, n) with entries
 in [0, p): ``pts[:, 0]`` holds the phis and ``pts[:, 1]`` the Ns, which
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -86,11 +88,7 @@ OMEGA4 = np.array(
 
 
 def _gl_basis(n: int) -> NDArray[np.int64]:
-    basis = np.zeros((n * n, n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            basis[i * n + j, i, j] = 1
-    return basis
+    return np.eye(n * n, dtype=np.int64).reshape(n * n, n, n)
 
 
 def _gsp4_basis() -> NDArray[np.int64]:
@@ -125,47 +123,37 @@ def _read_only(a: NDArray[np.int64]) -> NDArray[np.int64]:
 
 @dataclass(frozen=True, eq=False)
 class GroupSpec:
-    """A matrix group with its Lie algebra basis.
+    """A matrix group: its name, its Lie algebra basis and the form it
+    preserves up to a similitude.
 
-    kind is "GL" or "GSp4"; lie_basis is a (dim_g, n, n) integer array
-    whose rows span the Lie algebra, n being the matrix size. The spec
-    keeps a read-only copy of the basis it is given. Two specs are equal
-    when their kinds and bases are, so a spec can key a dict; the key is
-    built once, at construction. ``gl(n)`` and ``gsp4()`` return one spec
-    per process.
+    lie_basis is a (dim_g, n, n) integer array whose rows span the Lie
+    algebra, n being the matrix size. form is None for GL(n), which
+    preserves no form, and Omega for GSp4, the group of g with
+    g^T Omega g = mu Omega, mu a unit. The spec keeps read-only copies of
+    the arrays it is given. Specs compare and hash by identity: ``gl(n)``
+    and ``gsp4()`` return one spec per process.
     """
 
-    kind: str
+    name: str
     lie_basis: NDArray[np.int64]
-    _key: tuple = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+    form: NDArray[np.int64] | None = None
 
     def __post_init__(self) -> None:
-        basis = _read_only(np.array(self.lie_basis))
-        key = (self.kind, basis.shape, basis.tobytes())
-        object.__setattr__(self, "lie_basis", basis)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroupSpec):
-            return NotImplemented
-        return self is other or self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
+        object.__setattr__(self, "lie_basis", _read_only(np.array(self.lie_basis)))
+        if self.form is not None:
+            object.__setattr__(self, "form", _read_only(np.array(self.form)))
 
     @staticmethod
     @functools.cache
     def gl(n: int) -> "GroupSpec":
         if not 1 <= n <= 4:
             raise ValueError("GL(n) realizations support n <= 4")
-        return GroupSpec(kind="GL", lie_basis=_gl_basis(n))
+        return GroupSpec("GL%d" % n, _gl_basis(n))
 
     @staticmethod
     @functools.cache
     def gsp4() -> "GroupSpec":
-        return GroupSpec(kind="GSp4", lie_basis=_gsp4_basis())
+        return GroupSpec("GSp4", _gsp4_basis(), OMEGA4)
 
     @property
     def n(self) -> int:
@@ -174,10 +162,6 @@ class GroupSpec:
     @property
     def dim_g(self) -> int:
         return self.lie_basis.shape[0]
-
-    @property
-    def name(self) -> str:
-        return "GSp4" if self.kind == "GSp4" else "GL%d" % self.n
 
     def is_group_element(self, m, p: int):
         """Whether m is invertible (and a similitude for GSp4): a bool for
@@ -193,21 +177,22 @@ class GroupSpec:
 
     def _group_mask(self, mats: NDArray[np.int64], p: int) -> NDArray[np.bool_]:
         ok = kernels.batch_nullity_mod(mats, p) == 0
-        if self.kind == "GSp4":
-            # g^T Omega g must be a nonzero multiple mu of Omega
-            omega = OMEGA4 % p
+        if self.form is not None:
+            # g^T Omega g must be a nonzero multiple mu of Omega, read off
+            # the corner where Omega is 1
+            omega = self.form % p
             s = (mats.transpose(0, 2, 1) @ omega % p) @ mats % p
-            mu = s[:, 0, 3]
+            mu = s[:, 0, -1]
             ok &= (mu != 0) & (s == mu[:, None, None] * omega % p).all(axis=(1, 2))
         return ok
 
     def _lie_mask(self, mats: NDArray[np.int64], p: int) -> NDArray[np.bool_]:
-        if self.kind == "GL":
+        if self.form is None:
             return np.ones(len(mats), dtype=bool)
-        # X^T Omega + Omega X must be a multiple of Omega
-        omega = OMEGA4 % p
+        # X^T Omega + Omega X must be a multiple c of Omega
+        omega = self.form % p
         y = (mats.transpose(0, 2, 1) @ omega + omega @ mats) % p
-        c = y[:, 0, 3]
+        c = y[:, 0, -1]
         return (y == c[:, None, None] * omega % p).all(axis=(1, 2))
 
 
@@ -376,7 +361,7 @@ def _gl2_walk(spec: GroupSpec, p: int, q: int, what: str
     """(q, phis) for a walk over GL(2, F_p), p <= 13: q reduced, and every
     invertible phi in lexicographic order. what names the walk in errors."""
     q = _unit_q(q, p)
-    if spec.kind != "GL" or spec.n != 2:
+    if spec.form is not None or spec.n != 2:
         raise ValueError("%s is only supported for GL(2)" % what)
     if p > 13:
         raise ValueError("%s is capped at p = 13" % what)
@@ -527,7 +512,7 @@ def _random_gsp4_stack(rng: np.random.Generator, spec: GroupSpec, p: int, count:
     g = torus[:, :, None] * eye
     for k, c in zip(range(3, 11), draws[:, 3:].T):  # all root vectors in the basis
         g = g @ ((eye + c[:, None, None] * spec.lie_basis[k]) % p) % p
-    return g, _similitude_inverse(g, mu, OMEGA4, p)
+    return g, _similitude_inverse(g, mu, spec.form, p)
 
 
 def _similitude_inverse(g, mu, omega: NDArray[np.int64], p: int) -> NDArray[np.int64]:
@@ -574,7 +559,7 @@ def stratum_sample(
     if orbit.parts is None:
         raise ValueError("stratum sampling needs a partition orbit label")
     rng = np.random.default_rng(seed)
-    if spec.kind == "GSp4":
+    if spec.form is not None:
         base = np.stack(_gsp4_base_point(spec, orbit.parts, q, p))
         g, ginv = _random_gsp4_stack(rng, spec, p, count)
         return (g[:, None] @ base % p) @ ginv[:, None] % p
@@ -737,7 +722,7 @@ def bundle_count_check(
     """
     q = _unit_q(q, p)
     _sample_count(samples, seed)
-    if spec.kind != "GL" or spec.n not in (2, 3):
+    if spec.form is not None or spec.n not in (2, 3):
         raise ValueError("bundle check supports GL(2) and GL(3)")
     quad = 0
     if spec.n == 2:
@@ -774,8 +759,9 @@ def bundle_count_check(
 def jordan_partition(n_mat, p: int) -> tuple[int, ...]:
     """Jordan type of a nilpotent matrix, as a descending partition.
 
-    #(parts >= k) equals rank(A^(k-1)) - rank(A^k); the partition is
-    read off from that staircase.
+    The rank drop rank(A^k) - rank(A^(k+1)) counts the parts larger than
+    k, so the partition is the conjugate of the drops: its i-th part is
+    the number of drops >= i.
     """
     a = kernels.as_field(n_mat, p)
     size = a.shape[0]
@@ -786,13 +772,8 @@ def jordan_partition(n_mat, p: int) -> tuple[int, ...]:
     while ranks[-1] > 0:
         power = power @ a % p
         ranks.append(kernels.rank_mod(power, p))
-    counts = [ranks[k] - ranks[k + 1] for k in range(len(ranks) - 1)]
-    parts = []
-    for size_k in range(1, len(counts) + 1):
-        mult = counts[size_k - 1] - (counts[size_k] if size_k < len(counts) else 0)
-        parts.extend([size_k] * mult)
-    parts.sort(reverse=True)
-    return tuple(parts)
+    drops = [ranks[k] - ranks[k + 1] for k in range(len(ranks) - 1)]
+    return tuple(sum(d >= i for d in drops) for i in range(1, max(drops, default=0) + 1))
 
 
 def conjugate_point(pt, g, p: int) -> NDArray[np.int64]:

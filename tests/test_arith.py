@@ -41,6 +41,8 @@ def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(49)
     assert is_prime(97)
+    # 7.0 == 7, but no float is a prime
+    assert not is_prime(7.0) and not is_prime(7.5)
 
 
 def test_qcontext_validation():

@@ -290,6 +290,13 @@ def test_certificate_rejects_p_past_the_int64_bound(p):
         epsilon_certificate(GL3, part(2, 1), 4, p)
 
 
+def test_certificate_rejects_p_of_another_type():
+    epsilon_certificate(GL3, part(2, 1), 4, 11)
+    for p in (11.0, 11.5, np.int64(11)):
+        with pytest.raises(CertificateError, match="^p must be an int, got "):
+            epsilon_certificate(GL3, part(2, 1), 4, p)
+
+
 def test_certificate_mark_placement_matters():
     # marking the boundary between the two singleton blocks still yields
     # a fully verified certificate, but the bound is too weak to conclude

@@ -545,6 +545,10 @@ def test_single_matrix_results_are_new_writable_arrays():
 #: moduli that are not primes: 9 = 3^2 has a residue, 3, with no inverse
 NOT_PRIME = (0, 1, 9)
 
+#: moduli of a type other than int: each is rejected even once p = 7 has
+#: been accepted, though 7.0 == 7 and hashes alike
+NOT_INT = (7.0, 7.5, np.int64(7))
+
 
 def test_single_matrix_kernels_reject_p_past_the_bound():
     # their int64 products of two residues are exact only up to P_MAX, and
@@ -556,6 +560,10 @@ def test_single_matrix_kernels_reject_p_past_the_bound():
         for p in NOT_PRIME:
             with pytest.raises(ValueError, match="^p must be prime$"):
                 fn(np.diag([3, 3]), p)
+        fn(np.eye(2, dtype=np.int64), 7)
+        for p in NOT_INT:
+            with pytest.raises(ValueError, match="^p must be an int, got "):
+                fn(np.eye(2, dtype=np.int64), p)
 
 
 def test_stack_kernels_reject_p_past_the_bound():
@@ -576,6 +584,11 @@ def test_stack_kernels_reject_p_past_the_bound():
     for p in NOT_PRIME:
         for call in calls:
             with pytest.raises(ValueError, match="^p must be prime$"):
+                call(np.diag([3, 3]), p)
+    for call in calls:
+        call(np.diag([3, 3]), 7)
+        for p in NOT_INT:
+            with pytest.raises(ValueError, match="^p must be an int, got "):
                 call(np.diag([3, 3]), p)
     # the largest prime within the bound is accepted, and exact
     a = [[TOP_P - 1, TOP_P - 2], [TOP_P - 3, TOP_P - 5]]

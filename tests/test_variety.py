@@ -64,30 +64,41 @@ def arr(rows):
 
 # ---------------------------------------------------------------- specs
 
-def test_group_specs_compare_by_kind_and_basis():
+def test_group_specs_compare_by_identity():
     assert GroupSpec.gl(3) == GroupSpec.gl(3)
-    assert GroupSpec.gl(3) == GroupSpec(kind="GL", lie_basis=GroupSpec.gl(3).lie_basis.copy())
     assert GroupSpec.gl(2) != GroupSpec.gl(3)
-    assert GroupSpec.gl(4) != GSP4  # same n, different kind and basis
+    assert GroupSpec.gl(4) != GSP4  # same n, different form and basis
     assert GroupSpec.gl(3) != "GL3"
     by_spec = {GroupSpec.gl(n): n for n in range(1, 5)} | {GSP4: "GSp4"}
     assert len(by_spec) == 5
     assert by_spec[GroupSpec.gl(3)] == 3 and by_spec[GroupSpec.gsp4()] == "GSp4"
-    assert hash(GroupSpec.gl(2)) == hash(GroupSpec(kind="GL", lie_basis=GL2.lie_basis.copy()))
+    # a spec built by hand is a spec of its own, however alike its fields
+    copy = GroupSpec(GL2.name, GL2.lie_basis, GL2.form)
+    assert copy != GL2 and copy == copy and copy not in {GL2}
+
+
+def test_group_specs_carry_their_name_and_form():
+    assert [GroupSpec.gl(n).name for n in range(1, 5)] == ["GL1", "GL2", "GL3", "GL4"]
+    assert all(GroupSpec.gl(n).form is None for n in range(1, 5))
+    assert GSP4.name == "GSp4" and np.array_equal(GSP4.form, OMEGA4)
+    assert np.array_equal(GroupSpec.gl(3).lie_basis.reshape(9, 9), np.eye(9, dtype=np.int64))
 
 
 def test_group_spec_keeps_its_own_read_only_basis():
-    # the key is built once, over a copy: a later write to the array the
-    # caller passed changes neither the spec's basis nor its hash
-    basis = GL2.lie_basis.copy()
-    spec = GroupSpec(kind="GL", lie_basis=basis)
-    before = hash(spec)
+    # the spec copies the arrays it is given: a later write to the caller's
+    # basis or form changes neither the spec's arrays nor its memberships
+    basis, form = GSP4.lie_basis.copy(), OMEGA4.copy()
+    spec = GroupSpec("GSp4", basis, form)
     basis[0, 0, 0] = 7
     basis[1] += 1
-    assert spec == GL2 and hash(spec) == before == hash(GL2)
-    assert np.array_equal(spec.lie_basis, GL2.lie_basis)
-    with pytest.raises(ValueError, match="read-only"):
-        spec.lie_basis[0, 0, 0] = 7
+    form[0, 3] = 2
+    assert np.array_equal(spec.lie_basis, GSP4.lie_basis)
+    assert np.array_equal(spec.form, OMEGA4)
+    t = np.diag(arr([3, 3, 1, 1]))
+    assert spec.is_group_element(t, 7) == GSP4.is_group_element(t, 7) is True
+    for a in (spec.lie_basis, spec.form):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0, ...] = 7
 
 
 def test_group_specs_are_built_once_with_a_read_only_basis():
@@ -148,7 +159,7 @@ def membership_cases(spec, q, p):
     """(phi, N, expected) triples over one group and one q: sampled points,
     and pairs that fail exactly one condition where q allows it."""
     n = spec.n
-    parts_list = ([(4,), (2, 2), (2, 1, 1), (1, 1, 1, 1)] if spec.kind == "GSp4"
+    parts_list = ([(4,), (2, 2), (2, 1, 1), (1, 1, 1, 1)] if spec.form is not None
                   else [pt for pt in PARTITIONS if sum(pt) == n])
     cases = []
     for parts in parts_list:
@@ -162,7 +173,7 @@ def membership_cases(spec, q, p):
     singular[-1, -1] = 0
     cases.append((singular, zero, False))
     # N^2 = 1 anticommutes with phi: solves the equation for q = -1 only
-    if spec.kind == "GSp4":
+    if spec.form is not None:
         phi = np.diag(arr([1, -1, -1, 1]))
         non_nilpotent = (spec.lie_basis[3] + spec.lie_basis[7]) % p
         cases.append((np.diag(arr([1, 2, 3, 4])), zero, False))  # not a similitude
@@ -708,11 +719,12 @@ GUARDED = [
     lambda p, q: nilpotency_redundancy_check(GL2, p, q),
     lambda p, q: stratum_sample(GL3, p, q, OrbitLabel.partition((2, 1)), 3),
     lambda p, q: bundle_count_check(GL2, p, q),
+    lambda p, q: bundle_count_check(GL3, p, q, samples=2),
     lambda p, q: tangent_matrix(GL2, EYE2, ZERO2, q, p),
     lambda p, q: tangent_dim(GL2, EYE2, ZERO2, q, p),
 ]
 GUARDED_IDS = ["enumerate_sg", "nilpotency_redundancy_check", "stratum_sample",
-               "bundle_count_check", "tangent_matrix", "tangent_dim"]
+               "bundle_count_check", "bundle_count_check-GL3", "tangent_matrix", "tangent_dim"]
 
 #: the library entry points that check p only: for these predicates a q
 #: divisible by p is one that fails
@@ -722,14 +734,21 @@ P_GUARDED = [
     lambda p: jordan_partition(ZERO2, p),
     lambda p: conjugate_point(np.stack([EYE2, ZERO2]), EYE2, p),
     lambda p: GL2.is_group_element(EYE2, p),
+    lambda p: GL2.in_lie_algebra(ZERO2, p),
+    lambda p: exp_nilpotent(ZERO2, p),
+    lambda p: log_unipotent(EYE2, p),
 ]
 P_GUARDED_IDS = ["sg_member", "exp_bridge_check", "jordan_partition", "conjugate_point",
-                 "is_group_element"]
+                 "is_group_element", "in_lie_algebra", "exp_nilpotent", "log_unipotent"]
 
 #: moduli no entry point takes, with the message each gets
 BAD_P = [(0, "^p must be prime$"), (1, "^p must be prime$"), (9, "^p must be prime$"),
          (759250133, "^p exceeds the int64-safe bound 759250125$"),  # first prime past P_MAX
          (2**61 - 1, "^p exceeds the int64-safe bound 759250125$")]
+
+#: p of a type other than int, which every entry point rejects even once
+#: p = 7 has been accepted: 7.0 == 7, and hashes alike
+NOT_INT_P = [(p, "^p must be an int, got ") for p in (7.0, 7.5, np.int64(7))]
 
 
 @pytest.fixture
@@ -748,17 +767,18 @@ def no_trial_division_past_the_bound(monkeypatch):
 
 @pytest.mark.parametrize("call", GUARDED, ids=GUARDED_IDS)
 def test_field_guard(call, no_trial_division_past_the_bound):
-    for p, message in BAD_P:
+    call(7, 2)
+    for p, message in BAD_P + NOT_INT_P:
         with pytest.raises(ValueError, match=message):
             call(p, 2)
 
 
 @pytest.mark.parametrize("call", P_GUARDED, ids=P_GUARDED_IDS)
 def test_p_only_guard(call, no_trial_division_past_the_bound):
-    for p, message in BAD_P:
+    call(7)  # a field, and q = 3 or no q at all: no error
+    for p, message in BAD_P + NOT_INT_P:
         with pytest.raises(ValueError, match=message):
             call(p)
-    call(7)  # a field, and q = 3 or no q at all: no error
 
 
 @pytest.mark.parametrize("call", [
@@ -1076,7 +1096,7 @@ def test_conjugate_point_keeps_samples_in_the_variety(case, pq, seed, data):
     p, q = pq
     pts = stratum_sample(spec, p, q, OrbitLabel.partition(parts), 1, seed=seed)
     assume(len(pts) > 0)
-    if spec.kind == "GSp4":
+    if spec.form is not None:
         g = _random_gsp4_stack(np.random.default_rng(seed + 1), spec, p, 1)[0][0]
     else:
         g = invertible(data, spec.n, p)
