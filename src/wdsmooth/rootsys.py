@@ -6,18 +6,20 @@ roots are generated by closing the simple roots under simple
 reflections, and live in simple-root coordinates: each root is its
 integer coefficient vector. Everything is exact integer arithmetic; the
 Euclidean models of the root systems serve as independent oracles in
-the tests. A Levi subdiagram is typed by matching its induced Cartan
-matrix with the standard ones, so each diagram is written down once.
+the tests. The Weyl invariants come from the Cartan matrix alone: the
+fundamental degrees from the root heights (Kostant), the Weyl order and
+the Coxeter number from the degrees. A Levi subdiagram is typed by
+matching its induced Cartan matrix with the standard ones, so each
+diagram is written down once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import prod
 
 __all__ = [
     "DynkinType",
-    "Edge",
     "RootSystem",
     "LeviSubset",
     "build_root_system",
@@ -80,20 +82,6 @@ _REDUCTIVE_OK = {("C", 2)}
 
 
 @dataclass(frozen=True)
-class Edge:
-    """Dynkin diagram bond between simple roots a and b.
-
-    multiplicity is 1, 2 or 3; short is the index of the short root at
-    the arrow head for multiple bonds, None for single bonds.
-    """
-
-    a: int
-    b: int
-    multiplicity: int
-    short: int | None = None
-
-
-@dataclass(frozen=True)
 class LeviSubset:
     """A subset of simple roots with its typed connected factors.
 
@@ -111,10 +99,7 @@ class RootSystem:
     dynkin_type: DynkinType
     positive_root_coords: tuple[tuple[int, ...], ...]
     cartan_matrix: tuple[tuple[int, ...], ...]
-    edges: tuple[Edge, ...]
     fundamental_degrees: tuple[int, ...]
-    coxeter_number: int
-    weyl_order: int
 
     @property
     def rank(self) -> int:
@@ -133,14 +118,19 @@ class RootSystem:
         """Dimension of the reductive Lie algebra: roots plus Cartan."""
         return 2 * len(self.positive_root_coords) + self.reductive_rank
 
+    @property
+    def weyl_order(self) -> int:
+        """The product of the fundamental degrees."""
+        return prod(self.fundamental_degrees)
+
+    @property
+    def coxeter_number(self) -> int:
+        """The largest fundamental degree; the degrees ascend."""
+        return self.fundamental_degrees[-1]
+
     def neighbors(self, i: int) -> tuple[int, ...]:
-        out = []
-        for e in self.edges:
-            if e.a == i:
-                out.append(e.b)
-            elif e.b == i:
-                out.append(e.a)
-        return tuple(sorted(out))
+        """The simple roots joined to a_i in the Dynkin diagram."""
+        return tuple(j for j, a in enumerate(self.cartan_matrix[i]) if a and j != i)
 
 
 def _cartan(family: str, rank: int) -> list[list[int]]:
@@ -168,38 +158,6 @@ def _cartan(family: str, rank: int) -> list[list[int]]:
         long, short, m = multiple[family]
         cartan[long][short] = -m
     return cartan
-
-
-def _degrees(family: str, rank: int) -> tuple[int, ...]:
-    if family == "A":
-        return tuple(range(2, rank + 2))
-    if family in ("B", "C"):
-        return tuple(range(2, 2 * rank + 1, 2))
-    if family == "D":
-        return tuple(sorted(list(range(2, 2 * rank - 1, 2)) + [rank]))
-    return {
-        ("E", 6): (2, 5, 6, 8, 9, 12),
-        ("E", 7): (2, 6, 8, 10, 12, 14, 18),
-        ("E", 8): (2, 8, 12, 14, 18, 20, 24, 30),
-        ("F", 4): (2, 6, 8, 12),
-        ("G", 2): (2, 6),
-    }[(family, rank)]
-
-
-def _weyl_order(family: str, rank: int) -> int:
-    if family == "A":
-        return factorial(rank + 1)
-    if family in ("B", "C"):
-        return 2**rank * factorial(rank)
-    if family == "D":
-        return 2 ** (rank - 1) * factorial(rank)
-    return {
-        ("E", 6): 51840,
-        ("E", 7): 2903040,
-        ("E", 8): 696729600,
-        ("F", 4): 1152,
-        ("G", 2): 12,
-    }[(family, rank)]
 
 
 def _generate_roots(cartan: list[list[int]], rank: int) -> list[tuple[int, ...]]:
@@ -234,45 +192,23 @@ _CACHE: dict[DynkinType, RootSystem] = {}
 def build_root_system(t: DynkinType) -> RootSystem:
     """Construct the full root datum for a Dynkin type.
 
-    The construction validates the stored degree and Weyl-order tables
-    against the root count identities before returning.
+    The fundamental degrees are the exponents plus one, read off the
+    root heights: with c_k positive roots of height k, the exponent k
+    occurs c_k - c_(k+1) times (Kostant; Humphreys, Reflection Groups
+    and Coxeter Groups, 3.20).
     """
     if t in _CACHE:
         return _CACHE[t]
-    n = t.rank
-    cartan = _cartan(t.family, n)
-    coords = _generate_roots(cartan, n)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if cartan[i][j] != 0:
-                mult = cartan[i][j] * cartan[j][i]
-                short: int | None = None
-                if mult > 1:
-                    # entry 2(a_i, a_j)/(a_j, a_j) is large when a_j is short
-                    short = j if abs(cartan[i][j]) > 1 else i
-                edges.append(Edge(i, j, mult, short))
-    degrees = _degrees(t.family, t.rank)
-    worder = _weyl_order(t.family, t.rank)
-    npos = len(coords)
-    h = 2 * npos // n
-    if max(degrees) != h:
-        raise AssertionError("degree table disagrees with Coxeter number")
-    if sum(d - 1 for d in degrees) != npos:
-        raise AssertionError("degree table disagrees with root count")
-    prod = 1
-    for d in degrees:
-        prod *= d
-    if prod != worder:
-        raise AssertionError("Weyl order disagrees with degree product")
+    cartan = _cartan(t.family, t.rank)
+    coords = _generate_roots(cartan, t.rank)
+    heights = [sum(c) for c in coords]
+    count = [heights.count(k) for k in range(heights[-1] + 2)]
+    degrees = [k + 1 for k in range(1, heights[-1] + 1) for _ in range(count[k] - count[k + 1])]
     rs = RootSystem(
         dynkin_type=t,
         positive_root_coords=tuple(coords),
         cartan_matrix=tuple(tuple(row) for row in cartan),
-        edges=tuple(edges),
         fundamental_degrees=tuple(degrees),
-        coxeter_number=h,
-        weyl_order=worder,
     )
     _CACHE[t] = rs
     return rs
@@ -289,7 +225,7 @@ def _identify_component(rs: RootSystem, nodes: list[int]) -> tuple[DynkinType, t
     candidate; C comes before B, so a two-node double bond reads as C2.
     """
     cartan = rs.cartan_matrix
-    adj = {v: [w for w in nodes if w != v and cartan[v][w]] for v in nodes}
+    adj = {v: [w for w in rs.neighbors(v) if w in nodes] for v in nodes}
 
     def walk(prev: int | None, cur: int) -> list[int]:
         out = [cur]

@@ -40,8 +40,9 @@ scan, GL(2) bundle check) stop at p = 13.
 p must be a prime <= ``kernels.P_MAX``. Every entry point checks it
 through ``kernels.as_field``, which reduces its matrices, or, when it
 takes q, first through ``_unit_q``, which also rejects a q divisible
-by p; ``sg_member`` and ``exp_bridge_check`` reduce q as it is, since
-for them a non-unit q is just one that fails.
+by p. q must be a Python int, like p; ``sg_member`` and
+``exp_bridge_check`` check its type and reduce it as it is, since for
+them a non-unit q is just one that fails.
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ def sg_member(spec: GroupSpec, phi, n_mat, q: int, p: int):
     """
     phi = kernels.as_field(phi, p)
     n_mat = kernels.as_field(n_mat, p)
-    q = q % p
+    q = _reduce_q(q, p)
 
     def mask(phis, ns):
         return (spec._group_mask(phis, p) & spec._lie_mask(ns, p) & _is_nilpotent(ns, p)
@@ -237,10 +238,19 @@ def sg_member(spec: GroupSpec, phi, n_mat, q: int, p: int):
     return _per_matrix(spec.n, mask, phi, n_mat)
 
 
+def _reduce_q(q: int, p: int) -> int:
+    """q reduced mod p; raises unless q is a Python int (3.0 would make
+    float arrays, and 3.5 fail deep inside)."""
+    if type(q) is not int:
+        raise ValueError("q must be an int, got %r" % (q,))
+    return q % p
+
+
 def _unit_q(q: int, p: int) -> int:
-    """q reduced mod p; raises unless p is a prime <= P_MAX and q a unit."""
+    """q reduced mod p; raises unless p is a prime <= P_MAX and q an int
+    that is a unit."""
     kernels._check_p(p)
-    q = q % p
+    q = _reduce_q(q, p)
     if q == 0:
         raise ValueError("q must be a unit mod p")
     return q
@@ -252,9 +262,13 @@ _MAX_SAMPLES = 10_000
 
 
 def _sample_count(count: int, seed: int) -> None:
-    """Reject a sample count outside [1, _MAX_SAMPLES], and a negative
-    seed: numpy's generator rejects one without naming the seed, and the
-    GL(2) bundle branch, which samples nothing, would ignore it."""
+    """Reject a sample count that is not an int in [1, _MAX_SAMPLES], and
+    a seed that is not a non-negative int: numpy's generator rejects one
+    without naming the seed, and the GL(2) bundle branch, which samples
+    nothing, would ignore it."""
+    for name, value in (("samples", count), ("seed", seed)):
+        if type(value) is not int:
+            raise ValueError("%s must be an int, got %r" % (name, value))
     if count < 1:
         raise ValueError("samples must be positive")
     if count > _MAX_SAMPLES:
@@ -684,9 +698,12 @@ def exp_bridge_check(phi, n_mat, q: int, p: int):
     both and returns a bool array."""
     phi = kernels.as_field(phi, p)
     n_mat = kernels.as_field(n_mat, p)
+    q = _reduce_q(q, p)
+    if phi.shape != n_mat.shape:
+        raise ValueError("phi must have N's shape %s, got %s" % (n_mat.shape, phi.shape))
     sigma = exp_nilpotent(n_mat, p)
     ok = (log_unipotent(sigma, p) == n_mat).all(axis=(-2, -1))
-    rhs = kernels.matpow_mod(sigma, q % p, p) @ phi % p
+    rhs = kernels.matpow_mod(sigma, q, p) @ phi % p
     ok &= (phi @ sigma % p == rhs).all(axis=(-2, -1))
     return bool(ok) if ok.ndim == 0 else ok
 
@@ -764,6 +781,8 @@ def jordan_partition(n_mat, p: int) -> tuple[int, ...]:
     the number of drops >= i.
     """
     a = kernels.as_field(n_mat, p)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("N must have shape (n, n), got %s" % (a.shape,))
     size = a.shape[0]
     if not _is_nilpotent(a, p):
         raise ValueError("matrix is not nilpotent")

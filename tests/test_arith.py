@@ -112,6 +112,23 @@ def test_sp6_order_formula():
     assert chevalley_steinberg_order(sp6, 3) == 9170703360
 
 
+# |G(F_2)| for the exceptional types, as the ATLAS lists them: the simple
+# groups F4(2), E6(2), E7(2) and E8(2), and G2(2), which has U3(3) as a
+# subgroup of index 2; nothing else pins an exceptional group order
+EXCEPTIONAL_ORDERS_AT_2 = {
+    "G2": 12_096,
+    "F4": 3_311_126_603_366_400,
+    "E6": 214_841_575_522_005_575_270_400,
+    "E7": 7_997_476_042_075_799_759_100_487_262_680_802_918_400,
+    "E8": 337_804_753_143_634_806_261_388_190_614_085_595_079_991_692_242_467_651_576_160_959_909_068_800_000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXCEPTIONAL_ORDERS_AT_2))
+def test_exceptional_group_orders_at_q_2(name):
+    assert chevalley_steinberg_order(rs_of(name), 2) == EXCEPTIONAL_ORDERS_AT_2[name]
+
+
 def test_central_torus_factor():
     # GL_n order = SL_n order times (q - 1)
     gl3, sl3 = rs_of("GL3"), rs_of("SL3")

@@ -297,6 +297,14 @@ def test_certificate_rejects_p_of_another_type():
             epsilon_certificate(GL3, part(2, 1), 4, p)
 
 
+def test_certificate_rejects_q_of_another_type():
+    # 4.0 failed in pow() with a TypeError, deep inside the base point
+    for q in (4.0, 4.5, np.int64(4)):
+        for build in (build_phi0, epsilon_certificate):
+            with pytest.raises(CertificateError, match="^q must be an int, got "):
+                build(GL3, part(2, 1), q, 11)
+
+
 def test_certificate_mark_placement_matters():
     # marking the boundary between the two singleton blocks still yields
     # a fully verified certificate, but the bound is too weak to conclude

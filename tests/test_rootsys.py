@@ -68,9 +68,22 @@ def euclid_full_roots(family, rank):
 
 
 def bourbaki_simple_roots(family, rank):
-    """Simple roots in the coordinates of euclid_full_roots."""
+    """Simple roots in the coordinates of euclid_full_roots; for E and F,
+    which have no such model here, Bourbaki's (plates V-VIII) scaled by 2
+    to integer coordinates. E6 and E7 are spanned by E8's first 6 and 7."""
     if family == "G":
         return [(1, -1, 0), (-2, 1, 1)]
+    if family == "F":
+        return [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
+    if family == "E":
+        # 2 a_1 = e1 - e2 - ... - e7 + e8, 2 a_2 = 2(e1 + e2), and
+        # 2 a_k = 2(e_(k-1) - e_(k-2)) for k >= 3
+        out = [(1, -1, -1, -1, -1, -1, -1, 1), (2, 2, 0, 0, 0, 0, 0, 0)]
+        for k in range(3, rank + 1):
+            v = [0] * 8
+            v[k - 2], v[k - 3] = 2, -2
+            out.append(tuple(v))
+        return out
     n = rank + 1 if family == "A" else rank
     out = []
     for i in range(n - 1):
@@ -155,13 +168,41 @@ def test_weyl_order_by_generation(family, rank):
     assert weyl_order_bruteforce(rs) == rs.weyl_order
 
 
-@pytest.mark.parametrize(
-    "family,rank",
-    [("A", 4), ("B", 4), ("C", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)],
-)
+ALL_TYPES = [(f, r) for f, (lo, hi) in sorted(_RANK_RULES.items()) for r in range(lo, hi + 1)]
+
+
+def plate_degrees(family, rank):
+    """The fundamental degrees of Bourbaki's plates I-IX: closed forms for
+    A-D, the listed values for E, F and G."""
+    if family == "A":
+        return tuple(range(2, rank + 2))
+    if family in ("B", "C"):
+        return tuple(range(2, 2 * rank + 1, 2))
+    if family == "D":
+        return tuple(sorted([*range(2, 2 * rank - 1, 2), rank]))
+    return {
+        ("E", 6): (2, 5, 6, 8, 9, 12),
+        ("E", 7): (2, 6, 8, 10, 12, 14, 18),
+        ("E", 8): (2, 8, 12, 14, 18, 20, 24, 30),
+        ("F", 4): (2, 6, 8, 12),
+        ("G", 2): (2, 6),
+    }[family, rank]
+
+
+#: the Weyl group orders of the plates, for the exceptional types
+EXCEPTIONAL_WEYL_ORDERS = {("E", 6): 51_840, ("E", 7): 2_903_040, ("E", 8): 696_729_600,
+                           ("F", 4): 1_152, ("G", 2): 12}
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
 def test_degree_identities(family, rank):
+    # the degrees are read off the root heights, the Weyl order and the
+    # Coxeter number off the degrees: the plates are the oracle
     rs = build_root_system(DynkinType(family, rank))
     degs = rs.fundamental_degrees
+    assert degs == plate_degrees(family, rank)
+    if (family, rank) in EXCEPTIONAL_WEYL_ORDERS:
+        assert rs.weyl_order == EXCEPTIONAL_WEYL_ORDERS[family, rank]
     assert len(degs) == rank
     assert sum(d - 1 for d in degs) == rs.num_positive_roots
     prod = 1
@@ -186,13 +227,25 @@ def test_cartan_matrix_shape():
     cm = rs.cartan_matrix
     assert all(cm[i][i] == 2 for i in range(4))
     assert all(cm[i][j] <= 0 for i in range(4) for j in range(4) if i != j)
-    # one double bond in the middle of the F4 diagram
-    mults = sorted(e.multiplicity for e in rs.edges)
+    # one double bond in the middle of the F4 diagram: a bond's
+    # multiplicity is the product of its two Cartan entries
+    mults = sorted(cm[i][j] * cm[j][i] for i in range(4) for j in range(i + 1, 4) if cm[i][j])
     assert mults == [1, 1, 2]
 
 
-# Bourbaki plates V-VIII; nothing else checks the exceptional matrices
-# entry by entry
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_neighbors_join_simple_roots_that_are_not_orthogonal(family, rank):
+    rs = build_root_system(DynkinType(family, rank))
+    simples = bourbaki_simple_roots(family, rank)
+    assert rs.cartan_matrix == tuple(
+        tuple(2 * dot(a, b) // dot(b, b) for b in simples) for a in simples
+    )
+    for i, a in enumerate(simples):
+        assert rs.neighbors(i) == tuple(j for j, b in enumerate(simples)
+                                        if j != i and dot(a, b) != 0)
+
+
+# Bourbaki plates V-VIII, pinned entry by entry
 EXCEPTIONAL_CARTAN = {
     ("E", 6): (
         (2, 0, -1, 0, 0, 0),

@@ -1,6 +1,7 @@
 """Exact matrix models: membership, tangents, enumeration, bundle counts."""
 
 import functools
+import re
 from collections import Counter
 
 import numpy as np
@@ -750,6 +751,11 @@ BAD_P = [(0, "^p must be prime$"), (1, "^p must be prime$"), (9, "^p must be pri
 #: p = 7 has been accepted: 7.0 == 7, and hashes alike
 NOT_INT_P = [(p, "^p must be an int, got ") for p in (7.0, 7.5, np.int64(7))]
 
+#: a q, sample count or seed of a type other than int, which every entry
+#: point that takes one rejects: 3.0 made float arrays, 3.5 failed deep
+#: inside, and np.int64(3) passed
+NOT_INT = (3.0, 3.5, np.int64(3))
+
 
 @pytest.fixture
 def no_trial_division_past_the_bound(monkeypatch):
@@ -795,6 +801,10 @@ def test_sample_count_guard(call):
     for n in (10_001, 1_000_000_000):
         with pytest.raises(ValueError, match="samples must be at most 10000"):
             call(n)
+    # a float count ended in a numpy TypeError, and a numpy integer passed
+    for n in NOT_INT:
+        with pytest.raises(ValueError, match="^samples must be an int, got "):
+            call(n)
 
 
 @pytest.mark.parametrize("call", [
@@ -809,6 +819,9 @@ def test_negative_seed_guard(call):
     for seed in (-1, -2**70):
         with pytest.raises(ValueError, match="^seed must be non-negative$"):
             call(seed)
+    for seed in NOT_INT:
+        with pytest.raises(ValueError, match="^seed must be an int, got "):
+            call(seed)
     call(0)
 
 
@@ -817,6 +830,22 @@ def test_unit_q_guard(call):
     for q in (0, 7, -14):
         with pytest.raises(ValueError, match="q must be a unit mod p"):
             call(7, q)
+    for q in NOT_INT:
+        with pytest.raises(ValueError, match="^q must be an int, got "):
+            call(7, q)
+
+
+@pytest.mark.parametrize("call", [
+    lambda q: sg_member(GL2, EYE2, ZERO2, q, 7),
+    lambda q: exp_bridge_check(EYE2, ZERO2, q, 7),
+], ids=["sg_member", "exp_bridge_check"])
+def test_q_type_guard_of_the_predicates(call):
+    # at N = 0 a non-unit q is reduced as it is and holds; q of another
+    # type is refused
+    assert call(3) is True and call(0) is True
+    for q in NOT_INT:
+        with pytest.raises(ValueError, match="^q must be an int, got "):
+            call(q)
 
 
 def brute_force_solutions(p, q):
@@ -993,6 +1022,15 @@ def test_exp_and_log_on_stacks_and_non_square_input():
                 func(bad, 11)
 
 
+def test_exp_bridge_rejects_phi_and_n_of_unequal_shapes():
+    eye3 = np.eye(3, dtype=np.int64)
+    for phi, n_mat in ((eye3, ZERO2), (EYE2, np.zeros((3, 3), dtype=np.int64)),
+                       (np.stack([EYE2, EYE2]), ZERO2)):
+        with pytest.raises(ValueError, match="^phi must have N's shape %s, got %s$"
+                           % (re.escape(str(n_mat.shape)), re.escape(str(phi.shape)))):
+            exp_bridge_check(phi, n_mat, 3, 7)
+
+
 # -------------------------------------------------------------------- bundle
 
 def test_bundle_gl2_exhaustive():
@@ -1063,6 +1101,14 @@ def test_jordan_partition():
     assert jordan_partition(j, 7) == (2, 1)
     full = arr([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     assert jordan_partition(full, 7) == (3,)
+
+
+def test_jordan_partition_rejects_a_non_square_matrix():
+    for bad in (np.zeros((2, 3), dtype=np.int64), np.zeros((2, 2, 2), dtype=np.int64),
+                np.zeros(3, dtype=np.int64)):
+        with pytest.raises(ValueError, match="^N must have shape \\(n, n\\), got %s$"
+                           % re.escape(str(bad.shape))):
+            jordan_partition(bad, 7)
 
 
 PARTITIONS = [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1),
