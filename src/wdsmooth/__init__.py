@@ -35,7 +35,6 @@ from .certificates import (
     epsilon_certificate,
 )
 from .orbits import (
-    GradingDims,
     OrbitLabel,
     UnsupportedTypeError,
     WeightedDynkinDiagram,
@@ -43,7 +42,6 @@ from .orbits import (
     classical_orbits,
     distinguished_table,
     exposed_root_sweep,
-    f4_levi_table,
     grading_dims,
     is_distinguished,
     is_very_even,
@@ -95,7 +93,6 @@ __all__ = [
     "EpsilonCertificate",
     "build_phi0",
     "epsilon_certificate",
-    "GradingDims",
     "OrbitLabel",
     "UnsupportedTypeError",
     "WeightedDynkinDiagram",
@@ -103,7 +100,6 @@ __all__ = [
     "classical_orbits",
     "distinguished_table",
     "exposed_root_sweep",
-    "f4_levi_table",
     "grading_dims",
     "is_distinguished",
     "is_very_even",

@@ -27,6 +27,14 @@ __all__ = [
 ]
 
 
+def _check_int(name: str, value) -> None:
+    """Raise ValueError unless value is a Python int: group orders of a
+    float q are computed in floating point, and those of a numpy integer
+    wrap at 2^63 without a warning."""
+    if type(value) is not int:
+        raise ValueError("%s must be an int, got %r" % (name, value))
+
+
 def is_prime(n: int) -> bool:
     if not isinstance(n, Integral) or n < 2:  # 7.0 and 7.5 are not primes
         return False
@@ -67,6 +75,8 @@ class QContext:
     l: int = 0
 
     def __post_init__(self) -> None:
+        _check_int("q", self.q)
+        _check_int("l", self.l)
         if not _is_prime_power(self.q):
             raise ValueError("q must be a prime power >= 2, got %r" % (self.q,))
         if self.l != 0:
@@ -78,6 +88,8 @@ class QContext:
 
 def multiplicative_order(q: int, l: int) -> int:
     """Order of q in (Z/l)^*, for l prime not dividing q."""
+    _check_int("q", q)
+    _check_int("l", l)
     if not is_prime(l):
         raise ValueError("l must be a prime, got %r" % (l,))
     if q % l == 0:
@@ -112,6 +124,7 @@ def chevalley_steinberg_order(rs: RootSystem, q: int) -> int:
     q^{#positive roots} * prod over fundamental degrees d of (q^d - 1),
     with one extra factor (q - 1) per central torus dimension.
     """
+    _check_int("q", q)
     if q < 2:
         raise ValueError("q must be at least 2")
     order = q ** rs.num_positive_roots
@@ -124,6 +137,7 @@ def chevalley_steinberg_order(rs: RootSystem, q: int) -> int:
 def is_banal(l: int, rs: RootSystem, q: int) -> bool:
     """True when the prime l does not divide the group order over F_q. In
     characteristic l = 0, as for ``is_considerate``, it is always true."""
+    _check_int("l", l)
     if l != 0 and not is_prime(l):
         raise ValueError("l must be 0 or a prime, got %r" % (l,))
     order = chevalley_steinberg_order(rs, q)  # which checks q, also at l = 0

@@ -44,6 +44,7 @@ from .arith import (
 from .classifier import classify_component, classify_product
 from .certificates import CertificateError, epsilon_certificate
 from .orbits import (
+    PROVENANCE,
     OrbitLabel,
     classical_orbits,
     distinguished_table,
@@ -55,7 +56,6 @@ from .orbits import (
     weighted_dynkin,
 )
 from .rootsys import RootSystem, build_root_system, parse_group
-from .tables import PROVENANCE
 from .variety import (
     GroupSpec,
     bundle_count_check,
@@ -178,7 +178,7 @@ def _wdd(args) -> tuple[dict, str | None]:
     gd = grading_dims(rs, w)
     results = {
         "weights": list(w.labels),
-        "grading": {str(k): v for k, v in sorted(gd.as_dict().items())},
+        "grading": {str(k): v for k, v in gd.items()},
         "order_bound": smooth_bound_r(gd),
         "distinguished": is_distinguished(rs, o),
         "zero": is_zero_orbit(rs, o),

@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .arith import is_prime
+from .arith import _check_int, is_prime
 
 #: Largest modulus whose int64 matrix products stay exact. The longest
 #: inner product the package forms in int64 has K = 16 terms (a
@@ -147,8 +147,7 @@ def _rref(mat: NDArray[np.int64], p: int, full: bool = True
 def _check_p(p: int) -> None:
     """Raise ValueError unless p is a Python int that is a prime <= P_MAX;
     a p that passed is kept, so a repeat costs one set lookup."""
-    if type(p) is not int:  # 7.0 == 7 would find 7 in the set
-        raise ValueError("p must be an int, got %r" % (p,))
+    _check_int("p", p)  # 7.0 == 7 would find 7 in the set
     if p in _PRIMES:
         return
     if p > P_MAX:  # first, so that no trial division runs past sqrt(P_MAX) < 27,555

@@ -3,8 +3,9 @@
 Classical orbits are partitions with the usual parity constraints
 (orthogonal types: even parts with even multiplicity; symplectic: odd
 parts with even multiplicity). Weighted diagrams come from sorting the
-sl2 weight multiset of the partition; exceptional distinguished diagrams
-are stored in tables.py.
+sl2 weight multiset of the partition. The distinguished diagrams of E6
+and E7 are the only stored ones, kept below with their citation; the
+tests check the computed D and F4 Levi diagrams against Carter's rows.
 """
 
 from __future__ import annotations
@@ -12,13 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from . import tables
 from .rootsys import DynkinType, LeviSubset, RootSystem, build_root_system, levi_factors
 
 __all__ = [
     "OrbitLabel",
     "WeightedDynkinDiagram",
-    "GradingDims",
     "UnsupportedTypeError",
     "classical_orbits",
     "is_distinguished",
@@ -27,13 +26,42 @@ __all__ = [
     "validate_orbit",
     "weighted_dynkin",
     "distinguished_table",
-    "f4_levi_table",
     "grading_dims",
     "check_distinguished_criterion",
     "exposed_roots",
     "exposed_root_sweep",
     "smooth_bound_r",
 ]
+
+
+#: source citations for the diagram rows, keyed by table name; every
+#: report's provenance block lists them. "E6" and "E7" cite _EXCEPTIONAL;
+#: "D" and "F4-Levi" cite the rows the tests check the computed diagrams
+#: against
+PROVENANCE = {
+    "D": "Carter, Finite Groups of Lie Type (1985), pp. 174-175",
+    "E6": "Carter, Finite Groups of Lie Type (1985), p. 176",
+    "E7": "Carter, Finite Groups of Lie Type (1985), p. 176",
+    "F4-Levi": "Carter, Finite Groups of Lie Type (1985), pp. 174-175",
+}
+
+#: distinguished orbits of E6 and E7 in Carter's order, keyed by
+#: DynkinType.name: orbit name -> labels on alpha_1..alpha_rank
+_EXCEPTIONAL: dict[str, dict[str, tuple[int, ...]]] = {
+    "E6": {
+        "E6": (2, 2, 2, 2, 2, 2),
+        "E6(a1)": (2, 2, 2, 0, 2, 2),
+        "E6(a2)": (2, 0, 0, 2, 0, 2),
+    },
+    "E7": {
+        "E7": (2, 2, 2, 2, 2, 2, 2),
+        "E7(a1)": (2, 2, 2, 0, 2, 2, 2),
+        "E7(a2)": (2, 2, 2, 0, 2, 0, 2),
+        "E7(a3)": (2, 0, 0, 2, 0, 2, 2),
+        "E7(a4)": (2, 0, 0, 2, 0, 0, 2),
+        "E7(a5)": (0, 0, 0, 2, 0, 0, 2),
+    },
+}
 
 
 class UnsupportedTypeError(ValueError):
@@ -85,36 +113,6 @@ class WeightedDynkinDiagram:
     def __post_init__(self) -> None:
         if any(l not in (0, 1, 2) for l in self.labels):
             raise ValueError("weighted diagram labels must lie in {0, 1, 2}")
-
-
-class GradingDims:
-    """Dimensions of the integer eigenspaces of ad(lambda) on g.
-
-    dims maps the weight i to dim g(lambda, i); weights with dimension
-    zero are absent. The Cartan contributes to weight 0.
-    """
-
-    def __init__(self, dims: Mapping[int, int]):
-        self._dims = {int(k): int(v) for k, v in dims.items() if v}
-
-    def dim(self, i: int) -> int:
-        return self._dims.get(i, 0)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._dims))
-
-    def total(self) -> int:
-        return sum(self._dims.values())
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(sorted(self._dims.items()))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GradingDims) and self._dims == other._dims
-
-    def __repr__(self) -> str:
-        return "GradingDims(%r)" % (self.as_dict(),)
 
 
 def _orbit_size(t: DynkinType) -> int:
@@ -192,10 +190,8 @@ def validate_orbit(rs: RootSystem, o: OrbitLabel) -> None:
     if o.name is not None:
         if o.name == "0":
             return
-        if t.family == "E":
-            names = [name for name, _ in _exceptional_rows(t)]
-            if o.name in names:
-                return
+        if t.family == "E" and o.name in _exceptional_rows(t):
+            return
         raise ValueError("unknown orbit name %r for %s" % (o.name, t.name))
     assert o.parts is not None
     n = _orbit_size(t)
@@ -248,10 +244,7 @@ def weighted_dynkin(rs: RootSystem, o: OrbitLabel) -> WeightedDynkinDiagram:
     if o.name == "0":
         return WeightedDynkinDiagram(labels=(0,) * t.rank)
     if o.name is not None:
-        for name, labels in _exceptional_rows(t):
-            if name == o.name:
-                return WeightedDynkinDiagram(labels=labels)
-        raise ValueError("unknown orbit name %r" % (o.name,))
+        return WeightedDynkinDiagram(labels=_EXCEPTIONAL[t.name][o.name])
     parts = o.parts
     assert parts is not None
     weights = sorted(_sl2_weights(parts), reverse=True)
@@ -273,11 +266,9 @@ def weighted_dynkin(rs: RootSystem, o: OrbitLabel) -> WeightedDynkinDiagram:
     return WeightedDynkinDiagram(labels=labels)
 
 
-def _exceptional_rows(t: DynkinType) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    if t.family == "E" and t.rank == 6:
-        return tables.E6_TABLE
-    if t.family == "E" and t.rank == 7:
-        return tables.E7_TABLE
+def _exceptional_rows(t: DynkinType) -> dict[str, tuple[int, ...]]:
+    if t.name in _EXCEPTIONAL:
+        return _EXCEPTIONAL[t.name]
     raise UnsupportedTypeError(
         "no stored distinguished table for type %s" % (t.name,)
     )
@@ -293,24 +284,16 @@ def distinguished_table(t: DynkinType) -> list[tuple[OrbitLabel, WeightedDynkinD
             for o in classical_orbits(rs)
             if is_distinguished(rs, o)
         ]
-    rows = _exceptional_rows(t)
     return [
         (OrbitLabel.named(name), WeightedDynkinDiagram(labels=labels))
-        for name, labels in rows
+        for name, labels in _exceptional_rows(t).items()
     ]
 
 
-def f4_levi_table() -> list[tuple[str, DynkinType, WeightedDynkinDiagram]]:
-    """The stored distinguished diagrams for the non-A Levi types of F4."""
-    out = []
-    for label, tname, labels in tables.F4_LEVI_TABLE:
-        dt = DynkinType(tname[0], int(tname[1:]))
-        out.append((label, dt, WeightedDynkinDiagram(labels=labels)))
-    return out
-
-
-def grading_dims(rs: RootSystem, w: WeightedDynkinDiagram) -> GradingDims:
-    """Eigenspace dimensions of the cocharacter grading on g.
+def grading_dims(rs: RootSystem, w: WeightedDynkinDiagram) -> dict[int, int]:
+    """Eigenspace dimensions of the cocharacter grading on g: the weight
+    i -> dim g(lambda, i), in increasing i, for the weights whose
+    dimension is nonzero.
 
     A root gamma = sum c_i alpha_i sits in weight sum c_i w_i; the
     Cartan (of the full reductive rank) sits in weight 0.
@@ -322,7 +305,7 @@ def grading_dims(rs: RootSystem, w: WeightedDynkinDiagram) -> GradingDims:
         level = sum(c * l for c, l in zip(coords, w.labels))
         dims[level] = dims.get(level, 0) + 1
         dims[-level] = dims.get(-level, 0) + 1
-    return GradingDims(dims)
+    return dict(sorted(dims.items()))
 
 
 def _levi_root_levels(
@@ -408,11 +391,9 @@ def exposed_root_sweep(ambients: Iterable[RootSystem]) -> list[tuple[str, tuple[
     return violations
 
 
-def smooth_bound_r(gd: GradingDims) -> int:
-    """Sharpened order bound: one more than the top nonzero even level,
-    halved. Equals the Coxeter number exactly for the regular orbit."""
-    top = 0
-    for i in gd.support:
-        if i > 0 and i % 2 == 0:
-            top = max(top, i)
+def smooth_bound_r(gd: Mapping[int, int]) -> int:
+    """Sharpened order bound from a grading as ``grading_dims`` gives it:
+    one more than the top nonzero even level, halved. Equals the Coxeter
+    number exactly for the regular orbit."""
+    top = max((i for i in gd if i > 0 and i % 2 == 0), default=0)
     return 1 + top // 2

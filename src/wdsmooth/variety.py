@@ -55,6 +55,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import kernels
+from .arith import _check_int
 from .orbits import OrbitLabel
 
 __all__ = [
@@ -241,8 +242,7 @@ def sg_member(spec: GroupSpec, phi, n_mat, q: int, p: int):
 def _reduce_q(q: int, p: int) -> int:
     """q reduced mod p; raises unless q is a Python int (3.0 would make
     float arrays, and 3.5 fail deep inside)."""
-    if type(q) is not int:
-        raise ValueError("q must be an int, got %r" % (q,))
+    _check_int("q", q)
     return q % p
 
 
@@ -266,9 +266,8 @@ def _sample_count(count: int, seed: int) -> None:
     a seed that is not a non-negative int: numpy's generator rejects one
     without naming the seed, and the GL(2) bundle branch, which samples
     nothing, would ignore it."""
-    for name, value in (("samples", count), ("seed", seed)):
-        if type(value) is not int:
-            raise ValueError("%s must be an int, got %r" % (name, value))
+    _check_int("samples", count)
+    _check_int("seed", seed)
     if count < 1:
         raise ValueError("samples must be positive")
     if count > _MAX_SAMPLES:

@@ -11,7 +11,7 @@ from collections import Counter
 
 import numpy as np
 
-from wdsmooth import tables
+from diagram_rows import D_ROWS, F4_LEVI_ROWS
 from wdsmooth.arith import (
     QContext,
     chevalley_steinberg_order,
@@ -24,11 +24,11 @@ from wdsmooth.certificates import epsilon_certificate
 from wdsmooth.cli import main as cli_main
 from wdsmooth.orbits import (
     OrbitLabel,
+    WeightedDynkinDiagram,
     check_distinguished_criterion,
     classical_orbits,
     distinguished_table,
     exposed_root_sweep,
-    f4_levi_table,
     grading_dims,
     is_distinguished,
     weighted_dynkin,
@@ -59,16 +59,18 @@ def classical_systems(rank_max):
 
 
 def test_criterion_01_table_fidelity():
-    # computed diagrams for the distinguished D-orbits match the stored
-    # rows exactly, and the stored exceptional tables satisfy the
-    # structural invariants of distinguished diagrams
+    # computed diagrams for the distinguished D-orbits and the F4 Levi
+    # factors match Carter's rows exactly, and the stored exceptional
+    # tables satisfy the structural invariants of distinguished diagrams
     total_d_rows = 0
-    for rank, rows in sorted(tables.D_TABLE.items()):
+    for rank, rows in sorted(D_ROWS.items()):
         rs = build_root_system(DynkinType("D", rank))
-        for parts, labels in rows:
+        for parts, labels in rows.items():
             computed = weighted_dynkin(rs, OrbitLabel.partition(parts))
             assert computed.labels == labels, (rank, parts)
             total_d_rows += 1
+        table = distinguished_table(DynkinType("D", rank))
+        assert {o.parts: diag.labels for o, diag in table} == rows, rank
     assert total_d_rows == 10  # 2 + 2 + 3 + 3 rows across the four ranks
 
     for tname, nrows in (("E6", 3), ("E7", 6)):
@@ -79,14 +81,16 @@ def test_criterion_01_table_fidelity():
         for orbit, diag in rows:
             assert set(diag.labels) <= {0, 2}, str(orbit)
             gd = grading_dims(rs, diag)
-            assert gd.dim(1) == 0, str(orbit)
+            assert gd.get(1, 0) == 0, str(orbit)
 
-    levi_rows = f4_levi_table()
-    assert len(levi_rows) == 4
-    for label, t, diag in levi_rows:
-        assert set(diag.labels) <= {0, 2}, label
-        gd = grading_dims(build_root_system(t), diag)
-        assert gd.dim(1) == 0, label
+    assert len(F4_LEVI_ROWS) == 4
+    for label, tname, parts, labels in F4_LEVI_ROWS:
+        t = parse_group(tname)
+        computed = {o.parts: diag.labels for o, diag in distinguished_table(t)}
+        assert computed[parts] == labels, label
+        assert set(labels) <= {0, 2}, label
+        gd = grading_dims(build_root_system(t), WeightedDynkinDiagram(labels))
+        assert gd.get(1, 0) == 0, label
     ok(1, "table fidelity")
 
 
@@ -95,7 +99,7 @@ def test_criterion_02_distinguished_counts():
         rs = build_root_system(DynkinType("D", rank))
         dist = [o for o in classical_orbits(rs) if is_distinguished(rs, o)]
         assert len(dist) == want, rank
-        assert len(tables.D_TABLE[rank]) == want
+        assert len(distinguished_table(DynkinType("D", rank))) == len(D_ROWS[rank]) == want
     assert len(distinguished_table(parse_group("E6"))) == 3
     assert len(distinguished_table(parse_group("E7"))) == 6
     ok(2, "distinguished counts")

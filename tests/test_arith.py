@@ -1,7 +1,9 @@
 """Order conditions on q, group orders, considerate/banal sweep."""
 
 import itertools
+import re
 
+import numpy as np
 import pytest
 
 from wdsmooth.arith import (
@@ -198,3 +200,23 @@ def test_banal_agrees_with_order_divisibility():
     for l in (-5, 1, 4):
         with pytest.raises(ValueError, match="l must be 0 or a prime, got %d" % l):
             is_banal(l, rs, 3)
+
+
+@pytest.mark.parametrize("call, name, value", [
+    # at q = 2.0 the order is the float 3.378e74, and 7 = 2^3 - 1 "does not
+    # divide" it, while it divides |E8(2)|
+    (lambda e8: is_banal(7, e8, 2.0), "q", 2.0),
+    # int64 arithmetic wraps |E8(2)| to 0, which 37 would divide; it does
+    # not divide |E8(2)|
+    (lambda e8: chevalley_steinberg_order(e8, np.int64(2)), "q", np.int64(2)),
+    (lambda e8: is_banal(37, e8, np.int64(2)), "q", np.int64(2)),
+    (lambda e8: is_banal(7.0, e8, 2), "l", 7.0),
+    (lambda e8: multiplicative_order(3.0, 7), "q", 3.0),
+    (lambda e8: multiplicative_order(3, np.int64(7)), "l", np.int64(7)),
+    (lambda e8: QContext(q=3.0, l=13), "q", 3.0),
+    (lambda e8: QContext(q=3, l=13.0), "l", 13.0),
+])
+def test_q_and_l_must_be_python_ints(call, name, value):
+    e8 = rs_of("E8")
+    with pytest.raises(ValueError, match=re.escape("%s must be an int, got %r" % (name, value))):
+        call(e8)

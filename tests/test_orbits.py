@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from wdsmooth import tables
+from diagram_rows import D_ROWS, F4_LEVI_ROWS
 from wdsmooth.orbits import (
     OrbitLabel,
     UnsupportedTypeError,
@@ -14,7 +14,6 @@ from wdsmooth.orbits import (
     distinguished_table,
     exposed_root_sweep,
     exposed_roots,
-    f4_levi_table,
     grading_dims,
     is_distinguished,
     is_very_even,
@@ -136,21 +135,33 @@ def test_weighted_dynkin_frozen_rows():
 
 
 def test_stored_d_rows_match_recipe():
-    for rank, rows in tables.D_TABLE.items():
+    for rank, rows in D_ROWS.items():
         rs = build_root_system(DynkinType("D", rank))
-        for parts, labels in rows:
+        for parts, labels in rows.items():
             assert weighted_dynkin(rs, OrbitLabel.partition(parts)).labels == labels
-        # the stored rows are exactly the distinguished orbits
+        # Carter's rows are exactly the distinguished orbits
         dist = [o.parts for o in classical_orbits(rs) if is_distinguished(rs, o)]
-        assert sorted(dist) == sorted(parts for parts, _ in rows)
+        assert sorted(dist) == sorted(rows)
 
 
 def test_distinguished_counts():
     counts = {4: 2, 5: 2, 6: 3, 7: 3}
     for rank, want in counts.items():
-        assert len(tables.D_TABLE[rank]) == want
-    assert len(tables.E6_TABLE) == 3
-    assert len(tables.E7_TABLE) == 6
+        table = distinguished_table(DynkinType("D", rank))
+        assert len(table) == want
+        assert {o.parts: diag.labels for o, diag in table} == D_ROWS[rank]
+    assert len(distinguished_table(parse_group("E6"))) == 3
+    assert len(distinguished_table(parse_group("E7"))) == 6
+
+
+# dim g - dim g(0) for each stored row: the orbit's dimension, as
+# Collingwood-McGovern list it. The row named "E6(a2)" (diagram 200202,
+# dimension 66) is Carter's E6(a3); E6 has no orbit E6(a2).
+EXCEPTIONAL_ORBIT_DIMS = {
+    "E6": {"E6": 72, "E6(a1)": 70, "E6(a2)": 66},
+    "E7": {"E7": 126, "E7(a1)": 124, "E7(a2)": 122, "E7(a3)": 120,
+           "E7(a4)": 116, "E7(a5)": 112},
+}
 
 
 @pytest.mark.parametrize("tname,nrows", [("E6", 3), ("E7", 6)])
@@ -159,12 +170,15 @@ def test_exceptional_tables_invariants(tname, nrows):
     rows = distinguished_table(t)
     assert len(rows) == nrows
     rs = build_root_system(t)
+    orbit_dims = {}
     for orbit, diag in rows:
         assert set(diag.labels) <= {0, 2}
         gd = grading_dims(rs, diag)
-        assert gd.dim(1) == 0 and gd.dim(-1) == 0
-        assert gd.dim(0) == gd.dim(2)  # distinguished criterion, center is 0
-        assert gd.total() == rs.dim_g
+        assert gd.get(1, 0) == 0 and gd.get(-1, 0) == 0
+        assert gd.get(0, 0) == gd.get(2, 0)  # distinguished criterion, center is 0
+        assert sum(gd.values()) == rs.dim_g
+        orbit_dims[str(orbit)] = rs.dim_g - gd[0]
+    assert orbit_dims == EXCEPTIONAL_ORBIT_DIMS[tname]
 
 
 def test_distinguished_table_unsupported():
@@ -175,31 +189,35 @@ def test_distinguished_table_unsupported():
 
 
 def test_f4_levi_table_rows():
-    rows = f4_levi_table()
-    assert [(label, t.name) for label, t, _ in rows] == [
-        ("C2", "C2"), ("C3", "C3"), ("C3(a1)", "C3"), ("B3", "B3")]
-    for _, t, diag in rows:
-        assert set(diag.labels) <= {0, 2}
+    for tname in ("C2", "C3", "B3"):
+        t = parse_group(tname)
+        computed = {o.parts: diag.labels for o, diag in distinguished_table(t)}
+        assert computed == {parts: labels for _, factor, parts, labels in F4_LEVI_ROWS
+                            if factor == tname}
+    for _, tname, _, labels in F4_LEVI_ROWS:
+        assert set(labels) <= {0, 2}
+        t = parse_group(tname)
         rs = build_root_system(t)
-        gd = grading_dims(rs, diag)
-        assert gd.dim(1) == 0 and gd.dim(-1) == 0
+        gd = grading_dims(rs, WeightedDynkinDiagram(labels))
+        assert gd.get(1, 0) == 0 and gd.get(-1, 0) == 0
         levi = levi_factors(rs, set(range(t.rank)))
-        assert check_distinguished_criterion(levi, dict(enumerate(diag.labels)))
+        assert check_distinguished_criterion(levi, dict(enumerate(labels)))
 
 
 def test_grading_dims_frozen():
     gd = grading_dims(rs_of("GL3"), WeightedDynkinDiagram((1, 1)))
-    assert gd.as_dict() == {-2: 1, -1: 2, 0: 3, 1: 2, 2: 1}
-    assert gd.total() == 9
+    assert gd == {-2: 1, -1: 2, 0: 3, 1: 2, 2: 1}
+    assert list(gd) == sorted(gd)
+    assert sum(gd.values()) == 9
     regular = grading_dims(rs_of("GL3"), WeightedDynkinDiagram((2, 2)))
-    assert regular.as_dict() == {-4: 1, -2: 2, 0: 3, 2: 2, 4: 1}
+    assert regular == {-4: 1, -2: 2, 0: 3, 2: 2, 4: 1}
 
 
 def test_grading_total_is_dim_g():
     for name in ("GL4", "Sp6", "SO7", "GSp4"):
         rs = rs_of(name)
         for o in classical_orbits(rs):
-            assert grading_dims(rs, weighted_dynkin(rs, o)).total() == rs.dim_g
+            assert sum(grading_dims(rs, weighted_dynkin(rs, o)).values()) == rs.dim_g
 
 
 def test_smooth_bound_r():

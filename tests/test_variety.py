@@ -113,6 +113,16 @@ def test_group_specs_are_built_once_with_a_read_only_basis():
         GroupSpec.gl(5)
 
 
+# GL1 is a realized group too, but a torus: there is no A0 root system to
+# compare it with, and parse_group("GL1") is an error
+@pytest.mark.parametrize("spec", [GL2, GL3, GroupSpec.gl(4), GSP4], ids=lambda s: s.name)
+def test_group_specs_agree_with_their_root_systems(spec):
+    # build_phi0 takes the Coxeter number h to be spec.n
+    rs = build_root_system(parse_group(spec.name))
+    assert spec.dim_g == rs.dim_g
+    assert spec.n == rs.coxeter_number
+
+
 # ---------------------------------------------------------------- membership
 
 def test_gl_membership():
