@@ -39,9 +39,10 @@ from .arith import _check_int, is_prime
 
 #: Largest modulus whose int64 matrix products stay exact. The longest
 #: inner product the package forms in int64 has K = 16 terms (a
-#: combination of up to n^2 = 16 kernel vectors for GL4), each term below
-#: (p - 1)^2. K (p - 1)^2 < 2^63 means p - 1 < 2^29.5, and the largest
-#: such p is 759,250,125.
+#: combination of up to n^2 = 16 kernel vectors for GL4, or an entry of a
+#: GL4 or GSp4 tangent matrix's M half, a sum over the 16 entries of phi),
+#: each term below (p - 1)^2. K (p - 1)^2 < 2^63 means p - 1 < 2^29.5,
+#: and the largest such p is 759,250,125.
 P_MAX = 759_250_125
 
 _INT64 = np.dtype(np.int64)
@@ -160,21 +161,24 @@ def _check_p(p: int) -> None:
 def as_field(a, p: int) -> NDArray[np.int64]:
     """Coerce to an int64 array with entries reduced into [0, p).
 
-    p must be a Python int that is a prime <= P_MAX. Floats are accepted
-    only when every entry is an integer that int64 holds (``np.eye(n)``
-    is fine), unsigned integers only below 2^63, and object arrays (a
-    list holding a Python int past int64 makes one) only when every
-    entry is an integer that int64 holds; anything else, complex input
-    and fractions included, raises ValueError rather than being
-    truncated, wrapped or overflowing, and so does any other p.
+    p must be a Python int that is a prime <= P_MAX. Signed integers and
+    bools (read as 0 and 1) are accepted as they are, floats only when
+    every entry is an integer that int64 holds (``np.eye(n)`` is fine),
+    unsigned integers only below 2^63, and object arrays (a list holding
+    a Python int past int64 makes one) only when every entry is an
+    integer that int64 holds; anything else (complex numbers, fractions,
+    text, bytes, datetimes, timedeltas and structured records included)
+    raises ValueError rather than being parsed, truncated, wrapped or
+    overflowing, and so does any other p.
     """
     if type(p) is not int or p not in _PRIMES:  # an int p seen before needs no call
         _check_p(p)
     arr = np.asarray(a)
     if arr.dtype is not _INT64:  # int64 input, the common case, needs no check
         kind = arr.dtype.kind
-        if kind == "c" or (kind == "f" and not np.all(
-                (np.abs(arr) < 2.0**63) & (arr == np.trunc(arr)))):
+        if kind not in "biufO":
+            raise ValueError("expected integer entries, got dtype %s" % arr.dtype)
+        if kind == "f" and not np.all((np.abs(arr) < 2.0**63) & (arr == np.trunc(arr))):
             raise ValueError("expected integer entries")
         if kind == "u" and arr.size and arr.max() >= 2**63:
             raise ValueError("expected integer entries below 2^63")

@@ -17,12 +17,15 @@ array), like ``sg_member``.
 
 All computations are exact over F_p; tangent dimensions come from the
 kernel of the defining map's differential, evaluated by deterministic
-Gaussian elimination; the tangent matrix applies phi to its N half, the
-brackets [X, N] stacked with the basis, in one product, and
-``tangent_dim`` eliminates it with the M half's columns first. The N
-half depends on (spec, N, p) alone: the last few are kept read-only, so
-the points of one N, which the GL2 enumeration lists together, build it
-once. The GL sampler reads all its draws from one buffered stream of
+Gaussian elimination. ``tangent_dim`` eliminates the tangent matrix
+with its columns reversed, M half first, and builds it in that order
+from two products: vec(phi) times the M half's map of residues, kept
+per (spec, p, q), and phi times the brackets [X, N], kept per
+(spec, p, N), so the points of one N, which the GL2 enumeration lists
+together, build the brackets once. Each entry is a sum of at most
+n^2 <= 16 products of residues, the bound ``kernels.P_MAX`` is derived
+from, so the matrix goes to ``nullity_mod`` unreduced and is reduced
+there, once. The GL sampler reads all its draws from one buffered stream of
 its generator; numpy's bounded draws concatenate, so the samples are
 those of one generator call per block. Every linear system on gl_n
 comes from one builder of X -> a X - X b, with no inverse: the
@@ -303,17 +306,58 @@ def _point_matrix(spec: GroupSpec, a, p: int, name: str) -> NDArray[np.int64]:
     return a
 
 
-# A few slots suffice: enumeration lists its points grouped by N, so one
-# slot serves all of an N's points, and the sampler's distinct Ns miss at
-# the cost of one lookup each.
+# A few slots suffice: enumeration lists its points grouped by N, one q and
+# one p per call, so one slot of each cache serves all of an N's points,
+# and the sampler's distinct Ns miss at the cost of one lookup each.
 @functools.lru_cache(maxsize=8)
-def _n_half(spec: GroupSpec, p: int, n_bytes: bytes) -> NDArray[np.int64]:
-    """The brackets [X, N] over spec's basis stacked with the basis, reduced
-    mod p, for N the reduced (n, n) int64 matrix with bytes n_bytes: the
-    part of the tangent matrix that depends on N alone, read-only."""
-    n_mat = np.frombuffer(n_bytes, dtype=np.int64).reshape(spec.n, spec.n)
-    basis = spec.lie_basis
-    return _read_only(np.concatenate([basis @ n_mat - n_mat @ basis, basis]) % p)
+def _m_map(spec: GroupSpec, p: int, q: int) -> NDArray[np.int64]:
+    """The M half of the column-reversed tangent matrix as a map of phi:
+    the (n^2, n^2 dim_g) residues A with vec(phi) @ A the half's row-major
+    (n^2, dim_g) array, for q reduced mod p; read-only.
+
+    Row (k, l), column (i, j, m) is [i = k] M_m[l, j] - q M_m[i, k] [l = j],
+    M_m the m-th element of the reversed basis: the coefficient of
+    phi[k, l] in entry (i, j) of phi M_m - q M_m phi.
+    """
+    n = spec.n
+    basis = spec.lie_basis[::-1]
+    eye = np.eye(n, dtype=np.int64)
+    a = (np.einsum("ik,mlj->klijm", eye, basis)
+         - q * np.einsum("mik,lj->klijm", basis, eye))
+    return _read_only(a.reshape(n * n, -1) % p)
+
+
+@functools.lru_cache(maxsize=8)
+def _brackets(spec: GroupSpec, p: int, n_bytes: bytes) -> NDArray[np.int64]:
+    """The brackets [X_m, N] over the reversed basis as one (n, n dim_g)
+    array, entry (k, (j, m)) being [X_m, N][k, j], reduced mod p, for N the
+    reduced (n, n) int64 matrix with bytes n_bytes; read-only. phi times
+    it, read as (n^2, dim_g), is the X half of the column-reversed tangent
+    matrix."""
+    n = spec.n
+    n_mat = np.frombuffer(n_bytes, dtype=np.int64).reshape(n, n)
+    basis = spec.lie_basis[::-1]
+    brackets = (basis @ n_mat - n_mat @ basis) % p  # (m, k, j)
+    return _read_only(brackets.transpose(1, 2, 0).reshape(n, -1))
+
+
+def _reversed_tangent(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.int64]:
+    """The tangent matrix at (phi, N) with its columns reversed, C-contiguous
+    and unreduced: the M half over the reversed basis, then the X half.
+
+    Every entry is congruent mod p to that of ``tangent_matrix`` and lies
+    in [0, n^2 (p - 1)^2]: an entry of the M half is a sum of n^2 products
+    of residues (vec(phi) @ A), one of the X half a sum of n (phi @ the
+    brackets). n^2 <= 16 is the K of ``kernels.P_MAX``, so nothing
+    overflows int64.
+    """
+    q = _unit_q(q, p)
+    phi = _point_matrix(spec, phi, p, "phi")
+    n_mat = _point_matrix(spec, n_mat, p, "N")
+    size = spec.n * spec.n
+    m_half = (phi.reshape(size) @ _m_map(spec, p, q)).reshape(size, -1)
+    x_half = (phi @ _brackets(spec, p, n_mat.tobytes())).reshape(size, -1)
+    return np.concatenate([m_half, x_half], axis=1)
 
 
 def tangent_matrix(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.int64]:
@@ -325,26 +369,16 @@ def tangent_matrix(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.in
     basis it differentiates to (X, M) -> phi([X, N] + M) - q M phi, which
     is the differential of the adjoint form right-multiplied by the
     invertible phi, so the kernel is the same. Returns the
-    (n^2, 2 dim_g) matrix of that map; the tangent space is its kernel.
+    (n^2, 2 dim_g) matrix of that map, reduced mod p, with the X columns
+    first and each half in basis order; the tangent space is its kernel.
     phi and N must be (n, n) matrices of spec, and q a unit mod p.
 
-    The brackets [X, N] stacked with the basis depend on (spec, N, p)
-    only; the last few are kept, read-only, so the points of one N share
-    them, and each point pays one product by phi and the q M phi term.
+    It is ``tangent_dim``'s column-reversed matrix, reduced and read
+    backwards: two products, vec(phi) times the M half's map, kept per
+    (spec, p, q), and phi times the brackets [X, N], kept per
+    (spec, p, N), each a sum of at most n^2 <= 16 products of residues.
     """
-    q = _unit_q(q, p)
-    phi = _point_matrix(spec, phi, p, "phi")
-    n_mat = _point_matrix(spec, n_mat, p, "N")
-    basis = spec.lie_basis
-    dim = len(basis)
-    # A product entry is a sum of n products of residues, below n (p - 1)^2.
-    # The basis entries are 0 and +-1 (the GSp4 basis has -1s), so q M phi
-    # has entries of size below n (p - 1)^2 as well, and every entry stays
-    # within 2 n (p - 1)^2 < 2^63 for p <= P_MAX.
-    images = phi @ _n_half(spec, p, n_mat.tobytes())
-    images[dim:] -= q * (basis @ phi)
-    # column k of the map is the row-major vec of the k-th image
-    return (images % p).reshape(2 * dim, -1).T
+    return _reversed_tangent(spec, phi, n_mat, q, p)[:, ::-1] % p
 
 
 def tangent_dim(spec: GroupSpec, phi, n_mat, q: int, p: int) -> int:
@@ -355,8 +389,10 @@ def tangent_dim(spec: GroupSpec, phi, n_mat, q: int, p: int) -> int:
     on the order of the columns, and the elimination stops once every
     nonzero row has a pivot. The M half holds most of the rank at the
     sampled points, and all of it at N = 0, where the X half is zero.
+    The matrix is built in that order from the two kept products and
+    handed over unreduced, so ``nullity_mod`` reduces it, once.
     """
-    return kernels.nullity_mod(tangent_matrix(spec, phi, n_mat, q, p)[:, ::-1], p)
+    return kernels.nullity_mod(_reversed_tangent(spec, phi, n_mat, q, p), p)
 
 
 def _all_invertible_2x2(p: int) -> NDArray[np.int64]:

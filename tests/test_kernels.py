@@ -257,6 +257,24 @@ def test_as_field_rejects_fractions():
             as_field(bad, 5)
 
 
+def test_as_field_rejects_text_times_and_records():
+    # numpy casts digit strings, bytes, datetimes and timedeltas to int64
+    # without a word, so each would be read as a matrix of integers
+    for bad in ([["1", "2"], ["3", "4"]], [[b"1", b"2"]],
+                np.array([[1, 2], [3, 4]], dtype="m8[s]"),
+                np.array([["2020-01-01", "2020-01-02"]], dtype="M8[D]"),
+                np.zeros((2, 2), dtype=[("a", np.int64)])):
+        with pytest.raises(ValueError, match="expected integer entries, got dtype"):
+            as_field(bad, 5)
+    with pytest.raises(ValueError, match="expected integer entries, got dtype"):
+        rank_mod([["1", "2"], ["3", "4"]], 5)
+    with pytest.raises(ValueError, match="expected integer entries, got dtype"):
+        nullity_mod(np.array([[1, 2], [3, 4]], dtype="m8[s]"), 5)
+    # bools still convert, as 0 and 1
+    assert as_field(np.array([[True, False]]), 5).tolist() == [[1, 0]]
+    assert rank_mod(np.eye(3, dtype=bool), 5) == 3
+
+
 def test_matpow_takes_lists_and_rejects_non_square():
     assert matpow_mod([[1, 1], [0, 1]], 3, 5).tolist() == [[1, 3], [0, 1]]
     for bad in (np.ones((2, 3), dtype=np.int64), np.ones(3, dtype=np.int64),

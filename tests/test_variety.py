@@ -1268,11 +1268,12 @@ def exact_tangent_matrix(spec, phi, n_mat, q, p):
     return np.stack([c.reshape(-1) for c in cols], axis=1)
 
 
-def test_kept_n_halves_never_go_stale():
-    # tangent_matrix keeps the N half by (spec, p, reduced N): interleave
-    # points whose keys differ only in the spec, only in p, or in an N the
-    # caller changes in place, and a shuffled enumeration; every matrix must
-    # equal the oracle's, built from nothing kept
+def test_kept_tangent_products_never_go_stale():
+    # tangent_matrix keeps the M half's map by (spec, p, q) and the brackets
+    # by (spec, p, reduced N): interleave points whose keys differ only in
+    # the spec, only in p, only in q, or in an N the caller changes in
+    # place, and a shuffled enumeration with q alternating; every matrix
+    # must equal the oracle's, built from nothing kept
     def check(spec, phi, n_mat, q, p):
         exact = exact_tangent_matrix(spec, phi % p, n_mat % p, q, p).astype(np.int64)
         assert np.array_equal(tangent_matrix(spec, phi, n_mat, q, p), exact)
@@ -1280,22 +1281,24 @@ def test_kept_n_halves_never_go_stale():
 
     gl4, zero4 = GroupSpec.gl(4), np.zeros((4, 4), dtype=np.int64)
     phi4 = np.diag(arr([2, 6, 1, 3]))  # a similitude too: 2 * 3 = 6 * 1
-    for _ in range(2):
-        check(gl4, phi4, zero4, 3, 11)  # GL4 and GSp4 share n = 4 and N = 0's bytes
-        check(GSP4, phi4, zero4, 3, 11)
+    for q in (3, 5, 3, 5):
+        check(gl4, phi4, zero4, q, 11)  # GL4 and GSp4 share n = 4 and N = 0's bytes
+        check(GSP4, phi4, zero4, q, 11)
     phi2, e12 = arr([[2, 1], [0, 1]]), arr([[0, 1], [0, 0]])
-    for p in (11, 13, 11, 13):  # the same reduced bytes, brackets with -1 = p - 1
-        check(GL2, phi2, e12, 2, p)
+    # the same reduced bytes, brackets with -1 = p - 1, and q = 2 and 3 at each p
+    for p, q in ((11, 2), (13, 2), (11, 3), (13, 3), (11, 2), (13, 2)):
+        check(GL2, phi2, e12, q, p)
     n_mat = arr([[0, 1], [0, 0]])
     check(GL2, phi2, n_mat, 2, 7)
     n_mat[0, 1] = 3  # the caller's array changes between calls
     check(GL2, phi2, n_mat, 2, 7)
     pts = enumerate_sg(GL2, 5, 2)
-    for phi, n_mat in pts[np.random.default_rng(0).permutation(len(pts))]:
-        check(GL2, phi, n_mat, 2, 5)
-    half = variety._n_half(GL2, 5, pts[-1, 1].tobytes())
-    with pytest.raises(ValueError, match="read-only"):
-        half[0, 0, 0] = 1
+    order = np.random.default_rng(0).permutation(len(pts))
+    for i, (phi, n_mat) in enumerate(pts[order]):
+        check(GL2, phi, n_mat, 2 + i % 2, 5)  # q = 3 is off the variety: no matter
+    for kept in (variety._m_map(GL2, 5, 2), variety._brackets(GL2, 5, pts[-1, 1].tobytes())):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 0] = 1
 
 
 @pytest.mark.parametrize("p", [11, P_LARGE])
@@ -1342,5 +1345,8 @@ def test_tangent_matrix_is_exact_at_the_largest_prime(spec, orbits):
     pairs.append(np.full((2, spec.n, spec.n), TOP_P - 1))
     for phi, n_mat in pairs:
         for q_pair in (q, TOP_P - 1):
-            assert np.array_equal(tangent_matrix(spec, phi, n_mat, q_pair, TOP_P),
-                                  exact_tangent_matrix(spec, phi, n_mat, q_pair, TOP_P))
+            exact = exact_tangent_matrix(spec, phi, n_mat, q_pair, TOP_P)
+            assert np.array_equal(tangent_matrix(spec, phi, n_mat, q_pair, TOP_P), exact)
+            # tangent_dim hands nullity_mod entries up to n^2 (p - 1)^2, unreduced
+            assert (tangent_dim(spec, phi, n_mat, q_pair, TOP_P)
+                    == 2 * spec.dim_g - rank_mod(exact.astype(np.int64), TOP_P))
