@@ -8,29 +8,38 @@ deterministic. It packs each row into one Python int, one bit field per
 entry, so clearing a column from a row is a single big-int update, and
 it reduces entries mod p only where a pivot is read and once at the end:
 the fields are wide enough that no intermediate value can carry from one
-entry into the next. ``rank_mod`` and ``nullity_mod`` read only the
-pivot count, so they stop at row echelon form; the others reduce fully
-(Gauss-Jordan). Rows go in and out as bytes: the field width is rounded
-up to 8, 16 or 32 bits or to whole 64-bit words, so the matrix cast to
-that unsigned type is one ``tobytes()`` and each row one
-``int.from_bytes``; the reduced rows come back through one
-``np.frombuffer``, with a field of several words reduced mod p by
-Horner's rule; ``nullspace_mod`` reads its basis off the reduced form
-and its free columns. The stack entry point, ``batch_nullity_mod``,
-counts the nullity of each matrix of a (B, m, n) stack at once, in
-int64 through one column loop that stops at what a rank needs, for
-callers that hold real batches; ``matpow_mod`` powers one matrix or each
-matrix of a stack. No public entry point calls another. Every routine
+entry into the next. Each pivot's inverse comes from the extended
+Euclidean algorithm (``pow(lead, -1, p)``), which at the largest primes
+is several times faster than Fermat's ``lead^(p - 2)``. ``rank_mod`` and
+``nullity_mod`` read only the pivot count, so they stop at row echelon
+form, in a loop of their own over the rows below the pivot; the others
+reduce fully (Gauss-Jordan). Rows go in and out as bytes: the field
+width is rounded up to 8, 16 or 32 bits or to whole 64-bit words, so
+the matrix cast to that unsigned type is one ``tobytes()`` and each row
+one ``int.from_bytes``. That layout (item type, words per field, width,
+mask, shifts) depends only on p, min(m, n) and n, so it is computed once
+per such shape and kept in a small LRU cache; the callers reduce
+matrices of a few shapes at one p, over and over. The reduced rows come
+back through one ``np.frombuffer``, with a field of several words
+reduced mod p by Horner's rule; ``nullspace_mod`` reads its basis off
+the reduced form and its free columns. The stack entry point,
+``batch_nullity_mod``, counts the nullity of each matrix of a (B, m, n)
+stack at once, in int64 through one column loop that stops at what a
+rank needs, for callers that hold real batches; ``matpow_mod`` powers
+one matrix or each matrix of a stack. No public entry point calls another. Every routine
 needs p to be a prime <= ``P_MAX``: prime so that every nonzero residue
-has a Fermat inverse, and within the bound so that a product of two
-residues fits int64. ``as_field``, which every entry point reduces its
-input through, is the one place that checks it: first that p is a
-Python int, so that neither a float nor a numpy integer gets in, then
-the bound, so that no trial division runs past sqrt(P_MAX); a p that
-passed is kept, so a repeat costs one set lookup.
+has an inverse, and within the bound so that a product of two residues
+fits int64. ``_check_p`` checks it, called by ``as_field``, which every
+entry point reduces its input through, and by ``_inverse_mod``, the
+stack inverse that ``variety`` also calls on its own arrays: first that
+p is a Python int, so that neither a float nor a numpy integer gets in,
+then the bound, so that no trial division runs past sqrt(P_MAX); a p
+that passed is kept, so a repeat costs one set lookup.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from numpy.typing import NDArray
@@ -52,6 +61,23 @@ _UNSIGNED = {size: np.dtype("<u%d" % size) for size in (1, 2, 4, 8)}
 _PRIMES: set[int] = set()
 
 
+@functools.lru_cache(maxsize=32)
+def _layout(p: int, k: int, n: int) -> tuple[np.dtype, int, int, range, int]:
+    # The packing of ``_rref`` for rows of n entries mod p with at most k
+    # pivots: (dtype, words, mask, shifts, step), each field `words` items
+    # of the unsigned `dtype`, W = 8 itemsize words bits wide, `mask` its
+    # W low bits, `shifts` the W c at which entry c starts, `step` the
+    # bytes of a row. W >= w, the bit length of p^(k + 1), rounded up to
+    # 8, 16 or 32 bits or to whole 64-bit words. Kept per shape, since the
+    # callers reduce matrices of a few shapes at one p, over and over.
+    size = -(-(p ** (k + 1)).bit_length() // 8)  # bytes of w
+    item = 8 if size > 4 else 1 << (size - 1).bit_length()
+    words = -(-size // item)
+    width = 8 * item * words
+    shifts = range(0, width * n, width)
+    return _UNSIGNED[item], words, (1 << width) - 1, shifts, item * words * n
+
+
 def _rref(mat: NDArray[np.int64], p: int, full: bool = True
           ) -> tuple[list[int], NDArray[np.int64] | None]:
     # Elimination of an (m, n) int64 array with entries in [0, p), p prime,
@@ -64,11 +90,11 @@ def _rref(mat: NDArray[np.int64], p: int, full: bool = True
     # Each row is packed into one int, entry c in bits [W c, W (c + 1)),
     # so clearing a column from a row is one big-int update: a row whose
     # entry there is f gains (-f inv % p) times the unscaled pivot row
-    # (inv the pivot's inverse), which makes that entry 0 mod p. On the
-    # way only pivot-column entries are reduced mod p (pivot candidates,
-    # the pivot, and f); with full=True every entry is reduced once at the
-    # end, when each nonzero row is scaled by its pivot's inverse. This is
-    # exact:
+    # (inv the pivot's inverse, by the extended Euclidean algorithm), which
+    # makes that entry 0 mod p. On the way only pivot-column entries are
+    # reduced mod p (pivot candidates, the pivot, and f); with full=True
+    # every entry is reduced once at the end, when each nonzero row is
+    # scaled by its pivot's inverse. This is exact:
     # - fields stay >= 0, since only nonnegative multiples are added, so
     #   no field ever borrows from the next;
     # - an update multiplies the largest field by at most p, so after k
@@ -82,12 +108,13 @@ def _rref(mat: NDArray[np.int64], p: int, full: bool = True
     # A zero row stays zero and is never a pivot, so zero rows are left
     # out of the elimination and come back as the last rows.
     #
-    # Rows move in and out as bytes. W (`width`) is w rounded up to 8, 16
-    # or 32 bits or to whole 64-bit words, so the fields are the items of
-    # an unsigned little-endian array, with `words` items per field: the
-    # matrix cast to that type (zero-padded to (m, n, words) when a field
-    # spans several words) is one tobytes(), and each row one
-    # int.from_bytes of its slice. Rounding W up only widens the margin
+    # Rows move in and out as bytes, in the layout ``_layout`` keeps per
+    # (p, min(m, n), n). W is w rounded up to 8, 16 or 32 bits or to whole
+    # 64-bit words, so the fields are the items of an unsigned
+    # little-endian array, with `words` items per field: the matrix cast
+    # to that type (zero-padded to (m, n, words) when a field spans
+    # several words) is one tobytes(), and each row one int.from_bytes of
+    # its slice. Rounding W up only widens the margin
     # against carries. On the way out the pivot rows' to_bytes are joined
     # into one np.frombuffer; each word is reduced mod p, a field of
     # several words is reduced by Horner's rule with 2^64 mod p, and each
@@ -95,18 +122,11 @@ def _rref(mat: NDArray[np.int64], p: int, full: bool = True
     # is of two residues, below p^2 < 2^63 for p <= P_MAX (a Horner step
     # adds one more residue), so nothing overflows.
     m, n = mat.shape
-    size = -(-(p ** (min(m, n) + 1)).bit_length() // 8)  # bytes of w
-    item = 8 if size > 4 else 1 << (size - 1).bit_length()
-    words = -(-size // item)
-    dtype = _UNSIGNED[item]
-    width = 8 * item * words
-    mask = (1 << width) - 1
-    shifts = range(0, width * n, width)
+    dtype, words, mask, shifts, step = _layout(p, min(m, n), n)
     fields = mat.astype(dtype)
     if words > 1:  # each field: its value, then zero words
         fields = np.concatenate([fields[:, :, None], np.zeros((m, n, words - 1), dtype)], axis=2)
-    data = fields.tobytes()
-    step = item * words * n  # bytes per row; with n = 0 the range below is empty
+    data = fields.tobytes()  # step is 0 with n = 0, and the range below empty
     packed = [v for i in range(0, m * step, step or 1)
               if (v := int.from_bytes(data[i:i + step], "little"))]
     k = len(packed)
@@ -125,13 +145,19 @@ def _rref(mat: NDArray[np.int64], p: int, full: bool = True
         v = packed[piv]
         packed[piv] = packed[r]
         packed[r] = v
-        inv = pow(lead, p - 2, p)  # Fermat inverse
-        for i in range(0 if full else piv + 1, k):
-            if r <= i <= piv:  # the pivot, and rows the scan found 0 mod p
-                continue
-            f = (packed[i] >> sh & mask) % p
-            if f:
-                packed[i] += (-f * inv % p) * v
+        inv = pow(lead, -1, p)
+        if full:
+            for i in range(k):
+                if r <= i <= piv:  # the pivot, and rows the scan found 0 mod p
+                    continue
+                f = (packed[i] >> sh & mask) % p
+                if f:
+                    packed[i] += (-f * inv % p) * v
+        else:  # the rows below those the scan read, with no guard
+            for i in range(piv + 1, k):
+                f = (packed[i] >> sh & mask) % p
+                if f:
+                    packed[i] += (-f * inv % p) * v
         pivots.append(col)
         invs.append(inv)
         r += 1
@@ -227,7 +253,10 @@ def nullity_mod(a, p: int) -> int:
 
 def _inverse_mod(x: NDArray[np.int64], p: int) -> NDArray[np.int64]:
     # Fermat inverse x^(p-2) of every entry, by binary powering; each
-    # product is of two residues, so below (p - 1)^2 < 2^63 for p <= P_MAX
+    # product is of two residues, so below (p - 1)^2 < 2^63 for p <= P_MAX.
+    # p is checked here too, since callers hand it arrays they reduced
+    # themselves: a composite p would give no inverse, a larger one overflow
+    _check_p(p)
     out = np.ones_like(x)
     base = x
     e = p - 2

@@ -25,11 +25,16 @@ per (spec, p, q), and phi times the brackets [X, N], kept per
 together, build the brackets once. Each entry is a sum of at most
 n^2 <= 16 products of residues, the bound ``kernels.P_MAX`` is derived
 from, so the matrix goes to ``nullity_mod`` unreduced and is reduced
-there, once. The GL sampler reads all its draws from one buffered stream of
-its generator; numpy's bounded draws concatenate, so the samples are
-those of one generator call per block. Every linear system on gl_n
-comes from one builder of X -> a X - X b, with no inverse: the
-nilpotency scan and the bundle fibres solve
+there, once. The bracket cache also records, once per N, whether every
+bracket vanishes mod p (N = 0, or N central); there the X half is zero,
+and ``tangent_dim`` eliminates the M half alone and adds dim g, which is
+exact, since zero columns add to the nullity and nothing to the rank.
+That is the N = 0 stratum, half of the GL2 enumeration's points, and
+every zero-orbit sample. The GL sampler reads all its draws from one
+buffered stream of its generator; numpy's bounded draws concatenate, so
+the samples are those of one generator call per block. Every linear
+system on gl_n comes from one builder of X -> a X - X b, with no
+inverse: the nilpotency scan and the bundle fibres solve
 N -> phi N - q N phi, which is Ad(phi) - q times the invertible phi and
 so has the same RREF and kernel, and the sampler solves its negated
 Jordan system q J phi - phi J. The GL2 enumeration solves no system:
@@ -160,11 +165,12 @@ class GroupSpec:
     def gsp4() -> "GroupSpec":
         return GroupSpec("GSp4", _gsp4_basis(), OMEGA4)
 
-    @property
+    # cached, since every tangent matrix reads them a few times per point
+    @functools.cached_property
     def n(self) -> int:
         return self.lie_basis.shape[1]
 
-    @property
+    @functools.cached_property
     def dim_g(self) -> int:
         return self.lie_basis.shape[0]
 
@@ -328,22 +334,28 @@ def _m_map(spec: GroupSpec, p: int, q: int) -> NDArray[np.int64]:
 
 
 @functools.lru_cache(maxsize=8)
-def _brackets(spec: GroupSpec, p: int, n_bytes: bytes) -> NDArray[np.int64]:
+def _brackets(spec: GroupSpec, p: int, n_bytes: bytes) -> NDArray[np.int64] | None:
     """The brackets [X_m, N] over the reversed basis as one (n, n dim_g)
     array, entry (k, (j, m)) being [X_m, N][k, j], reduced mod p, for N the
     reduced (n, n) int64 matrix with bytes n_bytes; read-only. phi times
     it, read as (n^2, dim_g), is the X half of the column-reversed tangent
-    matrix."""
+    matrix. None when every bracket vanishes mod p (N = 0, or N central),
+    where that half is zero whatever phi is."""
     n = spec.n
     n_mat = np.frombuffer(n_bytes, dtype=np.int64).reshape(n, n)
     basis = spec.lie_basis[::-1]
     brackets = (basis @ n_mat - n_mat @ basis) % p  # (m, k, j)
+    if not brackets.any():
+        return None
     return _read_only(brackets.transpose(1, 2, 0).reshape(n, -1))
 
 
-def _reversed_tangent(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.int64]:
-    """The tangent matrix at (phi, N) with its columns reversed, C-contiguous
-    and unreduced: the M half over the reversed basis, then the X half.
+def _reversed_halves(spec: GroupSpec, phi, n_mat, q: int, p: int
+                     ) -> tuple[NDArray[np.int64], NDArray[np.int64] | None]:
+    """The two halves of the tangent matrix at (phi, N) with its columns
+    reversed, each (n^2, dim_g), C-contiguous and unreduced: the M half
+    over the reversed basis, then the X half, which is None where every
+    bracket [X_m, N] vanishes mod p and the half is zero.
 
     Every entry is congruent mod p to that of ``tangent_matrix`` and lies
     in [0, n^2 (p - 1)^2]: an entry of the M half is a sum of n^2 products
@@ -356,8 +368,8 @@ def _reversed_tangent(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np
     n_mat = _point_matrix(spec, n_mat, p, "N")
     size = spec.n * spec.n
     m_half = (phi.reshape(size) @ _m_map(spec, p, q)).reshape(size, -1)
-    x_half = (phi @ _brackets(spec, p, n_mat.tobytes())).reshape(size, -1)
-    return np.concatenate([m_half, x_half], axis=1)
+    brackets = _brackets(spec, p, n_mat.tobytes())
+    return m_half, None if brackets is None else (phi @ brackets).reshape(size, -1)
 
 
 def tangent_matrix(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.int64]:
@@ -376,9 +388,13 @@ def tangent_matrix(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.in
     It is ``tangent_dim``'s column-reversed matrix, reduced and read
     backwards: two products, vec(phi) times the M half's map, kept per
     (spec, p, q), and phi times the brackets [X, N], kept per
-    (spec, p, N), each a sum of at most n^2 <= 16 products of residues.
+    (spec, p, N), each a sum of at most n^2 <= 16 products of residues;
+    where every bracket vanishes mod p the X columns are zero.
     """
-    return _reversed_tangent(spec, phi, n_mat, q, p)[:, ::-1] % p
+    m_half, x_half = _reversed_halves(spec, phi, n_mat, q, p)
+    if x_half is None:
+        x_half = np.zeros_like(m_half)
+    return np.concatenate([m_half, x_half], axis=1)[:, ::-1] % p
 
 
 def tangent_dim(spec: GroupSpec, phi, n_mat, q: int, p: int) -> int:
@@ -388,11 +404,20 @@ def tangent_dim(spec: GroupSpec, phi, n_mat, q: int, p: int) -> int:
     the M half, M -> phi M - q M phi, comes first. A rank does not depend
     on the order of the columns, and the elimination stops once every
     nonzero row has a pivot. The M half holds most of the rank at the
-    sampled points, and all of it at N = 0, where the X half is zero.
-    The matrix is built in that order from the two kept products and
-    handed over unreduced, so ``nullity_mod`` reduces it, once.
+    sampled points. The matrix is built in that order from the two kept
+    products and handed over unreduced, so ``nullity_mod`` reduces it,
+    once.
+
+    Where every bracket [X_m, N] vanishes mod p (N = 0, or any N central
+    in the Lie algebra), which the per-N bracket cache records once per
+    N, the X half is zero and only the M half is eliminated: dim_g zero
+    columns add dim_g to the nullity and nothing to the rank, so its
+    nullity plus dim_g is exactly the whole matrix's.
     """
-    return kernels.nullity_mod(_reversed_tangent(spec, phi, n_mat, q, p), p)
+    m_half, x_half = _reversed_halves(spec, phi, n_mat, q, p)
+    if x_half is None:
+        return kernels.nullity_mod(m_half, p) + spec.dim_g
+    return kernels.nullity_mod(np.concatenate([m_half, x_half], axis=1), p)
 
 
 def _all_invertible_2x2(p: int) -> NDArray[np.int64]:

@@ -11,6 +11,8 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from wdsmooth.kernels import (
+    P_MAX,
+    _inverse_mod,
     as_field,
     batch_nullity_mod,
     inv_mod,
@@ -570,7 +572,7 @@ NOT_INT = (7.0, 7.5, np.int64(7))
 
 def test_single_matrix_kernels_reject_p_past_the_bound():
     # their int64 products of two residues are exact only up to P_MAX, and
-    # their Fermat inverses exist only for a prime p
+    # their pivot inverses exist only for a prime p
     for fn in (rref_mod, rank_mod, nullity_mod, nullspace_mod, inv_mod):
         for p in (759_250_133, 2**61 - 1):  # primes past P_MAX
             with pytest.raises(ValueError, match="int64-safe bound"):
@@ -614,3 +616,16 @@ def test_stack_kernels_reject_p_past_the_bound():
              for i in range(2)]
     assert matpow_mod(a, 2, TOP_P).tolist() == exact
     assert batch_nullity_mod(np.array([a]), TOP_P).tolist() == [0]
+
+
+def test_stack_inverse_checks_p_itself():
+    # variety hands _inverse_mod arrays it reduced itself, with no as_field
+    # on the way: 3 has no inverse mod 9, and past P_MAX the binary
+    # powering's products of two residues would wrap int64
+    x = np.array([3, 5], dtype=np.int64)
+    with pytest.raises(ValueError, match="^p must be prime$"):
+        _inverse_mod(x, 9)
+    with pytest.raises(ValueError, match="^p exceeds the int64-safe bound 759250125$"):
+        _inverse_mod(x, P_MAX + 1)
+    assert _inverse_mod(x, 7).tolist() == [5, 3]
+    assert _inverse_mod(x, TOP_P).tolist() == [pow(3, -1, TOP_P), pow(5, -1, TOP_P)]

@@ -1292,6 +1292,16 @@ def test_kept_tangent_products_never_go_stale():
     check(GL2, phi2, n_mat, 2, 7)
     n_mat[0, 1] = 3  # the caller's array changes between calls
     check(GL2, phi2, n_mat, 2, 7)
+    # N = 0, central and non-central Ns in turn at one (spec, p, q): a record
+    # that every bracket vanishes, kept by anything but N, goes stale here
+    zero2, e21 = np.zeros((2, 2), dtype=np.int64), arr([[0, 0], [1, 0]])
+    for n_mat in (zero2, e12, zero2, 3 * np.eye(2, dtype=np.int64), e21, zero2, e12):
+        check(GL2, phi2, n_mat, 3, 7)
+    e14 = np.zeros((4, 4), dtype=np.int64)
+    e14[0, 3] = 1  # in sp4, so in gsp4
+    for spec in (gl4, GSP4, gl4):
+        for n_mat in (zero4, e14, zero4, e14):
+            check(spec, phi4, n_mat, 3, 11)
     pts = enumerate_sg(GL2, 5, 2)
     order = np.random.default_rng(0).permutation(len(pts))
     for i, (phi, n_mat) in enumerate(pts[order]):
@@ -1299,6 +1309,39 @@ def test_kept_tangent_products_never_go_stale():
     for kept in (variety._m_map(GL2, 5, 2), variety._brackets(GL2, 5, pts[-1, 1].tobytes())):
         with pytest.raises(ValueError, match="read-only"):
             kept[0, 0] = 1
+
+
+#: the primes the vanishing-bracket path is checked at: the smallest two,
+#: the workloads' 11 and the largest prime <= kernels.P_MAX
+VANISHING_PRIMES = (2, 3, 11, 759_250_111)
+
+
+@pytest.mark.parametrize("p", VANISHING_PRIMES)
+@pytest.mark.parametrize("spec", [GroupSpec.gl(n) for n in range(1, 5)] + [GSP4],
+                         ids=lambda spec: spec.name)
+def test_tangent_dim_where_every_bracket_vanishes(spec, p):
+    # where every [X_m, N] is 0 mod p the X half of the tangent matrix is
+    # zero, and tangent_dim eliminates the M half alone and adds dim g: N = 0,
+    # N = c I (central, not nilpotent) and, for GL1, any N. Each takes that
+    # path, and must agree with the whole matrix's rank and with the oracle
+    n = spec.n
+    rng = np.random.default_rng(p)
+    eye = np.eye(n, dtype=np.int64)
+    upper = np.triu(rng.integers(0, p, size=(n, n)), 1) + eye  # invertible
+    low_rank = np.outer(rng.integers(0, p, size=n), rng.integers(0, p, size=n))
+    phis = [eye, upper, rng.integers(0, p, size=(n, n)), np.full((n, n), p - 1),
+            np.zeros((n, n), dtype=np.int64), low_rank]
+    cs = sorted({1, p - 1, int(rng.integers(1, p))})
+    ns = [0 * eye] + ([c * eye for c in cs] if n > 1 else [rng.integers(0, p, size=(1, 1))])
+    for n_mat in ns:
+        assert variety._brackets(spec, p, n_mat.tobytes()) is None
+        for phi in phis:
+            for q in sorted({1, p - 1, min(2, p - 1)}):
+                exact = exact_tangent_matrix(spec, phi, n_mat, q, p).astype(np.int64)
+                got = tangent_matrix(spec, phi, n_mat, q, p)
+                assert np.array_equal(got, exact)
+                assert not got[:, :spec.dim_g].any()
+                assert tangent_dim(spec, phi, n_mat, q, p) == 2 * spec.dim_g - rank_mod(got, p)
 
 
 @pytest.mark.parametrize("p", [11, P_LARGE])
