@@ -587,16 +587,32 @@ def _json(obj, pad: str = "\n") -> str:
     raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
 
 
-def _emit(report: dict, args: argparse.Namespace) -> None:
+def _emit(args: argparse.Namespace, inputs: dict, results: dict) -> None:
     if args.format == "table":
-        text = "\n".join(_render_table(report)) + "\n"
+        text = "\n".join(_render_table({
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "inputs": inputs,
+            "results": results,
+            "provenance": _PROVENANCE,
+        })) + "\n"
     else:
-        text = _json(report) + "\n"
+        # the five top-level keys in sorted order, around the constant ones
+        text = ('{\n  "command": ' + _json(args.command, "\n  ")
+                + ',\n  "inputs": ' + _json(inputs, "\n  ")
+                + _PROVENANCE_JSON + _json(results, "\n  ") + _SCHEMA_JSON)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+#: the report's constant keys, encoded once: the provenance block, which
+#: sorts between "inputs" and "results", and schema_version, which closes
+#: the report
+_PROVENANCE_JSON = ',\n  "provenance": ' + _json(_PROVENANCE, "\n  ") + ',\n  "results": '
+_SCHEMA_JSON = ',\n  "schema_version": ' + _json(SCHEMA_VERSION, "\n  ") + "\n}\n"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -607,13 +623,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         inputs = _resolve(args)
         results, failure = args.handler(args)
-        _emit({
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "inputs": inputs,
-            "results": results,
-            "provenance": _PROVENANCE,
-        }, args)
+        _emit(args, inputs, results)
     except (ValueError, CertificateError, OSError) as exc:
         # OSError: a --config file that cannot be read, an --out path that cannot be written
         print("error: %s" % exc, file=sys.stderr)

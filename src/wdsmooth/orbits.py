@@ -11,6 +11,7 @@ tests check the computed D and F4 Levi diagrams against Carter's rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .rootsys import DynkinType, LeviSubset, RootSystem, build_root_system, levi_factors
@@ -111,8 +112,9 @@ class WeightedDynkinDiagram:
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(l not in (0, 1, 2) for l in self.labels):
-            raise ValueError("weighted diagram labels must lie in {0, 1, 2}")
+        # ints only: a float 2.0 equals 2, but root levels are summed as ints
+        if any(type(l) is not int or l not in (0, 1, 2) for l in self.labels):
+            raise ValueError("weighted diagram labels must be ints in {0, 1, 2}")
 
 
 def _orbit_size(t: DynkinType) -> int:
@@ -290,35 +292,44 @@ def distinguished_table(t: DynkinType) -> list[tuple[OrbitLabel, WeightedDynkinD
     ]
 
 
+def _root_levels(rs: RootSystem, labels: Sequence[int]) -> bytes:
+    """The level sum_i c_i labels[i] of every positive root, one byte per
+    root in the order of ``positive_root_coords``, read off the packed
+    columns as one weighted sum. No byte carries into the next: labels
+    lie in {0, 1, 2} and root heights are at most 29 (E8's highest root)
+    under the rank rules, so every level is at most 58 < 256."""
+    return sum(map(mul, labels, rs.packed_columns)).to_bytes(rs.num_positive_roots, "little")
+
+
 def grading_dims(rs: RootSystem, w: WeightedDynkinDiagram) -> dict[int, int]:
     """Eigenspace dimensions of the cocharacter grading on g: the weight
     i -> dim g(lambda, i), in increasing i, for the weights whose
     dimension is nonzero.
 
-    A root gamma = sum c_i alpha_i sits in weight sum c_i w_i; the
-    Cartan (of the full reductive rank) sits in weight 0.
+    A root gamma = sum c_i alpha_i sits in weight sum c_i w_i, and -gamma
+    in its negative; the Cartan (of the full reductive rank) sits in
+    weight 0. The positive roots' levels are read off the root system's
+    packed columns at once and counted level by level.
     """
     if len(w.labels) != rs.rank:
         raise ValueError("diagram has %d labels, expected %d" % (len(w.labels), rs.rank))
-    dims: dict[int, int] = {0: rs.reductive_rank}
-    for coords in rs.positive_root_coords:
-        level = sum(c * l for c, l in zip(coords, w.labels))
-        dims[level] = dims.get(level, 0) + 1
-        dims[-level] = dims.get(-level, 0) + 1
-    return dict(sorted(dims.items()))
+    levels = _root_levels(rs, w.labels)
+    up = {lv: levels.count(lv) for lv in sorted(set(levels))}
+    dims = {-lv: up[lv] for lv in reversed(up) if lv}
+    dims[0] = rs.reductive_rank + 2 * up.pop(0, 0)
+    dims.update(up)
+    return dims
 
 
-def _levi_root_levels(
-    levi: LeviSubset, w_by_index: Mapping[int, int]
-) -> list[int]:
-    """Grading levels of the positive roots supported on the subset."""
+def _levi_root_levels(levi: LeviSubset, w_by_index: Mapping[int, int]) -> bytes:
+    """Grading levels of the positive roots supported on the subset, one
+    byte per root in the order of ``positive_root_coords``. A root's
+    coordinates off the subset sum to 0 exactly when it is supported on
+    the subset, so both readings come off the packed columns."""
     rs = levi.ambient
-    levels = []
-    for coords in rs.positive_root_coords:
-        support = {i for i, c in enumerate(coords) if c != 0}
-        if support <= levi.subset:
-            levels.append(sum(c * w_by_index[i] for i, c in enumerate(coords) if c != 0))
-    return levels
+    levels = _root_levels(rs, [w_by_index.get(i, 0) for i in range(rs.rank)])
+    outside = _root_levels(rs, [0 if i in levi.subset else 1 for i in range(rs.rank)])
+    return bytes([lv for lv, off in zip(levels, outside) if not off])
 
 
 def check_distinguished_criterion(
@@ -328,15 +339,16 @@ def check_distinguished_criterion(
     dim l(0) equals dim l(2) plus the dimension of the Levi's center.
 
     Args:
-        w_by_index: labels keyed by ambient simple-root index, covering
-            exactly the subset.
+        w_by_index: labels, ints in {0, 1, 2}, keyed by ambient
+            simple-root index, covering exactly the subset.
     """
     rs = levi.ambient
     if set(w_by_index) != set(levi.subset):
         raise ValueError("labels must cover exactly the Levi subset")
+    WeightedDynkinDiagram(tuple(w_by_index.values()))  # the labels' domain check
     levels = _levi_root_levels(levi, w_by_index)
-    g0 = rs.reductive_rank + 2 * sum(1 for lv in levels if lv == 0)
-    g2 = sum(1 for lv in levels if abs(lv) == 2)
+    g0 = rs.reductive_rank + 2 * levels.count(0)
+    g2 = levels.count(2)
     z_dim = rs.reductive_rank - len(levi.subset)
     return g0 == g2 + z_dim
 

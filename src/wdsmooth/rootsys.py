@@ -15,6 +15,7 @@ diagram is written down once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import prod
 
@@ -117,6 +118,17 @@ class RootSystem:
     def dim_g(self) -> int:
         """Dimension of the reductive Lie algebra: roots plus Cartan."""
         return 2 * len(self.positive_root_coords) + self.reductive_rank
+
+    @functools.cached_property
+    def packed_columns(self) -> tuple[int, ...]:
+        """Column i of ``positive_root_coords`` packed into one int, one
+        byte per root: byte k (little-endian) is the i-th coordinate of
+        the k-th positive root. A weighted sum of the columns carries
+        every root's level sum_i c_i w_i in its own byte, as long as no
+        level reaches 256."""
+        coords = self.positive_root_coords
+        return tuple(int.from_bytes(bytes([c[i] for c in coords]), "little")
+                     for i in range(self.rank))
 
     @property
     def weyl_order(self) -> int:

@@ -82,7 +82,6 @@ __all__ = [
     "exp_bridge_check",
     "bundle_count_check",
     "jordan_partition",
-    "conjugate_point",
 ]
 
 #: similitude form for GSp4
@@ -853,12 +852,3 @@ def jordan_partition(n_mat, p: int) -> tuple[int, ...]:
         ranks.append(kernels.rank_mod(power, p))
     drops = [ranks[k] - ranks[k + 1] for k in range(len(ranks) - 1)]
     return tuple(sum(d >= i for d in drops) for i in range(1, max(drops, default=0) + 1))
-
-
-def conjugate_point(pt, g, p: int) -> NDArray[np.int64]:
-    """g M g^{-1} for each (n, n) matrix M of pt, a (..., n, n) array. On a
-    (2, n, n) point (phi, N) this is simultaneous conjugation, under which
-    the variety is stable."""
-    g = kernels.as_field(g, p)
-    return (g @ kernels.as_field(pt, p) % p) @ kernels.inv_mod(g, p) % p
-

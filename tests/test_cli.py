@@ -595,10 +595,15 @@ def test_inputs_echo_the_command_flags(capsys, path):
 
 
 @pytest.mark.parametrize("path", COMMAND_PATHS, ids=" ".join)
-def test_every_report_is_written_as_json_dumps_writes_it(capsys, path):
+def test_every_report_is_written_as_json_dumps_writes_it(tmp_path, capsys, path):
     code, out, err = run(capsys, *path, *VALID_CALLS[path])
     assert code == 0, err
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    # --out writes the same bytes to the file, and nothing to stdout
+    target = tmp_path / "report.json"
+    code, to_file, err = run(capsys, *path, *VALID_CALLS[path], "--out", str(target))
+    assert code == 0 and to_file == "", err
+    assert target.read_bytes() == out.encode("utf-8")
 
 
 def test_config_values_take_the_flag_type(tmp_path, capsys):

@@ -1,12 +1,16 @@
 """Nilpotent orbit combinatorics: enumeration, diagrams, gradings, tables."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagram_rows import D_ROWS, F4_LEVI_ROWS
 from wdsmooth.orbits import (
     OrbitLabel,
+    _levi_root_levels,
     UnsupportedTypeError,
     WeightedDynkinDiagram,
     check_distinguished_criterion,
@@ -22,11 +26,50 @@ from wdsmooth.orbits import (
     validate_orbit,
     weighted_dynkin,
 )
-from wdsmooth.rootsys import DynkinType, build_root_system, levi_factors, parse_group
+from wdsmooth.rootsys import (
+    _RANK_RULES,
+    DynkinType,
+    build_root_system,
+    levi_factors,
+    parse_group,
+)
 
 
 def rs_of(name):
     return build_root_system(parse_group(name))
+
+
+def allowed_types(lo, hi):
+    """Every semisimple type the rank rules allow with rank in [lo, hi]."""
+    return [DynkinType(family, rank) for family, (a, b) in _RANK_RULES.items()
+            for rank in range(max(a, lo), min(b, hi) + 1)]
+
+
+def reference_grading(rs, labels):
+    # the per-root loop: each positive root and its negative, one at a time
+    dims = {0: rs.reductive_rank}
+    for coords in rs.positive_root_coords:
+        level = sum(c * l for c, l in zip(coords, labels))
+        dims[level] = dims.get(level, 0) + 1
+        dims[-level] = dims.get(-level, 0) + 1
+    return dict(sorted(dims.items()))
+
+
+def reference_levi_levels(rs, subset, w_by_index):
+    # the per-root loop: the levels of the roots supported on the subset
+    levels = []
+    for coords in rs.positive_root_coords:
+        support = {i for i, c in enumerate(coords) if c != 0}
+        if support <= subset:
+            levels.append(sum(c * w_by_index[i] for i, c in enumerate(coords) if c != 0))
+    return levels
+
+
+def reference_criterion(rs, subset, w_by_index):
+    levels = reference_levi_levels(rs, subset, w_by_index)
+    g0 = rs.reductive_rank + 2 * sum(1 for lv in levels if lv == 0)
+    g2 = sum(1 for lv in levels if abs(lv) == 2)
+    return g0 == g2 + rs.reductive_rank - len(subset)
 
 
 def partitions_of(n):
@@ -213,6 +256,61 @@ def test_grading_dims_frozen():
     assert regular == {-4: 1, -2: 2, 0: 3, 2: 2, 4: 1}
 
 
+SMALL_TYPES = allowed_types(1, 4) + [parse_group("GL%d" % n) for n in range(2, 6)] + [
+    parse_group("GSp4")]
+
+
+@pytest.mark.parametrize("t", SMALL_TYPES, ids=lambda t: t.name)
+def test_grading_dims_matches_the_per_root_loop_on_every_diagram(t):
+    rs = build_root_system(t)
+    for labels in itertools.product((0, 1, 2), repeat=t.rank):
+        gd = grading_dims(rs, WeightedDynkinDiagram(labels))
+        assert list(gd.items()) == list(reference_grading(rs, labels).items()), labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_grading_dims_matches_the_per_root_loop_at_ranks_5_to_8(data):
+    t = data.draw(st.sampled_from(allowed_types(5, 8) + [parse_group("GL%d" % n)
+                                                         for n in range(6, 10)]))
+    labels = tuple(data.draw(st.lists(st.integers(0, 2), min_size=t.rank, max_size=t.rank)))
+    rs = build_root_system(t)
+    gd = grading_dims(rs, WeightedDynkinDiagram(labels))
+    assert list(gd.items()) == list(reference_grading(rs, labels).items())
+
+
+@pytest.mark.parametrize("t", allowed_types(1, 8), ids=lambda t: t.name)
+def test_every_root_level_fits_in_a_byte(t):
+    # grading_dims reads each root's level, at most 2 * height, off one byte
+    rs = build_root_system(t)
+    assert 2 * max(sum(c) for c in rs.positive_root_coords) < 256
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "C4", "D5", "E6", "F4", "G2"])
+def test_levi_levels_match_the_per_root_loop_on_every_subset(name):
+    rs = rs_of(name)
+    rng = random.Random(name)
+    seen = set()
+    for mask in range(1, 2**rs.rank):
+        subset = frozenset(i for i in range(rs.rank) if mask >> i & 1)
+        levi = levi_factors(rs, subset)
+        draws = [dict.fromkeys(subset, 2)] + [
+            {i: rng.choice((0, 2)) for i in sorted(subset)} for _ in range(3)]
+        for w in draws:
+            assert list(_levi_root_levels(levi, w)) == reference_levi_levels(rs, subset, w)
+            got = check_distinguished_criterion(levi, w)
+            assert got == reference_criterion(rs, subset, w), (sorted(subset), w)
+            seen.add(got)
+    assert seen == {False, True}
+
+
+def test_criterion_rejects_labels_outside_0_1_2():
+    levi = levi_factors(rs_of("GL3"), {0, 1})
+    for bad in (3, -2, 2.0, True):
+        with pytest.raises(ValueError, match="ints in {0, 1, 2}"):
+            check_distinguished_criterion(levi, {0: 2, 1: bad})
+
+
 def test_grading_total_is_dim_g():
     for name in ("GL4", "Sp6", "SO7", "GSp4"):
         rs = rs_of(name)
@@ -279,3 +377,7 @@ def test_exposed_root_sweep_exceptional():
 def test_weighted_diagram_label_domain():
     with pytest.raises(ValueError):
         WeightedDynkinDiagram((3, 0))
+    # 2.0 == 2 and True == 1, but levels are summed as ints
+    for bad in (2.0, True):
+        with pytest.raises(ValueError, match="ints in {0, 1, 2}"):
+            WeightedDynkinDiagram((bad, 0))

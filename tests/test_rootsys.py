@@ -345,6 +345,18 @@ def test_levi_typing_of_every_subset_is_pinned():
     assert digest == LEVI_TYPING_SHA256
 
 
+@pytest.mark.parametrize("family", sorted(_RANK_RULES))
+def test_packed_columns_hold_the_root_coordinates(family):
+    lo, hi = _RANK_RULES[family]
+    for rank in range(lo, hi + 1):
+        rs = build_root_system(DynkinType(family, rank))
+        coords = rs.positive_root_coords
+        assert len(rs.packed_columns) == rank
+        for i, column in enumerate(rs.packed_columns):
+            assert list(column.to_bytes(len(coords), "little")) == [c[i] for c in coords]
+        assert rs.packed_columns is rs.packed_columns
+
+
 def test_levi_subset_records_ambient():
     rs = build_root_system(DynkinType("D", 5))
     levi = levi_factors(rs, {0, 1, 2})
