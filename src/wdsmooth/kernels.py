@@ -2,24 +2,28 @@
 
 Matrices are numpy int64 arrays with entries reduced into [0, p). The
 single-matrix entry points (``rref_mod``, ``rank_mod``, ``nullity_mod``,
-``nullspace_mod``, ``inv_mod``) run one elimination routine, with
-first-nonzero pivoting, so ranks, kernels and reduced forms are
-deterministic. It packs each row into one Python int, one bit field per
-entry, so clearing a column from a row is a single big-int update, and
-it reduces entries mod p only where a pivot is read and once at the end:
-the fields are wide enough that no intermediate value can carry from one
-entry into the next. Each pivot's inverse comes from the extended
-Euclidean algorithm (``pow(lead, -1, p)``), which at the largest primes
-is several times faster than Fermat's ``lead^(p - 2)``. ``rank_mod`` and
+``nullspace_mod``, ``inv_mod``) eliminate with first-nonzero pivoting,
+so ranks, kernels and reduced forms are deterministic. Each row is
+packed into one Python int, one bit field per entry, so clearing a
+column from a row is a single big-int update, and entries are reduced
+mod p only where a pivot is read and once at the end: the fields are
+wide enough that no intermediate value can carry from one entry into
+the next. Each pivot's inverse comes from the extended Euclidean
+algorithm (``pow(lead, -1, p)``), which at the largest primes is
+several times faster than Fermat's ``lead^(p - 2)``. ``rank_mod`` and
 ``nullity_mod`` read only the pivot count, so they stop at row echelon
-form, in a loop of their own over the rows below the pivot; the others
-reduce fully (Gauss-Jordan). Rows go in and out as bytes: the field
-width is rounded up to 8, 16 or 32 bits or to whole 64-bit words, so
-the matrix cast to that unsigned type is one ``tobytes()`` and each row
-one ``int.from_bytes``. That layout (item type, words per field, width,
-mask, shifts) depends only on p, min(m, n) and n, so it is computed once
-per such shape and kept in a small LRU cache; the callers reduce
-matrices of a few shapes at one p, over and over. The reduced rows come
+form in the one rank loop, ``_rank_rows``, which clears only the rows
+below each pivot and drops the pivot row; ``variety.tangent_dim`` hands
+it the GL1 and GL2 tangent rows it packs itself, unreduced. The others
+reduce fully (Gauss-Jordan). The layout of the fields (item type, words
+per field, width, mask, shifts) is keyed by p, the largest starting
+entry, min(m, n) and n, under one rule: a field holds the largest
+starting entry times p^min(m, n), the most it can grow to, so no field
+ever carries. It is kept in a small LRU cache, since the callers reduce
+matrices of a few shapes at one p, over and over. Rows go in and out as
+bytes: the field width is rounded up to 8, 16 or 32 bits or to whole
+64-bit words, so the matrix cast to that unsigned type is one
+``tobytes()`` and each row one ``int.from_bytes``. The reduced rows come
 back through one ``np.frombuffer``, with a field of several words
 reduced mod p by Horner's rule; ``nullspace_mod`` reads its basis off
 the reduced form and its free columns. The stack entry point,
@@ -62,15 +66,23 @@ _PRIMES: set[int] = set()
 
 
 @functools.lru_cache(maxsize=32)
-def _layout(p: int, k: int, n: int) -> tuple[np.dtype, int, int, range, int]:
-    # The packing of ``_rref`` for rows of n entries mod p with at most k
-    # pivots: (dtype, words, mask, shifts, step), each field `words` items
-    # of the unsigned `dtype`, W = 8 itemsize words bits wide, `mask` its
-    # W low bits, `shifts` the W c at which entry c starts, `step` the
-    # bytes of a row. W >= w, the bit length of p^(k + 1), rounded up to
-    # 8, 16 or 32 bits or to whole 64-bit words. Kept per shape, since the
-    # callers reduce matrices of a few shapes at one p, over and over.
-    size = -(-(p ** (k + 1)).bit_length() // 8)  # bytes of w
+def _layout(p: int, top: int, k: int, n: int) -> tuple[np.dtype, int, int, range, int]:
+    # The packing of rows of n entries in [0, top] that an elimination mod p
+    # with at most k pivots clears: (dtype, words, mask, shifts, step), each
+    # field `words` items of the unsigned `dtype`, W = 8 itemsize words bits
+    # wide, `mask` its W low bits, `shifts` the W c at which entry c starts,
+    # `step` the bytes of a row. One width rule serves every caller: a
+    # column is cleared from a row by adding to it c <= p - 1 times the
+    # pivot row, so a bound X on the fields becomes p X, and after k pivots
+    # every field is at most top p^k. With w the bit length of top p^k and
+    # W >= w, no field ever carries into the next. ``_rref`` packs residues,
+    # top = p - 1, so its fields stay below p^(k + 1); the GL1 and GL2
+    # tangent rows that ``variety`` packs are unreduced sums of n^2 products
+    # of residues, top = n^2 (p - 1)^2. W is w rounded up to 8, 16 or 32
+    # bits or to whole 64-bit words, which only widens the margin. Kept per
+    # shape, since the callers reduce matrices of a few shapes at one p,
+    # over and over.
+    size = -(-(top * p**k).bit_length() // 8)  # bytes of w
     item = 8 if size > 4 else 1 << (size - 1).bit_length()
     words = -(-size // item)
     width = 8 * item * words
@@ -78,57 +90,92 @@ def _layout(p: int, k: int, n: int) -> tuple[np.dtype, int, int, range, int]:
     return _UNSIGNED[item], words, (1 << width) - 1, shifts, item * words * n
 
 
-def _rref(mat: NDArray[np.int64], p: int, full: bool = True
-          ) -> tuple[list[int], NDArray[np.int64] | None]:
-    # Elimination of an (m, n) int64 array with entries in [0, p), p prime,
-    # with first-nonzero pivoting; returns the pivot column of each nonzero
-    # row, in order, and with full=True the reduced row echelon form as a
-    # new (m, n) int64 array (None with full=False). full=True clears each
-    # pivot column from every other row; full=False clears it only from the
-    # rows below, which is all a rank needs.
-    #
-    # Each row is packed into one int, entry c in bits [W c, W (c + 1)),
-    # so clearing a column from a row is one big-int update: a row whose
-    # entry there is f gains (-f inv % p) times the unscaled pivot row
-    # (inv the pivot's inverse, by the extended Euclidean algorithm), which
-    # makes that entry 0 mod p. On the way only pivot-column entries are
-    # reduced mod p (pivot candidates, the pivot, and f); with full=True
-    # every entry is reduced once at the end, when each nonzero row is
-    # scaled by its pivot's inverse. This is exact:
-    # - fields stay >= 0, since only nonnegative multiples are added, so
-    #   no field ever borrows from the next;
-    # - an update multiplies the largest field by at most p, so after k
-    #   pivots every field is below p^(k + 1); there are at most min(m, n)
-    #   pivots, so with w the bit length of p^(min(m, n) + 1) and W >= w
-    #   no field ever carries into the next;
-    # - each field stays congruent mod p to its entry in the usual
-    #   Gauss-Jordan (which scales pivot rows to a leading 1) up to a unit,
-    #   so the pivot columns are the same, and the reduced row echelon
-    #   form is unique, so the result equals that of the usual method.
-    # A zero row stays zero and is never a pivot, so zero rows are left
-    # out of the elimination and come back as the last rows.
-    #
-    # Rows move in and out as bytes, in the layout ``_layout`` keeps per
-    # (p, min(m, n), n). W is w rounded up to 8, 16 or 32 bits or to whole
-    # 64-bit words, so the fields are the items of an unsigned
-    # little-endian array, with `words` items per field: the matrix cast
-    # to that type (zero-padded to (m, n, words) when a field spans
-    # several words) is one tobytes(), and each row one int.from_bytes of
-    # its slice. Rounding W up only widens the margin
-    # against carries. On the way out the pivot rows' to_bytes are joined
-    # into one np.frombuffer; each word is reduced mod p, a field of
-    # several words is reduced by Horner's rule with 2^64 mod p, and each
-    # row is scaled by its pivot's inverse in int64. Every product there
-    # is of two residues, below p^2 < 2^63 for p <= P_MAX (a Horner step
-    # adds one more residue), so nothing overflows.
+def _pack(mat: NDArray[np.int64], p: int) -> tuple[list[int], tuple]:
+    # The nonzero rows of an (m, n) int64 array with entries in [0, p), each
+    # packed into one int, entry c in bits [W c, W (c + 1)), and their
+    # ``_layout``. A zero row stays zero and is never a pivot, so it is left
+    # out. Rows move in as bytes: the fields are the items of an unsigned
+    # little-endian array, `words` items per field, so the matrix cast to
+    # that type (zero-padded to (m, n, words) when a field spans several
+    # words) is one tobytes(), and each row one int.from_bytes of its slice.
     m, n = mat.shape
-    dtype, words, mask, shifts, step = _layout(p, min(m, n), n)
+    layout = _layout(p, p - 1, min(m, n), n)
+    dtype, words, _, _, step = layout
     fields = mat.astype(dtype)
     if words > 1:  # each field: its value, then zero words
         fields = np.concatenate([fields[:, :, None], np.zeros((m, n, words - 1), dtype)], axis=2)
     data = fields.tobytes()  # step is 0 with n = 0, and the range below empty
-    packed = [v for i in range(0, m * step, step or 1)
-              if (v := int.from_bytes(data[i:i + step], "little"))]
+    return [v for i in range(0, m * step, step or 1)
+            if (v := int.from_bytes(data[i:i + step], "little"))], layout
+
+
+def _rank_rows(rows: list[int], p: int, mask: int, shifts: range) -> int:
+    # The rank mod p of packed rows, each field below 2^W = mask + 1 and,
+    # after every update, below it still (``_layout``'s rule). The one
+    # rank-only elimination: ``rank_mod``, ``nullity_mod`` and the GL1 and
+    # GL2 ``variety.tangent_dim`` hand it their rows, which it consumes.
+    # Fields need not be reduced: only the entry of the current column is,
+    # in each row scanned. The first row nonzero there mod p is the pivot;
+    # the rows before it are 0 there, so only the rows after it are
+    # cleared, each by adding c = (-f lead^-1 mod p) <= p - 1 times the
+    # pivot row, f its entry. The pivot row is then taken out of the list,
+    # since a rank never reads it again. The inverse is the extended
+    # Euclidean algorithm's, ``pow(lead, -1, p)``, one rule for every p:
+    # timed in this loop on GL2 tangent rows, Fermat's ``pow(lead, p - 2,
+    # p)`` and an LRU table of inverses move a matrix's 3.6 us by at most
+    # 4 % at p = 7, and Fermat takes 45 % longer at the largest prime.
+    rank = 0
+    for sh in shifts:
+        for piv, v in enumerate(rows):
+            lead = (v >> sh & mask) % p
+            if lead:
+                break
+        else:
+            continue
+        del rows[piv]
+        rank += 1
+        if not rows:
+            break
+        c = p - pow(lead, -1, p)
+        for i in range(piv, len(rows)):
+            f = (rows[i] >> sh & mask) % p
+            if f:
+                rows[i] += f * c % p * v
+    return rank
+
+
+def _rref(mat: NDArray[np.int64], p: int) -> tuple[list[int], NDArray[np.int64]]:
+    # Gauss-Jordan elimination of an (m, n) int64 array with entries in
+    # [0, p), p prime, with first-nonzero pivoting; returns the pivot column
+    # of each nonzero row, in order, and the reduced row echelon form as a
+    # new (m, n) int64 array.
+    #
+    # The rows are packed by ``_pack``, so clearing a column from a row is
+    # one big-int update: a row whose entry there is f gains (-f inv % p)
+    # times the unscaled pivot row (inv the pivot's inverse, by the extended
+    # Euclidean algorithm), which makes that entry 0 mod p. Each pivot
+    # column is cleared from every other row. On the way only pivot-column
+    # entries are reduced mod p (pivot candidates, the pivot, and f); every
+    # entry is reduced once at the end, when each nonzero row is scaled by
+    # its pivot's inverse. This is exact:
+    # - fields stay >= 0, since only nonnegative multiples are added, so
+    #   no field ever borrows from the next;
+    # - there are at most min(m, n) pivots, so by ``_layout``'s rule, with
+    #   top = p - 1, no field ever carries into the next;
+    # - each field stays congruent mod p to its entry in the usual
+    #   Gauss-Jordan (which scales pivot rows to a leading 1) up to a unit,
+    #   so the pivot columns are the same, and the reduced row echelon
+    #   form is unique, so the result equals that of the usual method.
+    # Zero rows, which ``_pack`` leaves out, come back as the last rows.
+    #
+    # On the way out the pivot rows' to_bytes are joined into one
+    # np.frombuffer; each word is reduced mod p, a field of several words is
+    # reduced by Horner's rule with 2^64 mod p, and each row is scaled by
+    # its pivot's inverse in int64. Every product there is of two residues,
+    # below p^2 < 2^63 for p <= P_MAX (a Horner step adds one more residue),
+    # so nothing overflows.
+    m, n = mat.shape
+    packed, (dtype, words, mask, shifts, step) = _pack(mat, p)
     k = len(packed)
     pivots: list[int] = []
     invs: list[int] = []
@@ -146,29 +193,26 @@ def _rref(mat: NDArray[np.int64], p: int, full: bool = True
         packed[piv] = packed[r]
         packed[r] = v
         inv = pow(lead, -1, p)
-        if full:
-            for i in range(k):
-                if r <= i <= piv:  # the pivot, and rows the scan found 0 mod p
-                    continue
-                f = (packed[i] >> sh & mask) % p
-                if f:
-                    packed[i] += (-f * inv % p) * v
-        else:  # the rows below those the scan read, with no guard
-            for i in range(piv + 1, k):
-                f = (packed[i] >> sh & mask) % p
-                if f:
-                    packed[i] += (-f * inv % p) * v
+        for i in range(k):
+            if r <= i <= piv:  # the pivot, and rows the scan found 0 mod p
+                continue
+            f = (packed[i] >> sh & mask) % p
+            if f:
+                packed[i] += (-f * inv % p) * v
         pivots.append(col)
         invs.append(inv)
         r += 1
-    if not full:
-        return pivots, None
     data = b"".join([v.to_bytes(step, "little") for v in packed[:r]]) + bytes(step * (m - r))
     fields = (np.frombuffer(data, dtype).reshape(m, n, words) % p).astype(np.int64)
     red = fields[:, :, -1]
     for j in range(words - 2, -1, -1):  # Horner's rule in base 2^64
         red = (red * (2**64 % p) + fields[:, :, j]) % p
     return pivots, red * np.array(invs + [0] * (m - r), dtype=np.int64)[:, None] % p
+
+
+def _rank(mat: NDArray[np.int64], p: int) -> int:
+    packed, (_, _, mask, shifts, _) = _pack(mat, p)
+    return _rank_rows(packed, p, mask, shifts)
 
 
 def _check_p(p: int) -> None:
@@ -243,12 +287,12 @@ def rref_mod(a, p: int) -> tuple[NDArray[np.int64], int, NDArray[np.int64]]:
 
 
 def rank_mod(a, p: int) -> int:
-    return len(_rref(_matrix(a, p), p, full=False)[0])
+    return _rank(_matrix(a, p), p)
 
 
 def nullity_mod(a, p: int) -> int:
     mat = _matrix(a, p)
-    return mat.shape[1] - len(_rref(mat, p, full=False)[0])
+    return mat.shape[1] - _rank(mat, p)
 
 
 def _inverse_mod(x: NDArray[np.int64], p: int) -> NDArray[np.int64]:

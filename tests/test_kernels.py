@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
+from wdsmooth import kernels
 from wdsmooth.kernels import (
     P_MAX,
     _inverse_mod,
@@ -527,17 +528,20 @@ def test_kernels_equal_the_reference_gauss_jordan(p, m, n, data):
 
 
 #: (w, p, k): the elimination packs each entry of a matrix with min(m, n)
-#: = k into a field of w = bitlen(p^(k + 1)) bits rounded up to 8, 16 or
-#: 32 bits or to whole 64-bit words; each w sits on one side of a boundary
+#: = k into a field of w = bitlen((p - 1) p^k) bits (the largest entry,
+#: p - 1, times p per pivot) rounded up to 8, 16 or 32 bits or to whole
+#: 64-bit words; each w sits on one side of a boundary
 PACKING_WIDTHS = [
-    (8, 3, 4), (9, 7, 2), (16, 37, 2), (17, 5, 6), (32, 11, 8),
+    (8, 3, 4), (9, 7, 2), (16, 37, 2), (17, 7, 5), (32, 23, 6),
     (33, 5, 13), (64, 29, 12), (65, 31, 12), (129, 1627, 11),
 ]
 
 
 @pytest.mark.parametrize("w, p, k", PACKING_WIDTHS, ids=lambda v: str(v))
 def test_kernels_equal_the_reference_at_each_packing_width(w, p, k):
-    assert (p ** (k + 1)).bit_length() == w
+    assert ((p - 1) * p**k).bit_length() == w
+    rounded = min([width for width in (8, 16, 32) if width >= w] or [-(-w // 64) * 64])
+    assert kernels._layout(p, p - 1, k, 1)[2] == (1 << rounded) - 1  # the field mask
     rng = np.random.default_rng(53)
     for shape in ((k, k), (k, k + 3), (k + 2, k)):
         assert_kernels_equal_the_reference(np.full(shape, p - 1, dtype=np.int64), p)
@@ -545,6 +549,58 @@ def test_kernels_equal_the_reference_at_each_packing_width(w, p, k):
         for rank in sorted({0, 1, k // 2, k - 1}):
             a = low_rank(rng, shape, rank, p)
             assert_kernels_equal_the_reference(a[rng.permutation(shape[0])], p)
+
+
+def reference_rank_growth(rows, p):
+    """The rank-only elimination of ``kernels._rank_rows`` on rows of
+    unreduced entries held as lists: (rank, the largest entry any row
+    reaches on the way)."""
+    rows = [list(row) for row in rows]
+    largest = max((x for row in rows for x in row), default=0)
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i, row in enumerate(rows) if row[col] % p), None)
+        if piv is None:
+            continue
+        pivot = rows.pop(piv)
+        rank += 1
+        c = p - pow(pivot[col] % p, -1, p)
+        for row in rows[piv:]:
+            f = row[col] % p
+            if f:
+                row[:] = [a + f * c % p * b for a, b in zip(row, pivot)]
+                largest = max(largest, *row)
+    return rank, largest
+
+
+@pytest.mark.parametrize("p", [2, 7, TOP_P])
+@pytest.mark.parametrize("top, shape", [
+    ("p - 1", (4, 8)), ("p - 1", (16, 32)),
+    ("(p - 1)^2", (1, 2)), ("4 (p - 1)^2", (4, 8)), ("4 (p - 1)^2", (4, 4)),
+], ids=str)
+def test_rank_rows_never_carry_under_the_layout_rule(top, shape, p):
+    # rows of entries up to `top`, unreduced: residues as rref packs them,
+    # and the GL1 and GL2 tangent rows' sums of n^2 products of residues.
+    # With k = min(m, n) pivots every entry stays at most top p^k, which the
+    # field holds, so the packed rank equals the rank of the rows mod p
+    top = {"p - 1": p - 1, "(p - 1)^2": (p - 1) ** 2, "4 (p - 1)^2": 4 * (p - 1) ** 2}[top]
+    m, n = shape
+    k = min(m, n)
+    _, _, mask, shifts, _ = kernels._layout(p, top, k, n)
+    assert (top * p**k).bit_length() <= mask.bit_length()
+    rng = np.random.default_rng(p + top)
+    cases = [[[top] * n] * m, rng.integers(0, top + 1, size=shape, dtype=np.uint64).tolist()]
+    for rank in (1, k // 2, k - 1):  # low rank mod p, lifted by multiples of p up to top
+        residues = low_rank(rng, shape, rank, p).astype(object)
+        lifts = rng.integers(0, (top - p + 1) // p + 1, size=shape).astype(object)
+        cases.append((residues + p * lifts).tolist())
+    for rows in cases:
+        assert max(max(row) for row in rows) <= top
+        rank, largest = reference_rank_growth(rows, p)
+        assert largest <= top * p**k <= mask
+        packed = [sum(int(x) << sh for x, sh in zip(row, shifts)) for row in rows]
+        assert kernels._rank_rows(packed, p, mask, shifts) == rank
+        assert rank == oracle_rank([[x % p for x in row] for row in rows], p)
 
 
 def test_single_matrix_results_are_new_writable_arrays():

@@ -1169,6 +1169,49 @@ def test_conjugate_point_keeps_samples_in_the_variety(case, pq, seed, data):
     assert exp_bridge_check(*moved, q, p) == exp_bridge_check(*pts[0], q, p)
 
 
+CONJUGATION_SPECS = [GroupSpec.gl(n) for n in range(1, 5)] + [GSP4]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CONJUGATION_SPECS), st.sampled_from([5, 7, 11, 13]), st.booleans(),
+       st.data())
+def test_tangent_dim_and_exp_bridge_are_conjugation_invariants(spec, p, on_variety, data):
+    # simultaneous conjugation by the group maps the Lie algebra to itself
+    # and the tangent map at (phi, N) to a conjugate of itself, and exp and
+    # log are polynomials in N here, so neither the tangent dimension nor
+    # the exp bridge changes, on the variety or off it. The pairs are built
+    # without the sampler, which conjugates its own: off the variety a
+    # random group element and Lie algebra element; on it, GL(n) the Jordan
+    # form J of a partition with phi a solution of phi J = q J phi, and
+    # GSp4 a base point (phi, N) with phi moved along exp(c N)
+    n = spec.n
+    q = data.draw(st.integers(1, p - 1), label="q")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if spec.form is None:
+        g = invertible(data, n, p)
+    else:
+        g = reference_gsp4(rng, spec, p)
+    if not on_variety:
+        coeffs = rng.integers(0, p, size=spec.dim_g)
+        n_mat = np.tensordot(coeffs, spec.lie_basis, axes=1) % p
+        phi = invertible_gl(rng, n, p) if spec.form is None else reference_gsp4(rng, spec, p)
+    elif spec.form is None:
+        parts = data.draw(st.sampled_from([parts for parts in PARTITIONS if sum(parts) == n]))
+        n_mat, basis = _jordan_system(parts, q, p)
+        phi = (rng.integers(0, p, size=len(basis)) @ basis % p).reshape(n, n)
+        assume(rank_mod(phi, p) == n)
+    else:
+        parts = data.draw(st.sampled_from(GSP4_ORBITS))
+        phi, n_mat = _gsp4_base_point(spec, parts, q, p)
+        phi = phi @ exp_nilpotent(int(rng.integers(0, p)) * n_mat % p, p) % p
+    pt = np.stack([phi, n_mat])
+    if on_variety:
+        assert sg_member(spec, phi, n_mat, q, p)
+    moved = conjugate_point(pt, g, p)
+    assert tangent_dim(spec, *moved, q, p) == tangent_dim(spec, *pt, q, p)
+    assert exp_bridge_check(*moved, q, p) == exp_bridge_check(*pt, q, p)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.sampled_from([5, 7, 11, 13]), st.data())
 def test_log_inverts_exp(n, p, data):
@@ -1313,9 +1356,85 @@ def test_kept_tangent_products_never_go_stale():
     order = np.random.default_rng(0).permutation(len(pts))
     for i, (phi, n_mat) in enumerate(pts[order]):
         check(GL2, phi, n_mat, 2 + i % 2, 5)  # q = 3 is off the variety: no matter
-    for kept in (variety._m_map(GL2, 5, 2), variety._brackets(GL2, 5, pts[-1, 1].tobytes())):
+    # GL1 and GL2 build packed rows from ints kept by (spec, p, q) for the M
+    # half and, in the bracket entry, by (spec, p, N) for the X half: p, q
+    # and N change in turn, each alone, so a key missing any of them reads
+    # another point's ints. GL1's tangent dimension is 1 at q = 1 and 2 at
+    # any other q; GL2's at phi = I and N = 0 is 8 at q = 1 and 4 otherwise
+    gl1 = GroupSpec.gl(1)
+    for p, q, c in ((5, 1, 0), (5, 2, 0), (7, 1, 3), (5, 1, 2), (7, 3, 3), (7, 1, 0)):
+        for phi in (arr([[1]]), arr([[3]])):
+            check(gl1, phi, arr([[c]]), q, p)
+    rng = np.random.default_rng(7)
+    for p, q in ((5, 1), (5, 2), (7, 1), (5, 1), (7, 3), (7, 1), (5, 2)):
+        phi = invertible_gl(rng, 2, p)
+        for n_mat in (zero2, e12, 2 * e21, zero2, e21 + e12, 3 * np.eye(2, dtype=np.int64)):
+            check(GL2, np.eye(2, dtype=np.int64), n_mat, q, p)
+            check(GL2, phi, n_mat, q, p)
+    for kept in (variety._m_map(GL2, 5, 2), variety._brackets(GL2, 5, pts[-1, 1].tobytes())[0]):
         with pytest.raises(ValueError, match="read-only"):
             kept[0, 0] = 1
+
+
+def invertible_gl(rng, n, p):
+    while True:
+        g = rng.integers(0, p, size=(n, n))
+        if rank_mod(g, p) == n:
+            return g
+
+
+def assert_packed_tangent_dims(spec, pairs, qs, p):
+    # tangent_dim builds GL1 and GL2 rows packed, from phi's entries; the
+    # oracle is the rank of the numpy-built tangent_matrix, and the exact one
+    # that of its Python-int build
+    for phi, n_mat in pairs:
+        for q in qs:
+            exact = exact_tangent_matrix(spec, phi, n_mat, q, p).astype(np.int64)
+            got = tangent_matrix(spec, phi, n_mat, q, p)
+            assert np.array_equal(got, exact)
+            assert tangent_dim(spec, phi, n_mat, q, p) == 2 * spec.dim_g - rank_mod(got, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_packed_tangent_dims_on_every_pair(n, p):
+    # every invertible phi with every N in gl_n(F_p), off the variety
+    # included, at every unit q
+    spec = GroupSpec.gl(n)
+    mats = np.array(list(np.ndindex(*(p,) * (n * n))), dtype=np.int64).reshape(-1, n, n)
+    phis = [m for m in mats if rank_mod(m, p) == n]
+    assert len(phis) == {(1, 2): 1, (1, 3): 2, (2, 2): 6, (2, 3): 48}[n, p]
+    pairs = [(phi, n_mat) for phi in phis for n_mat in mats]
+    assert_packed_tangent_dims(spec, pairs, range(1, p), p)
+
+
+@pytest.mark.parametrize("p", [13, 759_250_111])
+@pytest.mark.parametrize("n", [1, 2])
+def test_packed_tangent_dims_on_random_pairs(n, p):
+    # random pairs, the all-(p - 1) phi, whose entries make the packed
+    # fields as large as they get (n^2 (p - 1)^2, the width bound), and N = 0
+    # and N = c I, where the X half vanishes
+    spec = GroupSpec.gl(n)
+    rng = np.random.default_rng(p + n)
+    top = np.full((n, n), p - 1, dtype=np.int64)
+    eye = np.eye(n, dtype=np.int64)
+    phis = list(rng.integers(0, p, size=(12, n, n))) + [top, invertible_gl(rng, n, p)]
+    ns = list(rng.integers(0, p, size=(6, n, n))) + [top, 0 * eye, eye, (p - 1) * eye,
+                                                      int(rng.integers(2, p)) * eye]
+    qs = sorted({1, 2, p - 1, int(rng.integers(1, p))})
+    assert_packed_tangent_dims(spec, [(phi, n_mat) for phi in phis for n_mat in ns], qs, p)
+
+
+def test_packed_tangent_rows_fit_their_fields_at_the_largest_prime():
+    # the packed rows' entries reach n^2 (p - 1)^2 and grow by at most p per
+    # pivot over n^2 pivots: the field width is the bit length of that bound
+    # times p^(n^2), rounded up, so nothing carries at the largest prime
+    p = 759_250_111
+    for n in (1, 2):
+        spec = GroupSpec.gl(n)
+        size = n * n
+        packing = variety._packing(spec, p)
+        assert packing.mask.bit_length() >= (size * (p - 1) ** 2 * p**size).bit_length()
 
 
 #: the primes the vanishing-bracket path is checked at: the smallest two,
