@@ -12,20 +12,18 @@ the next. Each pivot's inverse comes from the extended Euclidean
 algorithm (``pow(lead, -1, p)``), which at the largest primes is
 several times faster than Fermat's ``lead^(p - 2)``. ``rank_mod`` and
 ``nullity_mod`` read only the pivot count, so they stop at row echelon
-form in the one rank loop, ``_rank_rows``, which clears only the rows
-below each pivot and drops the pivot row; ``variety.tangent_dim`` hands
-it the GL1 and GL2 tangent rows it packs itself, unreduced. The others
-reduce fully (Gauss-Jordan). The layout of the fields (item type, words
-per field, width, mask, shifts) is keyed by p, the largest starting
-entry, min(m, n) and n, under one rule: a field holds the largest
-starting entry times p^min(m, n), the most it can grow to, so no field
-ever carries. It is kept in a small LRU cache, since the callers reduce
-matrices of a few shapes at one p, over and over. Rows go in and out as
-bytes: the field width is rounded up to 8, 16 or 32 bits or to whole
-64-bit words, so the matrix cast to that unsigned type is one
-``tobytes()`` and each row one ``int.from_bytes``. The reduced rows come
-back through one ``np.frombuffer``, with a field of several words
-reduced mod p by Horner's rule; ``nullspace_mod`` reads its basis off
+form in the one rank loop, ``_rank``, which clears only the rows below
+each pivot and drops the pivot row. The others reduce fully
+(Gauss-Jordan). The layout of the fields (item type, words per field,
+width, mask, shifts) is keyed by p, min(m, n) and n, under one rule: a
+field holds p - 1 times p^min(m, n), the most an entry can grow to, so
+no field ever carries. It is kept in a small LRU cache, since the
+callers reduce matrices of a few shapes at one p, over and over. Rows
+go in and out as bytes: the field width is rounded up to 8, 16 or 32
+bits or to whole 64-bit words, so the matrix cast to that unsigned type
+is one ``tobytes()`` and each row one ``int.from_bytes``. The reduced
+rows come back through one ``np.frombuffer``, with a field of several
+words reduced mod p by Horner's rule; ``nullspace_mod`` reads its basis off
 the reduced form and its free columns. The stack entry point,
 ``batch_nullity_mod``, counts the nullity of each matrix of a (B, m, n)
 stack at once, in int64 through one column loop that stops at what a
@@ -66,23 +64,20 @@ _PRIMES: set[int] = set()
 
 
 @functools.lru_cache(maxsize=32)
-def _layout(p: int, top: int, k: int, n: int) -> tuple[np.dtype, int, int, range, int]:
-    # The packing of rows of n entries in [0, top] that an elimination mod p
-    # with at most k pivots clears: (dtype, words, mask, shifts, step), each
-    # field `words` items of the unsigned `dtype`, W = 8 itemsize words bits
-    # wide, `mask` its W low bits, `shifts` the W c at which entry c starts,
+def _layout(p: int, k: int, n: int) -> tuple[np.dtype, int, int, range, int]:
+    # The packing of rows of n residues that an elimination mod p with at
+    # most k pivots clears: (dtype, words, mask, shifts, step), each field
+    # `words` items of the unsigned `dtype`, W = 8 itemsize words bits wide,
+    # `mask` its W low bits, `shifts` the W c at which entry c starts,
     # `step` the bytes of a row. One width rule serves every caller: a
     # column is cleared from a row by adding to it c <= p - 1 times the
     # pivot row, so a bound X on the fields becomes p X, and after k pivots
-    # every field is at most top p^k. With w the bit length of top p^k and
-    # W >= w, no field ever carries into the next. ``_rref`` packs residues,
-    # top = p - 1, so its fields stay below p^(k + 1); the GL1 and GL2
-    # tangent rows that ``variety`` packs are unreduced sums of n^2 products
-    # of residues, top = n^2 (p - 1)^2. W is w rounded up to 8, 16 or 32
-    # bits or to whole 64-bit words, which only widens the margin. Kept per
-    # shape, since the callers reduce matrices of a few shapes at one p,
-    # over and over.
-    size = -(-(top * p**k).bit_length() // 8)  # bytes of w
+    # every field is at most (p - 1) p^k. With w the bit length of that
+    # bound and W >= w, no field ever carries into the next. W is w rounded
+    # up to 8, 16 or 32 bits or to whole 64-bit words, which only widens the
+    # margin. Kept per shape, since the callers reduce matrices of a few
+    # shapes at one p, over and over.
+    size = -(-((p - 1) * p**k).bit_length() // 8)  # bytes of w
     item = 8 if size > 4 else 1 << (size - 1).bit_length()
     words = -(-size // item)
     width = 8 * item * words
@@ -99,7 +94,7 @@ def _pack(mat: NDArray[np.int64], p: int) -> tuple[list[int], tuple]:
     # that type (zero-padded to (m, n, words) when a field spans several
     # words) is one tobytes(), and each row one int.from_bytes of its slice.
     m, n = mat.shape
-    layout = _layout(p, p - 1, min(m, n), n)
+    layout = _layout(p, min(m, n), n)
     dtype, words, _, _, step = layout
     fields = mat.astype(dtype)
     if words > 1:  # each field: its value, then zero words
@@ -107,41 +102,6 @@ def _pack(mat: NDArray[np.int64], p: int) -> tuple[list[int], tuple]:
     data = fields.tobytes()  # step is 0 with n = 0, and the range below empty
     return [v for i in range(0, m * step, step or 1)
             if (v := int.from_bytes(data[i:i + step], "little"))], layout
-
-
-def _rank_rows(rows: list[int], p: int, mask: int, shifts: range) -> int:
-    # The rank mod p of packed rows, each field below 2^W = mask + 1 and,
-    # after every update, below it still (``_layout``'s rule). The one
-    # rank-only elimination: ``rank_mod``, ``nullity_mod`` and the GL1 and
-    # GL2 ``variety.tangent_dim`` hand it their rows, which it consumes.
-    # Fields need not be reduced: only the entry of the current column is,
-    # in each row scanned. The first row nonzero there mod p is the pivot;
-    # the rows before it are 0 there, so only the rows after it are
-    # cleared, each by adding c = (-f lead^-1 mod p) <= p - 1 times the
-    # pivot row, f its entry. The pivot row is then taken out of the list,
-    # since a rank never reads it again. The inverse is the extended
-    # Euclidean algorithm's, ``pow(lead, -1, p)``, one rule for every p:
-    # timed in this loop on GL2 tangent rows, Fermat's ``pow(lead, p - 2,
-    # p)`` and an LRU table of inverses move a matrix's 3.6 us by at most
-    # 4 % at p = 7, and Fermat takes 45 % longer at the largest prime.
-    rank = 0
-    for sh in shifts:
-        for piv, v in enumerate(rows):
-            lead = (v >> sh & mask) % p
-            if lead:
-                break
-        else:
-            continue
-        del rows[piv]
-        rank += 1
-        if not rows:
-            break
-        c = p - pow(lead, -1, p)
-        for i in range(piv, len(rows)):
-            f = (rows[i] >> sh & mask) % p
-            if f:
-                rows[i] += f * c % p * v
-    return rank
 
 
 def _rref(mat: NDArray[np.int64], p: int) -> tuple[list[int], NDArray[np.int64]]:
@@ -160,8 +120,8 @@ def _rref(mat: NDArray[np.int64], p: int) -> tuple[list[int], NDArray[np.int64]]
     # its pivot's inverse. This is exact:
     # - fields stay >= 0, since only nonnegative multiples are added, so
     #   no field ever borrows from the next;
-    # - there are at most min(m, n) pivots, so by ``_layout``'s rule, with
-    #   top = p - 1, no field ever carries into the next;
+    # - there are at most min(m, n) pivots, so by ``_layout``'s rule no
+    #   field ever carries into the next;
     # - each field stays congruent mod p to its entry in the usual
     #   Gauss-Jordan (which scales pivot rows to a leading 1) up to a unit,
     #   so the pivot columns are the same, and the reduced row echelon
@@ -211,8 +171,39 @@ def _rref(mat: NDArray[np.int64], p: int) -> tuple[list[int], NDArray[np.int64]]
 
 
 def _rank(mat: NDArray[np.int64], p: int) -> int:
-    packed, (_, _, mask, shifts, _) = _pack(mat, p)
-    return _rank_rows(packed, p, mask, shifts)
+    # The rank mod p of an (m, n) int64 array with entries in [0, p): the
+    # one rank-only elimination, which ``rank_mod`` and ``nullity_mod``
+    # share. The rows are packed by ``_pack``, and each field stays below
+    # 2^W = mask + 1 after every update (``_layout``'s rule). Fields are not
+    # kept reduced: only the entry of the current column is, in each row
+    # scanned. The first row nonzero there mod p is the pivot; the rows
+    # before it are 0 there, so only the rows after it are cleared, each by
+    # adding c = (-f lead^-1 mod p) <= p - 1 times the pivot row, f its
+    # entry. The pivot row is then taken out of the list, since a rank never
+    # reads it again. The inverse is the extended Euclidean algorithm's,
+    # ``pow(lead, -1, p)``, one rule for every p: timed in this loop on GL2
+    # tangent rows, Fermat's ``pow(lead, p - 2, p)`` and an LRU table of
+    # inverses move a matrix's 3.6 us by at most 4 % at p = 7, and Fermat
+    # takes 45 % longer at the largest prime.
+    rows, (_, _, mask, shifts, _) = _pack(mat, p)
+    rank = 0
+    for sh in shifts:
+        for piv, v in enumerate(rows):
+            lead = (v >> sh & mask) % p
+            if lead:
+                break
+        else:
+            continue
+        del rows[piv]
+        rank += 1
+        if not rows:
+            break
+        c = p - pow(lead, -1, p)
+        for i in range(piv, len(rows)):
+            f = (rows[i] >> sh & mask) % p
+            if f:
+                rows[i] += f * c % p * v
+    return rank
 
 
 def _check_p(p: int) -> None:

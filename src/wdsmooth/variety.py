@@ -15,30 +15,28 @@ one N with q and p, like ``tangent_matrix``; ``exp_bridge_check`` takes
 either one pair (a bool) or (B, n, n) stacks of phis and Ns (a bool
 array), like ``sg_member``.
 
-All computations are exact over F_p; tangent dimensions come from the
-kernel of the defining map's differential, evaluated by deterministic
-Gaussian elimination. ``tangent_dim`` eliminates the tangent matrix
-with its columns reversed, M half first, and builds it in that order
-from what is kept per (spec, p, q) for the M half and per (spec, p, N)
-for the brackets [X, N], so the points of one N, which the GL2
-enumeration lists together, build the brackets once. It has two
-builders. For GL1 and GL2 each row is one packed int, the sum of the
-entries of phi times kept ints, handed to ``kernels``' rank loop with no
-numpy product; for n >= 3 and GSp4 the matrix is two numpy products,
-vec(phi) times the M half's map of residues and phi times the brackets,
-which ``nullity_mod`` reduces, once. The packed build is 1.1-1.5x as
-fast on GL2 points, and 0.27-0.67x on GL3, GL4 and GSp4 samples, where
-each N is new. Either way each entry is a sum of at most n^2 <= 16
-products of residues, the bound ``kernels.P_MAX`` is derived from.
-``tangent_matrix`` stays the numpy build for every group, the packed
-builder's oracle. The bracket cache also records, once per N, whether
-every bracket vanishes mod p (N = 0, or N central); there the X half is
-zero, and ``tangent_dim`` eliminates the M half alone and adds dim g,
-which is exact, since zero columns add to the nullity and nothing to
-the rank. That is the N = 0 stratum, half of the GL2 enumeration's
-points, and every zero-orbit sample. The GL sampler reads all its draws
-from one buffered stream of its generator; numpy's bounded draws
-concatenate, so the samples are those of one generator call per block.
+All computations are exact over F_p. A tangent dimension is the
+nullity of the defining map's differential T. For GL1 and GL2 at
+invertible phi, ``tangent_dim`` computes it in closed form from the
+entries of phi and N, as Python ints: under the trace form, which is
+nondegenerate on gl_n at every p, the cokernel of T is dual to
+H^2 = {Z in z(N) : q phi Z = Z phi}, so the nullity is n^2 + dim H^2.
+Elsewhere (GL3, GL4, GSp4 and a singular phi) it eliminates T, by
+deterministic Gaussian elimination, with its columns reversed, M half
+first, built in that order from two numpy products: vec(phi) times the
+M half's map of residues, kept per (spec, p, q), and phi times the
+brackets [X, N], kept per (spec, p, N). ``nullity_mod`` reduces it
+once; each entry is a sum of at most n^2 <= 16 products of residues,
+the bound ``kernels.P_MAX`` is derived from. ``tangent_matrix`` is that
+build, reduced, for every group, and the closed form's oracle. The
+bracket cache also records, once per N, whether every bracket vanishes
+mod p (N = 0, or N central); there the X half is zero, and
+``tangent_dim`` eliminates the M half alone and adds dim g, which is
+exact, since zero columns add to the nullity and nothing to the rank.
+That is every zero-orbit sample of GL3, GL4 and GSp4. The GL sampler
+reads all its draws from one buffered stream of its generator; numpy's
+bounded draws concatenate, so the samples are those of one generator
+call per block.
 Every linear system on gl_n comes from one builder of X -> a X - X b,
 with no inverse: the nilpotency scan and the bundle fibres solve
 N -> phi N - q N phi, which is Ad(phi) - q times the invertible phi and
@@ -63,9 +61,7 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -340,79 +336,21 @@ def _m_map(spec: GroupSpec, p: int, q: int) -> NDArray[np.int64]:
     return _read_only(a.reshape(n * n, -1) % p)
 
 
-class _Packing(NamedTuple):
-    """How the column-reversed tangent matrix of a GL1 or GL2 spec at one p
-    is packed for ``kernels._rank_rows``: field c of a row in bits
-    [shifts[c], shifts[c] + W), W = mask's bit length, the M half in fields
-    0 .. dim_g - 1 and the X half after it, and row r of the whole matrix,
-    held as one int, in bits [starts[r], starts[r] + row_mask's bit length).
-    halves holds, for the M half and then the X half, the bit at which entry
-    (r, c) of the half starts, in row-major (r, c) order."""
-
-    mask: int
-    shifts: range
-    starts: range
-    row_mask: int
-    halves: tuple[tuple[int, ...], tuple[int, ...]]
-
-
 @functools.lru_cache(maxsize=8)
-def _packing(spec: GroupSpec, p: int) -> _Packing:
-    """The packing of a GL1 or GL2 spec's tangent matrices at p: entries at
-    most n^2 (p - 1)^2 and at most n^2 pivots, which ``kernels._layout``
-    widens the fields for."""
-    size, dim = spec.n * spec.n, spec.dim_g
-    _, _, mask, shifts, _ = kernels._layout(p, size * (p - 1) ** 2, size, 2 * dim)
-    row = shifts.stop  # the bits of a row
-    starts = range(0, row * size, row)
-    halves = tuple(tuple(start + sh for start in starts for sh in half)
-                   for half in (shifts[:dim], shifts[dim:]))
-    return _Packing(mask, shifts, starts, (1 << row) - 1, halves)
-
-
-def _packed(residues: NDArray[np.int64], offsets: tuple[int, ...]) -> tuple[int, ...]:
-    """Each row of a 2-d array of residues as one int, entry c at bit
-    offsets[c]."""
-    return tuple(sum(map(operator.lshift, row, offsets)) for row in residues.tolist())
-
-
-@functools.lru_cache(maxsize=8)
-def _packed_m_half(spec: GroupSpec, p: int, q: int) -> tuple[_Packing, tuple[int, ...]]:
-    """For GL1 and GL2, at q reduced mod p: the packing, and the M half of
-    the column-reversed tangent matrix as n^2 ints, row (k, l) of
-    ``_m_map`` packed, so that the sum of phi[k, l] times them is the M
-    half's rows, packed."""
-    packing = _packing(spec, p)
-    return packing, _packed(_m_map(spec, p, q), packing.halves[0])
-
-
-@functools.lru_cache(maxsize=8)
-def _brackets(spec: GroupSpec, p: int, n_bytes: bytes
-              ) -> tuple[NDArray[np.int64], tuple[int, ...] | None] | None:
+def _brackets(spec: GroupSpec, p: int, n_bytes: bytes) -> NDArray[np.int64] | None:
     """The brackets [X_m, N] over the reversed basis as one (n, n dim_g)
     array, entry (k, (j, m)) being [X_m, N][k, j], reduced mod p, for N the
     reduced (n, n) int64 matrix with bytes n_bytes; read-only. phi times
     it, read as (n^2, dim_g), is the X half of the column-reversed tangent
-    matrix. With it, for GL1 and GL2, that half as n^2 ints, one per entry
-    (i, k) of phi: bracket row k packed into the X fields of the rows
-    (i, j), so that the sum of phi[i, k] times them is the X half's rows,
-    packed (None for n > 2). None when every bracket vanishes mod p (N = 0,
-    or N central), where that half is zero whatever phi is."""
+    matrix. None when every bracket vanishes mod p (N = 0, or N central),
+    where that half is zero whatever phi is."""
     n = spec.n
     n_mat = np.frombuffer(n_bytes, dtype=np.int64).reshape(n, n)
     basis = spec.lie_basis[::-1]
     brackets = (basis @ n_mat - n_mat @ basis) % p  # (m, k, j)
     if not brackets.any():
         return None
-    brackets = _read_only(brackets.transpose(1, 2, 0).reshape(n, -1))
-    if n > 2:
-        return brackets, None
-    # bracket row k packed into the X fields of rows (0, j); entry (i, k) of
-    # phi meets it in the rows (i, j), n rows further on per i
-    packing = _packing(spec, p)
-    rows = _packed(brackets, packing.halves[1])
-    block = n * packing.starts.step
-    return brackets, tuple(row << i * block for i in range(n) for row in rows)
+    return _read_only(brackets.transpose(1, 2, 0).reshape(n, -1))
 
 
 def _checked_point(spec: GroupSpec, phi, n_mat, q: int, p: int
@@ -423,12 +361,13 @@ def _checked_point(spec: GroupSpec, phi, n_mat, q: int, p: int
     return (_point_matrix(spec, phi, p, "phi"), _point_matrix(spec, n_mat, p, "N"), q)
 
 
-def _reversed_halves(spec: GroupSpec, phi, n_mat, q: int, p: int
-                     ) -> tuple[NDArray[np.int64], NDArray[np.int64] | None]:
+def _reversed_halves(spec: GroupSpec, phi: NDArray[np.int64], n_mat: NDArray[np.int64],
+                     q: int, p: int) -> tuple[NDArray[np.int64], NDArray[np.int64] | None]:
     """The two halves of the tangent matrix at (phi, N) with its columns
-    reversed, each (n^2, dim_g), C-contiguous and unreduced: the M half
-    over the reversed basis, then the X half, which is None where every
-    bracket [X_m, N] vanishes mod p and the half is zero.
+    reversed, for (phi, N, q) as ``_checked_point`` returns them, each
+    (n^2, dim_g), C-contiguous and unreduced: the M half over the reversed
+    basis, then the X half, which is None where every bracket [X_m, N]
+    vanishes mod p and the half is zero.
 
     Every entry is congruent mod p to that of ``tangent_matrix`` and lies
     in [0, n^2 (p - 1)^2]: an entry of the M half is a sum of n^2 products
@@ -436,11 +375,10 @@ def _reversed_halves(spec: GroupSpec, phi, n_mat, q: int, p: int
     brackets). n^2 <= 16 is the K of ``kernels.P_MAX``, so nothing
     overflows int64.
     """
-    phi, n_mat, q = _checked_point(spec, phi, n_mat, q, p)
     size = spec.n * spec.n
     m_half = (phi.reshape(size) @ _m_map(spec, p, q)).reshape(size, -1)
-    kept = _brackets(spec, p, n_mat.tobytes())
-    return m_half, None if kept is None else (phi @ kept[0]).reshape(size, -1)
+    brackets = _brackets(spec, p, n_mat.tobytes())
+    return m_half, None if brackets is None else (phi @ brackets).reshape(size, -1)
 
 
 def tangent_matrix(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.int64]:
@@ -456,66 +394,96 @@ def tangent_matrix(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.in
     first and each half in basis order; the tangent space is its kernel.
     phi and N must be (n, n) matrices of spec, and q a unit mod p.
 
-    It is ``tangent_dim``'s column-reversed matrix, reduced and read
-    backwards, built in numpy for every group: two products, vec(phi)
-    times the M half's map, kept per (spec, p, q), and phi times the
-    brackets [X, N], kept per (spec, p, N), each a sum of at most
-    n^2 <= 16 products of residues; where every bracket vanishes mod p the
-    X columns are zero. It is the oracle of ``tangent_dim``'s packed
-    builder for GL1 and GL2.
+    It is the matrix ``tangent_dim`` eliminates with its columns
+    reversed, reduced and read backwards, built in numpy for every group:
+    two products, vec(phi) times the M half's map, kept per (spec, p, q),
+    and phi times the brackets [X, N], kept per (spec, p, N), each a sum
+    of at most n^2 <= 16 products of residues; where every bracket
+    vanishes mod p the X columns are zero. Its nullity is the oracle of
+    ``tangent_dim``'s closed form for GL1 and GL2.
     """
-    m_half, x_half = _reversed_halves(spec, phi, n_mat, q, p)
+    m_half, x_half = _reversed_halves(spec, *_checked_point(spec, phi, n_mat, q, p), p)
     if x_half is None:
         x_half = np.zeros_like(m_half)
     return np.concatenate([m_half, x_half], axis=1)[:, ::-1] % p
 
 
-def tangent_dim(spec: GroupSpec, phi, n_mat, q: int, p: int) -> int:
-    """Tangent space dimension at (phi, N), by exact elimination.
+def _small_h2(phi: list[int], n_mat: list[int], q: int, p: int) -> int | None:
+    """dim H^2 = dim {Z in z(N) : q phi Z = Z phi} for GL1 and GL2, z(N)
+    the centralizer of N in gl_n, from the row-major residues of phi and
+    N and q reduced mod p, all Python ints; None when phi is singular.
 
-    The nullity of ``tangent_matrix`` with its columns reversed, so that
-    the M half, M -> phi M - q M phi, comes first. A rank does not depend
-    on the order of the columns, and the elimination stops once every
-    nonzero row has a pivot. The M half holds most of the rank at the
-    sampled points.
-
-    Two builders, chosen by n. For GL1 and GL2 the rows are packed ints,
-    one field per entry as ``kernels._rank_rows`` reads them, built from
-    ``phi.ravel().tolist()``: the whole matrix is one int, the sum of
-    phi[k, l] times the kept ints of the M half (per (spec, p, q)) and of
-    the X half (in the bracket entry, per (spec, p, N)), cut into rows
-    and handed to that rank loop. Fields need not be reduced, and the
-    entries, at most n^2 (p - 1)^2, never carry (``kernels._layout``'s
-    rule). For n >= 3 and GSp4 the matrix is the two numpy products of
-    ``tangent_matrix``, handed over unreduced, so ``nullity_mod`` reduces
-    it, once. The choice is measured (medians of five interleaved rounds,
-    per point, 2 CPUs): applied to every group, the packed builder runs at
-    0.67x the numpy one's speed on GL3 samples, 0.27x on GL4 and 0.34x on
-    GSp4 (p = 11, every N new), and on GL2 at 1.11x on new Ns (p = 11),
-    1.42x at N = 0 and 1.46x over the enumeration's points (p = 7).
-
-    Where every bracket [X_m, N] vanishes mod p (N = 0, or any N central
-    in the Lie algebra), which the per-N bracket cache records once per
-    N, the X half is zero and only the M half is eliminated: dim_g zero
-    columns add dim_g to the nullity and nothing to the rank, so its
-    nullity plus dim_g is exactly the whole matrix's.
+    - N = c I, which every N of GL1 is: z(N) = gl_n. At phi = a I, H^2 is
+      gl_n when q = 1 and 0 otherwise. Any other phi is cyclic, and so is
+      q phi, so the Z with (q phi) Z = Z phi number
+      deg gcd(chi_phi, chi_{q phi}), chi_phi = t^2 - tr t + det and
+      chi_{q phi} = t^2 - q tr t + q^2 det: 2 when the two are equal,
+      else 1 when their resultant vanishes, else 0.
+    - N not scalar (GL2): z(N) = span{I, N}, and Z = x I + y N lies in
+      H^2 when x (q - 1) phi + y w = 0, w = q phi N - N phi. At q = 1 that
+      is 2 - [w != 0]. Otherwise (q - 1) phi != 0, and H^2 is a line when w
+      is a multiple of phi, that is when w adj(phi) is scalar, and 0 when
+      not.
     """
-    if spec.n > 2:
-        m_half, x_half = _reversed_halves(spec, phi, n_mat, q, p)
-        if x_half is None:
-            return kernels.nullity_mod(m_half, p) + spec.dim_g
-        return kernels.nullity_mod(np.concatenate([m_half, x_half], axis=1), p)
+    if len(phi) == 1:
+        return int(q == 1) if phi[0] else None
+    a, b, c, d = phi
+    det = (a * d - b * c) % p
+    if not det:
+        return None
+    e, f, g, h = n_mat
+    if f or g or e != h:
+        w0 = q * (a * e + b * g) - e * a - f * c
+        w1 = q * (a * f + b * h) - e * b - f * d
+        w2 = q * (c * e + d * g) - g * a - h * c
+        w3 = q * (c * f + d * h) - g * b - h * d
+        if q == 1:
+            return 1 if w0 % p or w1 % p or w2 % p or w3 % p else 2
+        # w adj(phi) = [[d w0 - c w1, a w1 - b w0], [d w2 - c w3, a w3 - b w2]]
+        return int(not (a * w1 - b * w0) % p and not (d * w2 - c * w3) % p
+                   and not (d * w0 - c * w1 - a * w3 + b * w2) % p)
+    if not (b or c) and a == d:
+        return 4 if q == 1 else 0
+    a1, a0, b1, b0 = -(a + d), det, -q * (a + d), q * q * det
+    if not (a1 - b1) % p and not (a0 - b0) % p:
+        return 2
+    return int(not ((a0 - b0) ** 2 - (a1 - b1) * (a0 * b1 - a1 * b0)) % p)
+
+
+def tangent_dim(spec: GroupSpec, phi, n_mat, q: int, p: int) -> int:
+    """Tangent space dimension at (phi, N), exactly.
+
+    For GL1 and GL2 at invertible phi, in closed form, with no
+    elimination: dim g + dim H^2 (``_small_h2``). The trace form is
+    nondegenerate on gl_n at every p, and under it the cokernel of the
+    tangent map T, (X, M) -> phi([X, N] + M) - q M phi, is dual to
+    {Y : Y phi = q phi Y, [N, Y phi] = 0}, the Y orthogonal to its image,
+    which Z = Y phi maps onto H^2. So T, with 2 dim g columns, has rank
+    dim g - dim H^2.
+
+    Otherwise (n >= 3, GSp4, or a singular phi) the nullity of
+    ``tangent_matrix`` with its columns reversed, so that the M half,
+    M -> phi M - q M phi, comes first: a rank does not depend on the
+    order of the columns, the elimination stops once every nonzero row
+    has a pivot, and the M half holds most of the rank at the sampled
+    points. The matrix is handed to ``nullity_mod`` unreduced, so it is
+    reduced once. Where every bracket [X_m, N] vanishes mod p (N = 0, or
+    any N central in the Lie algebra), which the per-N bracket cache
+    records once per N, the X half is zero and only the M half is
+    eliminated: dim_g zero columns add dim_g to the nullity and nothing
+    to the rank, so its nullity plus dim_g is exactly the whole
+    matrix's.
+    """
     phi, n_mat, q = _checked_point(spec, phi, n_mat, q, p)
-    (mask, shifts, starts, row_mask, _), m_terms = _packed_m_half(spec, p, q)
-    kept = _brackets(spec, p, n_mat.tobytes())
-    entries = phi.ravel().tolist()
-    whole = sum(map(operator.mul, entries, m_terms))
-    if kept is None:
-        shifts = shifts[:spec.dim_g]
-    else:
-        whole += sum(map(operator.mul, entries, kept[1]))
-    rows = [whole >> start & row_mask for start in starts]
-    return 2 * spec.dim_g - kernels._rank_rows(rows, p, mask, shifts)
+    # gl_n is the only n^2-dimensional Lie algebra of n x n matrices
+    if spec.n <= 2 and spec.dim_g == spec.n * spec.n:
+        h2 = _small_h2(phi.ravel().tolist(), n_mat.ravel().tolist(), q, p)
+        if h2 is not None:
+            return spec.dim_g + h2
+    m_half, x_half = _reversed_halves(spec, phi, n_mat, q, p)
+    if x_half is None:
+        return kernels.nullity_mod(m_half, p) + spec.dim_g
+    return kernels.nullity_mod(np.concatenate([m_half, x_half], axis=1), p)
 
 
 def _all_invertible_2x2(p: int) -> NDArray[np.int64]:

@@ -19,7 +19,7 @@ from wdsmooth.kernels import (
     rank_mod,
     rref_mod,
 )
-from wdsmooth.arith import multiplicative_order
+from wdsmooth.arith import is_prime, multiplicative_order
 from wdsmooth.orbits import OrbitLabel, classical_orbits
 from wdsmooth.rootsys import build_root_system, parse_group
 from wdsmooth.variety import (
@@ -37,7 +37,7 @@ from wdsmooth.variety import (
     tangent_dim,
     tangent_matrix,
 )
-from wdsmooth import variety
+from wdsmooth import kernels, variety
 from wdsmooth.variety import (
     _all_invertible_2x2,
     _draw_blocks,
@@ -778,7 +778,6 @@ NOT_INT = (3.0, 3.5, np.int64(3))
 def no_trial_division_past_the_bound(monkeypatch):
     # a p past P_MAX is rejected on the bound alone: trial division up to
     # sqrt(2^61 - 1) would take minutes
-    from wdsmooth import kernels
     original = kernels.is_prime
 
     def is_prime(p):
@@ -1356,11 +1355,12 @@ def test_kept_tangent_products_never_go_stale():
     order = np.random.default_rng(0).permutation(len(pts))
     for i, (phi, n_mat) in enumerate(pts[order]):
         check(GL2, phi, n_mat, 2 + i % 2, 5)  # q = 3 is off the variety: no matter
-    # GL1 and GL2 build packed rows from ints kept by (spec, p, q) for the M
-    # half and, in the bracket entry, by (spec, p, N) for the X half: p, q
-    # and N change in turn, each alone, so a key missing any of them reads
-    # another point's ints. GL1's tangent dimension is 1 at q = 1 and 2 at
-    # any other q; GL2's at phi = I and N = 0 is 8 at q = 1 and 4 otherwise
+    # GL1 and GL2 too: tangent_matrix keeps the M half's map by (spec, p, q)
+    # and the brackets by (spec, p, N), and tangent_dim reads their
+    # invertible points in closed form, keeping nothing: p, q and N change
+    # in turn, each alone, so a key missing any of them reads another
+    # point's products. GL1's tangent dimension is 1 at q = 1 and 2 at any
+    # other q; GL2's at phi = I and N = 0 is 8 at q = 1 and 4 otherwise
     gl1 = GroupSpec.gl(1)
     for p, q, c in ((5, 1, 0), (5, 2, 0), (7, 1, 3), (5, 1, 2), (7, 3, 3), (7, 1, 0)):
         for phi in (arr([[1]]), arr([[3]])):
@@ -1371,7 +1371,7 @@ def test_kept_tangent_products_never_go_stale():
         for n_mat in (zero2, e12, 2 * e21, zero2, e21 + e12, 3 * np.eye(2, dtype=np.int64)):
             check(GL2, np.eye(2, dtype=np.int64), n_mat, q, p)
             check(GL2, phi, n_mat, q, p)
-    for kept in (variety._m_map(GL2, 5, 2), variety._brackets(GL2, 5, pts[-1, 1].tobytes())[0]):
+    for kept in (variety._m_map(GL2, 5, 2), variety._brackets(GL2, 5, pts[-1, 1].tobytes())):
         with pytest.raises(ValueError, match="read-only"):
             kept[0, 0] = 1
 
@@ -1383,10 +1383,10 @@ def invertible_gl(rng, n, p):
             return g
 
 
-def assert_packed_tangent_dims(spec, pairs, qs, p):
-    # tangent_dim builds GL1 and GL2 rows packed, from phi's entries; the
-    # oracle is the rank of the numpy-built tangent_matrix, and the exact one
-    # that of its Python-int build
+def assert_tangent_dims_match_the_oracle(spec, pairs, qs, p):
+    # the oracle of tangent_dim, which reads GL1 and GL2 dimensions at
+    # invertible phi off H^2 in closed form, is the rank of the numpy-built
+    # tangent_matrix, and the exact one that of its Python-int build
     for phi, n_mat in pairs:
         for q in qs:
             exact = exact_tangent_matrix(spec, phi, n_mat, q, p).astype(np.int64)
@@ -1397,23 +1397,63 @@ def assert_packed_tangent_dims(spec, pairs, qs, p):
 
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("n", [1, 2])
-def test_packed_tangent_dims_on_every_pair(n, p):
+def test_closed_form_tangent_dims_on_every_pair(n, p):
     # every invertible phi with every N in gl_n(F_p), off the variety
-    # included, at every unit q
+    # included, at every unit q: each branch of the closed form
     spec = GroupSpec.gl(n)
     mats = np.array(list(np.ndindex(*(p,) * (n * n))), dtype=np.int64).reshape(-1, n, n)
     phis = [m for m in mats if rank_mod(m, p) == n]
     assert len(phis) == {(1, 2): 1, (1, 3): 2, (2, 2): 6, (2, 3): 48}[n, p]
     pairs = [(phi, n_mat) for phi in phis for n_mat in mats]
-    assert_packed_tangent_dims(spec, pairs, range(1, p), p)
+    assert_tangent_dims_match_the_oracle(spec, pairs, range(1, p), p)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_closed_form_tangent_dims_at_every_scalar_n(p):
+    # every invertible phi with every N = c I at every unit q, against the
+    # nullity of the stacked tangent matrices. With N scalar, H^2 is
+    # {Z : q phi Z = Z phi}, of dimension deg gcd(chi_phi, chi_{q phi}) for
+    # a non-scalar phi: 2 (the two polynomials equal) only where q has
+    # order 1 or 2, and 1 (one shared root, a zero resultant) at orders 3,
+    # 4 and 6, which p = 5 and 7 reach
+    phis = _all_invertible_2x2(p)
+    scalar = (phis[:, 0, 1] == 0) & (phis[:, 1, 0] == 0) & (phis[:, 0, 0] == phis[:, 1, 1])
+    eye = np.eye(2, dtype=np.int64)
+    for q in range(1, p):
+        order = multiplicative_order(q, p)
+        for c in range(p):
+            got = np.array([tangent_dim(GL2, phi, c * eye, q, p) for phi in phis])
+            stack = np.stack([tangent_matrix(GL2, phi, c * eye, q, p) for phi in phis])
+            assert np.array_equal(got, batch_nullity_mod(stack, p))
+            assert set(got[scalar]) == {8 if q == 1 else 4}
+            assert set(got[~scalar]) == {1: {6}, 2: {4, 6}}.get(order, {4, 5})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, kernels.P_MAX), st.data())
+def test_closed_form_tangent_dims_at_random_primes(bound, data):
+    # GL2 pairs at the largest prime <= a random bound: phi random, scalar,
+    # or [[z, b], [0, q z]], whose eigenvalues z and q z make chi_phi and
+    # chi_{q phi} share a root; N random, scalar or nilpotent; q random, 1
+    # or -1
+    p = next(k for k in range(bound, 1, -1) if is_prime(k))
+    entry = st.integers(0, p - 1)
+    q = data.draw(st.sampled_from([1, p - 1]) | st.integers(1, p - 1))
+    z, b, c, d = (data.draw(entry) for _ in range(4))
+    phi = data.draw(st.sampled_from([
+        [[z, b], [c, d]], [[z, 0], [0, z]], [[z, b], [0, q * z % p]]]))
+    n_mat = data.draw(st.sampled_from([
+        [[d, c], [b, z]], [[c, 0], [0, c]], [[-b * d, b * b], [-d * d, b * d]]]))
+    phi, n_mat = np.array(phi, dtype=np.int64), np.array(n_mat, dtype=np.int64) % p
+    expected = 2 * GL2.dim_g - rank_mod(tangent_matrix(GL2, phi, n_mat, q, p), p)
+    assert tangent_dim(GL2, phi, n_mat, q, p) == expected
 
 
 @pytest.mark.parametrize("p", [13, 759_250_111])
 @pytest.mark.parametrize("n", [1, 2])
 def test_packed_tangent_dims_on_random_pairs(n, p):
-    # random pairs, the all-(p - 1) phi, whose entries make the packed
-    # fields as large as they get (n^2 (p - 1)^2, the width bound), and N = 0
-    # and N = c I, where the X half vanishes
+    # random pairs, the all-(p - 1) phi, whose products are as large as
+    # they get, and N = 0 and N = c I, where the X half vanishes
     spec = GroupSpec.gl(n)
     rng = np.random.default_rng(p + n)
     top = np.full((n, n), p - 1, dtype=np.int64)
@@ -1422,19 +1462,45 @@ def test_packed_tangent_dims_on_random_pairs(n, p):
     ns = list(rng.integers(0, p, size=(6, n, n))) + [top, 0 * eye, eye, (p - 1) * eye,
                                                       int(rng.integers(2, p)) * eye]
     qs = sorted({1, 2, p - 1, int(rng.integers(1, p))})
-    assert_packed_tangent_dims(spec, [(phi, n_mat) for phi in phis for n_mat in ns], qs, p)
+    pairs = [(phi, n_mat) for phi in phis for n_mat in ns]
+    assert_tangent_dims_match_the_oracle(spec, pairs, qs, p)
 
 
-def test_packed_tangent_rows_fit_their_fields_at_the_largest_prime():
-    # the packed rows' entries reach n^2 (p - 1)^2 and grow by at most p per
-    # pivot over n^2 pivots: the field width is the bit length of that bound
-    # times p^(n^2), rounded up, so nothing carries at the largest prime
-    p = 759_250_111
-    for n in (1, 2):
-        spec = GroupSpec.gl(n)
-        size = n * n
-        packing = variety._packing(spec, p)
-        assert packing.mask.bit_length() >= (size * (p - 1) ** 2 * p**size).bit_length()
+@pytest.mark.parametrize("p", [2, 13, 759_250_111])
+@pytest.mark.parametrize("n", [1, 2])
+def test_tangent_dim_at_singular_phi(n, p):
+    # the closed form needs an invertible phi; at a singular one tangent_dim
+    # eliminates the tangent matrix, as for GL3, GL4 and GSp4. The zero phi,
+    # a rank-1 phi and the all-(p - 1) phi (rank 1 for GL2, a unit for GL1,
+    # where rank 1 is invertible too), each with N = 0, N = c I and E12
+    spec = GroupSpec.gl(n)
+    eye = np.eye(n, dtype=np.int64)
+    rank_one = np.outer(np.arange(1, n + 1), np.arange(n, 0, -1)) % p
+    phis = [0 * eye, rank_one, np.full((n, n), p - 1)]
+    ns = [0 * eye, (p - 1) * eye] + ([np.array([[0, 1], [0, 0]])] if n == 2 else [])
+    singular = [rank_mod(phi, p) < n for phi in phis]
+    assert singular == [True, n == 2, n == 2]
+    for phi, is_singular in zip(phis, singular):
+        for n_mat in ns:
+            h2 = variety._small_h2(phi.ravel().tolist(), n_mat.ravel().tolist(), 2 % p, p)
+            assert (h2 is None) == is_singular
+        assert_tangent_dims_match_the_oracle(spec, [(phi, n_mat) for n_mat in ns],
+                                             sorted({1, p - 1, min(2, p - 1)}), p)
+
+
+@pytest.mark.parametrize("p", [3, 13])
+def test_tangent_dim_off_gl_n_eliminates(p):
+    # the closed form holds for the Lie algebra gl_n only: a 2 x 2 spec of
+    # another algebra, sl_2 here, has its tangent matrix eliminated
+    sl2 = GroupSpec("SL2", np.array([[[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]]))
+    rng = np.random.default_rng(p)
+    e12 = np.array([[0, 1], [0, 0]])
+    pairs = [(invertible_gl(rng, 2, p), n_mat)
+             for n_mat in (0 * e12, e12, rng.integers(0, p, size=(2, 2)))]
+    assert_tangent_dims_match_the_oracle(sl2, pairs, range(1, p), p)
+    # q = 1, phi = I, N = 0: every M of sl_2 and every X solve, where the
+    # closed form for gl_2 would count 8
+    assert tangent_dim(sl2, np.eye(2, dtype=np.int64), 0 * e12, 1, p) == 6
 
 
 #: the primes the vanishing-bracket path is checked at: the smallest two,
