@@ -32,11 +32,14 @@ one matrix or each matrix of a stack. No public entry point calls another. Every
 needs p to be a prime <= ``P_MAX``: prime so that every nonzero residue
 has an inverse, and within the bound so that a product of two residues
 fits int64. ``_check_p`` checks it, called by ``as_field``, which every
-entry point reduces its input through, and by ``_inverse_mod``, the
-stack inverse that ``variety`` also calls on its own arrays: first that
-p is a Python int, so that neither a float nor a numpy integer gets in,
-then the bound, so that no trial division runs past sqrt(P_MAX); a p
-that passed is kept, so a repeat costs one set lookup.
+entry point reduces its input through, by ``_inverse_mod``, the stack
+inverse that ``variety`` also calls on its own arrays, and by
+``variety._unit_q``, which every entry point that takes q calls first.
+A p that passed is kept, and its one fast path, a Python int found in
+that set, serves every caller. Any other p is checked in turn: that it
+is a Python int, so that neither a float nor a numpy integer gets in,
+then the bound, so that no trial division runs past sqrt(P_MAX), then
+primality.
 """
 
 from __future__ import annotations
@@ -208,10 +211,11 @@ def _rank(mat: NDArray[np.int64], p: int) -> int:
 
 def _check_p(p: int) -> None:
     """Raise ValueError unless p is a Python int that is a prime <= P_MAX;
-    a p that passed is kept, so a repeat costs one set lookup."""
-    _check_int("p", p)  # 7.0 == 7 would find 7 in the set
-    if p in _PRIMES:
+    a p that passed is kept, so a repeat costs one type test and one set
+    lookup."""
+    if type(p) is int and p in _PRIMES:  # 7.0 == 7 would find 7 in the set
         return
+    _check_int("p", p)
     if p > P_MAX:  # first, so that no trial division runs past sqrt(P_MAX) < 27,555
         raise ValueError("p exceeds the int64-safe bound %d" % P_MAX)
     if not is_prime(p):
@@ -232,8 +236,7 @@ def as_field(a, p: int) -> NDArray[np.int64]:
     raises ValueError rather than being parsed, truncated, wrapped or
     overflowing, and so does any other p.
     """
-    if type(p) is not int or p not in _PRIMES:  # an int p seen before needs no call
-        _check_p(p)
+    _check_p(p)
     arr = np.asarray(a)
     if arr.dtype is not _INT64:  # int64 input, the common case, needs no check
         kind = arr.dtype.kind

@@ -38,23 +38,29 @@ reads all its draws from one buffered stream of its generator; numpy's
 bounded draws concatenate, so the samples are those of one generator
 call per block.
 Every linear system on gl_n comes from one builder of X -> a X - X b,
-with no inverse: the nilpotency scan and the bundle fibres solve
-N -> phi N - q N phi, which is Ad(phi) - q times the invertible phi and
-so has the same RREF and kernel, and the sampler solves its negated
-Jordan system q J phi - phi J. The GL2 enumeration solves no system:
-it lists the points stratum by nilpotent orbit, N = 0 with every phi,
-then each nonzero nilpotent N = g E12 g^-1 with the conjugates by g of
-the closed-form fibre of phi E12 = q E12 phi. The nilpotency scan counts
-the solutions from one ``batch_nullity_mod`` over all of GL(2, F_p) and
-lists none. The three walks over GL(2, F_p) (enumeration, nilpotency
-scan, GL(2) bundle check) stop at p = 13.
+with no inverse: the nilpotency scan's witness search and the GL(3)
+bundle fibres solve N -> phi N - q N phi, which is Ad(phi) - q times
+the invertible phi and so has the same RREF and kernel, and the sampler
+solves its negated Jordan system q J phi - phi J. The GL2 enumeration
+solves no system: it lists the points stratum by nilpotent orbit, N = 0
+with every phi, then each nonzero nilpotent N = g E12 g^-1 with the
+conjugates by g of the closed-form fibre of phi E12 = q E12 phi. The
+nilpotency scan and the GL(2) bundle check read the nullity of
+N -> phi N - q N phi for every phi of their stack at once, in closed
+form from its trace and determinant (``_gl2_nullities``), with no
+elimination; the scan lists no solution, and builds the system of only
+the phis its witness search examines. The three walks over GL(2, F_p)
+(enumeration, nilpotency scan, GL(2) bundle check) stop at p = 13.
 
 p must be a prime <= ``kernels.P_MAX``. Every entry point checks it
 through ``kernels.as_field``, which reduces its matrices, or, when it
 takes q, first through ``_unit_q``, which also rejects a q divisible
 by p. q must be a Python int, like p; ``sg_member`` and
 ``exp_bridge_check`` check its type and reduce it as it is, since for
-them a non-unit q is just one that fails.
+them a non-unit q is just one that fails. ``tangent_dim`` reads a GL1 or
+GL2 point given as int64 (n, n) arrays with one ``tolist()`` each and
+reduces the entries as Python ints, since such an array needs no check;
+any other input goes through ``as_field``.
 """
 
 from __future__ import annotations
@@ -353,6 +359,16 @@ def _brackets(spec: GroupSpec, p: int, n_bytes: bytes) -> NDArray[np.int64] | No
     return _read_only(brackets.transpose(1, 2, 0).reshape(n, -1))
 
 
+def _point_residues(spec: GroupSpec, a, p: int, name: str) -> list[int]:
+    """The row-major residues mod p of one (n, n) matrix of spec, as Python
+    ints; raises as ``_point_matrix`` does. An int64 array of that shape
+    needs no check, so its ``tolist()`` is reduced as it is, with no numpy
+    call; anything else goes through ``_point_matrix``."""
+    if type(a) is np.ndarray and a.dtype is kernels._INT64 and a.shape == (spec.n, spec.n):
+        return [x % p for row in a.tolist() for x in row]
+    return _point_matrix(spec, a, p, name).ravel().tolist()
+
+
 def _checked_point(spec: GroupSpec, phi, n_mat, q: int, p: int
                    ) -> tuple[NDArray[np.int64], NDArray[np.int64], int]:
     """(phi, N, q) reduced mod p; raises unless p is a prime <= P_MAX, q a
@@ -450,6 +466,29 @@ def _small_h2(phi: list[int], n_mat: list[int], q: int, p: int) -> int | None:
     return int(not ((a0 - b0) ** 2 - (a1 - b1) * (a0 * b1 - a1 * b0)) % p)
 
 
+def _gl2_nullities(phis: NDArray[np.int64], q: int, p: int) -> NDArray[np.int64]:
+    """The nullity of N -> phi N - q N phi for each phi of a (B, 2, 2) stack
+    of invertible residues, q reduced mod p, in closed form: the number of
+    Z with (q phi) Z = Z phi, as in ``_small_h2`` at a scalar N. With
+    tau = tr phi and delta = det phi it is 4 [q = 1] at a scalar phi and
+    otherwise deg gcd(chi_phi, chi_{q phi}): 2 when the two are equal,
+    (q - 1) tau = 0 and (1 - q^2) delta = 0, else 1 when their resultant
+    ((1 - q^2) delta)^2 - (q - 1) tau q (q - 1) tau delta vanishes, else
+    0. Each product is of two residues, reduced as it is formed."""
+    a, b, c, d = phis.reshape(-1, 4).T
+    tau = (a + d) % p
+    delta = (a * d - b * c) % p
+    # chi_phi - chi_{q phi} = dt t + dd, and cross = a0 b1 - a1 b0 for
+    # chi_phi = t^2 + a1 t + a0 and chi_{q phi} = t^2 + b1 t + b0
+    dt = (q - 1) * tau % p
+    dd = (1 - q * q) % p * delta % p
+    cross = q * (q - 1) % p * tau % p * delta % p
+    resultant = (dd * dd - dt * cross) % p
+    scalar = (b == 0) & (c == 0) & (a == d)
+    return np.where(scalar, 4 * (q == 1),
+                    np.where((dt == 0) & (dd == 0), 2, (resultant == 0).astype(np.int64)))
+
+
 def tangent_dim(spec: GroupSpec, phi, n_mat, q: int, p: int) -> int:
     """Tangent space dimension at (phi, N), exactly.
 
@@ -460,6 +499,12 @@ def tangent_dim(spec: GroupSpec, phi, n_mat, q: int, p: int) -> int:
     {Y : Y phi = q phi Y, [N, Y phi] = 0}, the Y orthogonal to its image,
     which Z = Y phi maps onto H^2. So T, with 2 dim g columns, has rank
     dim g - dim H^2.
+
+    The GL1 and GL2 branch checks its input without a numpy call per
+    matrix: after q and p (``_unit_q``), a phi or N that is an int64
+    (n, n) array is read with one ``tolist()`` and its entries reduced
+    as Python ints, and any other input goes through ``as_field`` and
+    the shape check, which raise as they do for every group.
 
     Otherwise (n >= 3, GSp4, or a singular phi) the nullity of
     ``tangent_matrix`` with its columns reversed, so that the M half,
@@ -474,12 +519,14 @@ def tangent_dim(spec: GroupSpec, phi, n_mat, q: int, p: int) -> int:
     to the rank, so its nullity plus dim_g is exactly the whole
     matrix's.
     """
-    phi, n_mat, q = _checked_point(spec, phi, n_mat, q, p)
     # gl_n is the only n^2-dimensional Lie algebra of n x n matrices
     if spec.n <= 2 and spec.dim_g == spec.n * spec.n:
-        h2 = _small_h2(phi.ravel().tolist(), n_mat.ravel().tolist(), q, p)
+        q = _unit_q(q, p)
+        h2 = _small_h2(_point_residues(spec, phi, p, "phi"),
+                       _point_residues(spec, n_mat, p, "N"), q, p)
         if h2 is not None:
             return spec.dim_g + h2
+    phi, n_mat, q = _checked_point(spec, phi, n_mat, q, p)
     m_half, x_half = _reversed_halves(spec, phi, n_mat, q, p)
     if x_half is None:
         return kernels.nullity_mod(m_half, p) + spec.dim_g
@@ -757,20 +804,21 @@ class RedundancyReport:
 
 def nilpotency_redundancy_check(spec: GroupSpec, p: int, q: int) -> RedundancyReport:
     """Count the nonzero solutions of Ad(phi) N = q N over all phi in
-    GL(2, F_p) from one batched nullity d of N -> phi N - q N phi, built
-    with no inverse, as p^d - 1 per phi. Exactly |GL(2, F_p)| of them are
-    nilpotent: the p^2 - 1 nonzero nilpotent N form one class and each is
-    conjugate to q N, so the phi solving phi N = q N phi form a coset of
-    its centralizer. The witness is searched for only when the rest is
-    nonzero."""
+    GL(2, F_p) from the nullity d of N -> phi N - q N phi, as p^d - 1 per
+    phi, with d read in closed form off the whole stack
+    (``_gl2_nullities``). Exactly |GL(2, F_p)| of them are nilpotent: the
+    p^2 - 1 nonzero nilpotent N form one class and each is conjugate to
+    q N, so the phi solving phi N = q N phi form a coset of its
+    centralizer. The witness is searched for only when the rest is
+    nonzero, which needs ord(q) <= 2: phi by phi, each with its own
+    system, built with no inverse, and its canonical kernel basis."""
     q, phis = _gl2_walk(spec, p, q, "redundancy scan")
-    systems = _sylvester(phis, q * phis % p, p)
-    nullity = kernels.batch_nullity_mod(systems, p)
+    nullity = _gl2_nullities(phis, q, p)
     checked = int((p**nullity - 1).sum())
     bad = checked - len(phis)
     wphi = wn = None
     for i in np.flatnonzero(nullity) if bad else ():
-        basis = kernels.nullspace_mod(systems[i], p)
+        basis = kernels.nullspace_mod(_sylvester(phis[i], q * phis[i] % p, p), p)
         sols = (_digits(int(nullity[i]), p) @ basis % p).reshape(-1, 2, 2)
         other = np.flatnonzero(~_is_nilpotent(sols, p))
         if len(other):
@@ -855,13 +903,15 @@ def bundle_count_check(
     spec: GroupSpec, p: int, q: int, samples: int = 20, seed: int = 0
 ) -> BundleReport:
     """Count solutions N of Ad(phi) N = q N over semisimple base points,
-    as the nullities of N -> phi N - q N phi, built with no inverse.
+    as p to the nullity of N -> phi N - q N phi.
 
     GL(2), p <= 13: enumerate every phi whose eigenvalue multiset is
     {z, qz} (including pairs living in the quadratic extension, detected
     from the characteristic polynomial) and count the N solutions, which
-    should number p^{n-1} each. GL(3): sample conjugates of
-    z diag(1, q, q^2) with a seeded generator.
+    should number p^{n-1} each, from the nullities in closed form
+    (``_gl2_nullities``), as the nilpotency scan does. GL(3): sample
+    conjugates of z diag(1, q, q^2) with a seeded generator, and eliminate
+    their systems, built with no inverse, in one ``batch_nullity_mod``.
     """
     q = _unit_q(q, p)
     _sample_count(samples, seed)
@@ -880,7 +930,7 @@ def bundle_count_check(
         disc = (tr * tr - 4 * det)[on_locus] % p
         euler = np.array([pow(d, (p - 1) // 2, p) for d in range(p)], dtype=np.int64)
         quad = int(((disc != 0) & (euler[disc] == p - 1)).sum())
-        phis = phis[on_locus]
+        nullities = _gl2_nullities(phis[on_locus], q, p)
     else:
         rng = np.random.default_rng(seed)
         phis = []
@@ -891,9 +941,9 @@ def bundle_count_check(
             # phi = g diag(d) g^-1, where g * d = g diag(d) scales g's columns
             phis.append((g * d % p) @ ginv % p)
         phis = np.stack(phis)
-    nullities = kernels.batch_nullity_mod(_sylvester(phis, q * phis % p, p), p)
+        nullities = kernels.batch_nullity_mod(_sylvester(phis, q * phis % p, p), p)
     return BundleReport(
-        p=p, q=q, base_points=len(phis), expected_fiber=p ** (spec.n - 1),
+        p=p, q=q, base_points=len(nullities), expected_fiber=p ** (spec.n - 1),
         fiber_counts=tuple(p**d for d in nullities.tolist()),
         quadratic_extension_points=quad,
     )

@@ -1,8 +1,19 @@
 """Fixtures shared by the test modules."""
 
+import warnings
+
 import pytest
 
 from wdsmooth.variety import _jordan_system
+
+# hypothesis reports a failing example through its lazily imported
+# _patching module, whose libcst import raises mypy_extensions'
+# DeprecationWarning for TypedDict; under -W error that warning, raised
+# inside a report hook, ends the whole session. Imported here once, with
+# the warning ignored, a failure is reported and the session goes on.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture

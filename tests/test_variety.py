@@ -654,6 +654,55 @@ def test_tangent_rejects_other_shapes(func, spec, phi, n_mat):
         func(spec, phi, n_mat, 3, 7)
 
 
+#: ways to write one matrix m of residues mod 7 that tangent_dim accepts:
+#: unreduced int64 (+k p, negative, near +-2^62), a strided view, other
+#: integer dtypes, integral floats, objects and a nested list. bool holds
+#: m only when its entries are 0 and 1
+POINT_FORMS = {
+    "plus-kp": lambda m: m + 5 * 7,
+    "negative": lambda m: m - 3 * 7,
+    "near-2^62": lambda m: m + 2**62 // 7 * 7,
+    "near-minus-2^62": lambda m: m - 2**62 // 7 * 7,
+    "strided-view": lambda m: np.repeat(m, 2, axis=1)[:, ::2],
+    "big-endian": lambda m: m.astype(">i8"),
+    "int32": lambda m: m.astype(np.int32),
+    "uint8": lambda m: m.astype(np.uint8),
+    "bool": lambda m: m.astype(bool),
+    "float": lambda m: m.astype(float) - 7.0,
+    "object": lambda m: (m + 2**62 // 7 * 7).astype(object),
+    "list": lambda m: m.tolist(),
+}
+
+
+@pytest.mark.parametrize("form", POINT_FORMS.values(), ids=POINT_FORMS.keys())
+@pytest.mark.parametrize("q", [1, 3])
+@pytest.mark.parametrize("n_mat", [np.zeros((2, 2), dtype=np.int64),
+                                   np.array([[0, 1], [0, 0]])], ids=["N=0", "E12"])
+def test_tangent_dim_reads_every_accepted_form_of_a_point(n_mat, q, form):
+    # a reduced or unreduced int64 (2, 2) array is read with one tolist(),
+    # anything else through as_field: phi, N or both in another form give
+    # the dimension of the reduced int64 point, the closed form's oracle's
+    p = 7
+    phi = np.array([[0, 1], [1, 1]])
+    expected = tangent_dim(GL2, phi, n_mat, q, p)
+    assert expected == 2 * GL2.dim_g - rank_mod(tangent_matrix(GL2, phi, n_mat, q, p), p)
+    for args in ((form(phi), form(n_mat)), (form(phi), n_mat), (phi, form(n_mat))):
+        assert tangent_dim(GL2, *args, q, p) == expected
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.eye(2) / 2, "^expected integer entries$"),
+    (np.array([["1", "0"], ["0", "1"]]), "^expected integer entries, got dtype <U1$"),
+    (np.array([[2**64, 0], [0, 1]], dtype=object), "^expected integer entries that int64 holds$"),
+], ids=["half-integral-float", "str", "object-2^64"])
+def test_tangent_dim_rejects_entries_int64_cannot_hold(bad, message):
+    # the inputs as_field refuses are refused as phi and as N alike
+    good = np.eye(2, dtype=np.int64)
+    for args in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match=message):
+            tangent_dim(GL2, *args, 3, 7)
+
+
 def test_regular_stratum_tangents_are_smooth():
     pts = stratum_sample(GL3, 11, 4, OrbitLabel.partition((3,)), 12, seed=1)
     assert len(pts) == 12
@@ -914,6 +963,35 @@ def test_redundancy_order_two_witness():
     n = arr([[0, 1], [1, 0]])
     assert np.array_equal(phi @ n % 7, 6 * (n @ phi) % 7)
     assert np.array_equal(n @ n % 7, np.eye(2, dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_gl2_stack_nullities_match_the_batch_kernel(p):
+    # the closed form the GL(2, F_p) walks read, against the elimination of
+    # N -> phi N - q N phi for every invertible phi at every unit q. Every
+    # value it can take occurs: 4 (scalar phi, q = 1) and 0 (scalar phi,
+    # q != 1), 2 (equal characteristic polynomials) and, once q has order
+    # 3 or more, 1 (one shared root)
+    phis = _all_invertible_2x2(p)
+    seen = set()
+    for q in range(1, p):
+        got = variety._gl2_nullities(phis, q, p)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, batch_nullity_mod(_sylvester(phis, q * phis % p, p), p))
+        seen.update(got.tolist())
+    assert seen == {2: {2, 4}, 3: {0, 2, 4}}.get(p, {0, 1, 2, 4})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_gl2_stack_nullities_match_the_per_point_closed_form(p):
+    # at a scalar N = c I, H^2 is {Z : q phi Z = Z phi}, whose dimension the
+    # stack form computes for every phi at once
+    phis = _all_invertible_2x2(p)
+    for q in range(1, p):
+        got = variety._gl2_nullities(phis, q, p).tolist()
+        for c in range(p):
+            assert got == [variety._small_h2(phi, [c, 0, 0, c], q, p)
+                           for phi in phis.reshape(-1, 4).tolist()]
 
 
 # ------------------------------------------------------------------ exp / log
