@@ -304,11 +304,10 @@ def _verify_expbridge(args) -> tuple[dict, str | None]:
 def _verify_bundle(args) -> tuple[dict, str | None]:
     spec = _group_spec(args.group)
     report = bundle_count_check(spec, args.p, args.q, samples=args.samples, seed=args.seed)
-    fibers = Counter(report.fiber_counts)
     results = {
         "base_points": report.base_points,
         "expected_fiber": report.expected_fiber,
-        "fiber_counts": {str(k): fibers[k] for k in sorted(fibers)},
+        "fiber_counts": {str(k): n for k, n in sorted(report.fiber_counts.items())},
         "quadratic_extension_points": report.quadratic_extension_points,
         "ok": report.ok,
     }

@@ -38,19 +38,19 @@ reads all its draws from one buffered stream of its generator; numpy's
 bounded draws concatenate, so the samples are those of one generator
 call per block.
 Every linear system on gl_n comes from one builder of X -> a X - X b,
-with no inverse: the nilpotency scan's witness search and the GL(3)
-bundle fibres solve N -> phi N - q N phi, which is Ad(phi) - q times
-the invertible phi and so has the same RREF and kernel, and the sampler
+with no inverse: the nilpotency scan's witness and the GL(3) bundle
+fibres solve N -> phi N - q N phi, which is Ad(phi) - q times the
+invertible phi and so has the same RREF and kernel, and the sampler
 solves its negated Jordan system q J phi - phi J. The GL2 enumeration
 solves no system: it lists the points stratum by nilpotent orbit, N = 0
 with every phi, then each nonzero nilpotent N = g E12 g^-1 with the
 conjugates by g of the closed-form fibre of phi E12 = q E12 phi. The
-nilpotency scan and the GL(2) bundle check read the nullity of
-N -> phi N - q N phi for every phi of their stack at once, in closed
-form from its trace and determinant (``_gl2_nullities``), with no
-elimination; the scan lists no solution, and builds the system of only
-the phis its witness search examines. The three walks over GL(2, F_p)
-(enumeration, nilpotency scan, GL(2) bundle check) stop at p = 13.
+nilpotency scan and the GL(2) bundle check sum a class function, the
+nullity of N -> phi N - q N phi, over the p^2 - 1 conjugacy classes of
+GL(2, F_p) (``_gl2_classes``), read in closed form at each class's
+representative (``_small_h2`` at N = 0); only the scan's witness builds
+a system. The enumeration, the scan and the GL(2) bundle check stop at
+p = 13.
 
 p must be a prime <= ``kernels.P_MAX``. Every entry point checks it
 through ``kernels.as_field``, which reduces its matrices, or, when it
@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -466,29 +467,6 @@ def _small_h2(phi: list[int], n_mat: list[int], q: int, p: int) -> int | None:
     return int(not ((a0 - b0) ** 2 - (a1 - b1) * (a0 * b1 - a1 * b0)) % p)
 
 
-def _gl2_nullities(phis: NDArray[np.int64], q: int, p: int) -> NDArray[np.int64]:
-    """The nullity of N -> phi N - q N phi for each phi of a (B, 2, 2) stack
-    of invertible residues, q reduced mod p, in closed form: the number of
-    Z with (q phi) Z = Z phi, as in ``_small_h2`` at a scalar N. With
-    tau = tr phi and delta = det phi it is 4 [q = 1] at a scalar phi and
-    otherwise deg gcd(chi_phi, chi_{q phi}): 2 when the two are equal,
-    (q - 1) tau = 0 and (1 - q^2) delta = 0, else 1 when their resultant
-    ((1 - q^2) delta)^2 - (q - 1) tau q (q - 1) tau delta vanishes, else
-    0. Each product is of two residues, reduced as it is formed."""
-    a, b, c, d = phis.reshape(-1, 4).T
-    tau = (a + d) % p
-    delta = (a * d - b * c) % p
-    # chi_phi - chi_{q phi} = dt t + dd, and cross = a0 b1 - a1 b0 for
-    # chi_phi = t^2 + a1 t + a0 and chi_{q phi} = t^2 + b1 t + b0
-    dt = (q - 1) * tau % p
-    dd = (1 - q * q) % p * delta % p
-    cross = q * (q - 1) % p * tau % p * delta % p
-    resultant = (dd * dd - dt * cross) % p
-    scalar = (b == 0) & (c == 0) & (a == d)
-    return np.where(scalar, 4 * (q == 1),
-                    np.where((dt == 0) & (dd == 0), 2, (resultant == 0).astype(np.int64)))
-
-
 def tangent_dim(spec: GroupSpec, phi, n_mat, q: int, p: int) -> int:
     """Tangent space dimension at (phi, N), exactly.
 
@@ -543,16 +521,31 @@ def _all_invertible_2x2(p: int) -> NDArray[np.int64]:
     return mats[dets != 0]
 
 
-def _gl2_walk(spec: GroupSpec, p: int, q: int, what: str
-              ) -> tuple[int, NDArray[np.int64]]:
-    """(q, phis) for a walk over GL(2, F_p), p <= 13: q reduced, and every
-    invertible phi in lexicographic order. what names the walk in errors."""
+def _gl2_walk(spec: GroupSpec, p: int, q: int, what: str) -> int:
+    """q reduced mod p for a walk over GL(2, F_p); raises unless spec is
+    GL(2) and p <= 13. what names the walk in errors."""
     q = _unit_q(q, p)
     if spec.form is not None or spec.n != 2:
         raise ValueError("%s is only supported for GL(2)" % what)
     if p > 13:
         raise ValueError("%s is capped at p = 13" % what)
-    return q, _all_invertible_2x2(p)
+    return q
+
+
+def _gl2_classes(p: int):
+    """The p^2 - 1 conjugacy classes of GL(2, F_p) as (phi, size, roots),
+    phi a representative's row-major residues: the p - 1 scalars z I, of
+    size 1 and roots None, then the companion matrix of each
+    t^2 - tau t + delta, delta != 0, with roots the number of ordered
+    pairs (x, y) of units with x + y = tau and x y = delta, and size
+    p^2 - p, p^2 - 1 or p^2 + p as roots is 0, 1 or 2."""
+    for z in range(1, p):
+        yield [z, 0, 0, z], 1, None
+    pairs = Counter(((x + y) % p, x * y % p) for x in range(1, p) for y in range(1, p))
+    for tau in range(p):
+        for delta in range(1, p):
+            roots = pairs[tau, delta]
+            yield [0, -delta % p, 1, tau], (p * p - p, p * p - 1, p * p + p)[roots], roots
 
 
 def _digits(d: int, p: int) -> NDArray[np.int64]:
@@ -576,7 +569,8 @@ def enumerate_sg(spec: GroupSpec, p: int, q: int) -> NDArray[np.int64]:
     and for each N its phis g [[q d, b], [0, d]] g^-1 in (d, b) order, g
     the first invertible matrix in lexicographic order with g E12 g^-1 = N.
     """
-    q, gs = _gl2_walk(spec, p, q, "full enumeration")
+    q = _gl2_walk(spec, p, q, "full enumeration")
+    gs = _all_invertible_2x2(p)
     a, b, c, d = gs.reshape(-1, 4).T
     det_inv = kernels._inverse_mod((a * d - b * c) % p, p)
     # g E12 g^-1 = g E12 adj(g) / det g = [[-ac, a^2], [-c^2, ac]] / det g
@@ -805,25 +799,28 @@ class RedundancyReport:
 def nilpotency_redundancy_check(spec: GroupSpec, p: int, q: int) -> RedundancyReport:
     """Count the nonzero solutions of Ad(phi) N = q N over all phi in
     GL(2, F_p) from the nullity d of N -> phi N - q N phi, as p^d - 1 per
-    phi, with d read in closed form off the whole stack
-    (``_gl2_nullities``). Exactly |GL(2, F_p)| of them are nilpotent: the
-    p^2 - 1 nonzero nilpotent N form one class and each is conjugate to
-    q N, so the phi solving phi N = q N phi form a coset of its
-    centralizer. The witness is searched for only when the rest is
-    nonzero, which needs ord(q) <= 2: phi by phi, each with its own
-    system, built with no inverse, and its canonical kernel basis."""
-    q, phis = _gl2_walk(spec, p, q, "redundancy scan")
-    nullity = _gl2_nullities(phis, q, p)
-    checked = int((p**nullity - 1).sum())
-    bad = checked - len(phis)
+    phi. d is a class function, so the count is a sum over the conjugacy
+    classes (``_gl2_classes``), d read in closed form at each
+    representative (``_small_h2`` at N = 0). Exactly |GL(2, F_p)| of the
+    solutions are nilpotent: the p^2 - 1 nonzero nilpotent N form one
+    class and each is conjugate to q N, so the phi solving phi N = q N phi
+    form a coset of its centralizer. The witness N, when the rest is
+    nonzero, comes from one phi's system, built with no inverse, and its
+    canonical kernel basis."""
+    q = _gl2_walk(spec, p, q, "redundancy scan")
+    checked = sum(size * (p ** _small_h2(phi, [0, 0, 0, 0], q, p) - 1)
+                  for phi, size, _ in _gl2_classes(p))
+    bad = checked - (p * p - 1) * (p * p - p)
     wphi = wn = None
-    for i in np.flatnonzero(nullity) if bad else ():
-        basis = kernels.nullspace_mod(_sylvester(phis[i], q * phis[i] % p, p), p)
-        sols = (_digits(int(nullity[i]), p) @ basis % p).reshape(-1, 2, 2)
-        other = np.flatnonzero(~_is_nilpotent(sols, p))
-        if len(other):
-            wphi, wn = phis[i].copy(), sols[other[0]]
-            break
+    if bad:
+        # phi N phi^-1 = q N multiplies N's eigenvalues by q, so a
+        # non-nilpotent N needs q^2 = 1. Then [[0, 1], [1, 0]], the first
+        # invertible phi in lexicographic order, has one: N = I at q = 1,
+        # and N = diag(1, -1) at q = -1
+        wphi = np.array([[0, 1], [1, 0]], dtype=np.int64)
+        basis = kernels.nullspace_mod(_sylvester(wphi, q * wphi % p, p), p)
+        sols = (_digits(len(basis), p) @ basis % p).reshape(-1, 2, 2)
+        wn = sols[np.flatnonzero(~_is_nilpotent(sols, p))[0]]
     return RedundancyReport(
         p=p, q=q, pairs_checked=checked, non_nilpotent_count=bad,
         witness_phi=wphi, witness_n=wn,
@@ -885,13 +882,14 @@ def exp_bridge_check(phi, n_mat, q: int, p: int):
 @dataclass(frozen=True)
 class BundleReport:
     """Fiber counts of the projection to phi over the open stratum where
-    phi has eigenvalue multiset z * {1, q, ..., q^{n-1}}."""
+    phi has eigenvalue multiset z * {1, q, ..., q^{n-1}}: fiber_counts is
+    the histogram {fiber size: number of base points with it}."""
 
     p: int
     q: int
     base_points: int
     expected_fiber: int
-    fiber_counts: tuple[int, ...]
+    fiber_counts: dict[int, int]
     quadratic_extension_points: int
 
     @property
@@ -905,32 +903,31 @@ def bundle_count_check(
     """Count solutions N of Ad(phi) N = q N over semisimple base points,
     as p to the nullity of N -> phi N - q N phi.
 
-    GL(2), p <= 13: enumerate every phi whose eigenvalue multiset is
-    {z, qz} (including pairs living in the quadratic extension, detected
-    from the characteristic polynomial) and count the N solutions, which
-    should number p^{n-1} each, from the nullities in closed form
-    (``_gl2_nullities``), as the nilpotency scan does. GL(3): sample
-    conjugates of z diag(1, q, q^2) with a seeded generator, and eliminate
-    their systems, built with no inverse, in one ``batch_nullity_mod``.
+    GL(2), p <= 13: every phi whose eigenvalue multiset is {z, qz},
+    including pairs living in the quadratic extension, whose N solutions
+    should number p^{n-1} each. The locus and the nullity are class
+    functions, so this sums over the conjugacy classes, as the
+    nilpotency scan does. GL(3): sample conjugates of z diag(1, q, q^2)
+    with a seeded generator, and eliminate their systems, built with no
+    inverse, in one ``batch_nullity_mod``.
     """
     q = _unit_q(q, p)
     _sample_count(samples, seed)
     if spec.form is not None or spec.n not in (2, 3):
         raise ValueError("bundle check supports GL(2) and GL(3)")
+    fibers = Counter()
     quad = 0
     if spec.n == 2:
-        phis = _gl2_walk(spec, p, q, "GL(2) bundle check")[1]
-        tr = (phis[:, 0, 0] + phis[:, 1, 1]) % p
-        det = (phis[:, 0, 0] * phis[:, 1, 1] - phis[:, 0, 1] * phis[:, 1, 0]) % p
-        # the eigenvalue multiset is {z, qz}, with z in F_p or in F_{p^2},
-        # exactly when q tr^2 = (1+q)^2 det; it lies in the quadratic
-        # extension when the discriminant is a non-residue. At p = 2 the
-        # Euler criterion's exponent is 0, so every nonzero disc passes
-        on_locus = q * tr % p * tr % p == (1 + q) ** 2 % p * det % p
-        disc = (tr * tr - 4 * det)[on_locus] % p
-        euler = np.array([pow(d, (p - 1) // 2, p) for d in range(p)], dtype=np.int64)
-        quad = int(((disc != 0) & (euler[disc] == p - 1)).sum())
-        nullities = _gl2_nullities(phis[on_locus], q, p)
+        _gl2_walk(spec, p, q, "GL(2) bundle check")
+        for phi, size, roots in _gl2_classes(p):
+            a, b, c, d = phi
+            # the eigenvalue multiset is {z, qz}, with z in F_p or in
+            # F_{p^2}, exactly when q tr^2 = (1+q)^2 det; it lies in the
+            # quadratic extension when the characteristic polynomial has
+            # no root in F_p
+            if q * (a + d) ** 2 % p == (1 + q) ** 2 * (a * d - b * c) % p:
+                fibers[p ** _small_h2(phi, [0, 0, 0, 0], q, p)] += size
+                quad += size * (roots == 0)
     else:
         rng = np.random.default_rng(seed)
         phis = []
@@ -942,10 +939,10 @@ def bundle_count_check(
             phis.append((g * d % p) @ ginv % p)
         phis = np.stack(phis)
         nullities = kernels.batch_nullity_mod(_sylvester(phis, q * phis % p, p), p)
+        fibers.update(p**d for d in nullities.tolist())
     return BundleReport(
-        p=p, q=q, base_points=len(nullities), expected_fiber=p ** (spec.n - 1),
-        fiber_counts=tuple(p**d for d in nullities.tolist()),
-        quadratic_extension_points=quad,
+        p=p, q=q, base_points=sum(fibers.values()), expected_fiber=p ** (spec.n - 1),
+        fiber_counts=dict(fibers), quadratic_extension_points=quad,
     )
 
 

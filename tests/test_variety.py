@@ -772,7 +772,8 @@ def test_enumeration_guards():
         nilpotency_redundancy_check(GL3, 7, 4)
     with pytest.raises(ValueError, match="capped at p = 13"):
         nilpotency_redundancy_check(GL2, 17, 4)
-    # the GL2 bundle branch walks all of GL2(F_p) as well
+    # the GL2 bundle branch sums over classes, like the scan, yet keeps the
+    # cap of the enumeration, which lists all of GL2(F_p)
     with pytest.raises(ValueError, match="^GL\\(2\\) bundle check is capped at p = 13$"):
         bundle_count_check(GL2, 17, 4)
     assert bundle_count_check(GL2, 13, 4).base_points == 12 * 13 * 14  # (p - 1) p (p + 1)
@@ -967,31 +968,37 @@ def test_redundancy_order_two_witness():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_gl2_stack_nullities_match_the_batch_kernel(p):
-    # the closed form the GL(2, F_p) walks read, against the elimination of
-    # N -> phi N - q N phi for every invertible phi at every unit q. Every
-    # value it can take occurs: 4 (scalar phi, q = 1) and 0 (scalar phi,
-    # q != 1), 2 (equal characteristic polynomials) and, once q has order
-    # 3 or more, 1 (one shared root)
+    # the closed form the GL(2, F_p) class sums read, _small_h2 at N = 0,
+    # against the elimination of N -> phi N - q N phi for every invertible
+    # phi at every unit q. Every value it can take occurs: 4 (scalar phi,
+    # q = 1) and 0 (scalar phi, q != 1), 2 (equal characteristic
+    # polynomials) and, once q has order 3 or more, 1 (one shared root)
     phis = _all_invertible_2x2(p)
     seen = set()
     for q in range(1, p):
-        got = variety._gl2_nullities(phis, q, p)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, batch_nullity_mod(_sylvester(phis, q * phis % p, p), p))
-        seen.update(got.tolist())
+        got = [variety._small_h2(phi, [0, 0, 0, 0], q, p) for phi in phis.reshape(-1, 4).tolist()]
+        assert got == batch_nullity_mod(_sylvester(phis, q * phis % p, p), p).tolist()
+        seen.update(got)
     assert seen == {2: {2, 4}, 3: {0, 2, 4}}.get(p, {0, 1, 2, 4})
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_gl2_stack_nullities_match_the_per_point_closed_form(p):
-    # at a scalar N = c I, H^2 is {Z : q phi Z = Z phi}, whose dimension the
-    # stack form computes for every phi at once
-    phis = _all_invertible_2x2(p)
-    for q in range(1, p):
-        got = variety._gl2_nullities(phis, q, p).tolist()
-        for c in range(p):
-            assert got == [variety._small_h2(phi, [c, 0, 0, c], q, p)
-                           for phi in phis.reshape(-1, 4).tolist()]
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_gl2_classes_partition_the_group(p):
+    # every invertible phi is conjugate to exactly one class representative:
+    # the scalars by their entry, the others by (tr, det); so the class
+    # sizes are the grid's counts keyed by (tr, det, scalar)
+    def key(a, b, c, d):
+        return (a + d) % p, (a * d - b * c) % p, not (b or c) and a == d
+
+    grid = Counter(key(*phi) for phi in _all_invertible_2x2(p).reshape(-1, 4).tolist())
+    classes = list(variety._gl2_classes(p))
+    assert len(classes) == p * p - 1
+    assert Counter({key(*phi): size for phi, size, _ in classes}) == grid
+    for phi, _, roots in classes:
+        tau, delta, scalar = key(*phi)
+        # the distinct roots of t^2 - tau t + delta in F_p
+        found = sum(1 for x in range(p) if (x * x - tau * x + delta) % p == 0)
+        assert roots == (None if scalar else found)
 
 
 # ------------------------------------------------------------------ exp / log
@@ -1175,9 +1182,35 @@ def test_bundle_gl2_matches_brute_force(p):
     for q in range(1, p) if p < 7 else (2, 6):
         rep = bundle_count_check(GL2, p, q)
         fibers, quad = _bundle_gl2_brute_force(p, q)
-        assert rep.fiber_counts == fibers
+        assert rep.fiber_counts == Counter(fibers)
         assert rep.quadratic_extension_points == quad
         assert rep.base_points == len(fibers)
+
+
+def _bundle_gl2_grid(p, q):
+    """The GL(2) bundle check over the whole group: every invertible phi
+    on the locus q tr^2 = (1+q)^2 det, the quadratic-extension ones picked
+    by the Euler criterion on the discriminant (at p = 2 its exponent is
+    0, so every nonzero disc passes), and each fibre eliminated. Returns
+    (fiber histogram, base points, quadratic extension points)."""
+    phis = _all_invertible_2x2(p)
+    tr = (phis[:, 0, 0] + phis[:, 1, 1]) % p
+    det = (phis[:, 0, 0] * phis[:, 1, 1] - phis[:, 0, 1] * phis[:, 1, 0]) % p
+    on_locus = q * tr % p * tr % p == (1 + q) ** 2 % p * det % p
+    disc = (tr * tr - 4 * det)[on_locus] % p
+    euler = np.array([pow(d, (p - 1) // 2, p) for d in range(p)], dtype=np.int64)
+    quad = int(((disc != 0) & (euler[disc] == p - 1)).sum())
+    phis = phis[on_locus]
+    nullities = batch_nullity_mod(_sylvester(phis, q * phis % p, p), p).tolist()
+    return Counter(p**d for d in nullities), len(phis), quad
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_bundle_gl2_matches_the_grid(p):
+    for q in range(1, p):
+        rep = bundle_count_check(GL2, p, q)
+        got = rep.fiber_counts, rep.base_points, rep.quadratic_extension_points
+        assert got == _bundle_gl2_grid(p, q)
 
 
 def test_bundle_gl3_sampled():
