@@ -7,39 +7,41 @@ so ranks, kernels and reduced forms are deterministic. Each row is
 packed into one Python int, one bit field per entry, so clearing a
 column from a row is a single big-int update, and entries are reduced
 mod p only where a pivot is read and once at the end: the fields are
-wide enough that no intermediate value can carry from one entry into
-the next. Each pivot's inverse comes from the extended Euclidean
-algorithm (``pow(lead, -1, p)``), which at the largest primes is
-several times faster than Fermat's ``lead^(p - 2)``. ``rank_mod`` and
-``nullity_mod`` read only the pivot count, so they stop at row echelon
-form in the one rank loop, ``_rank``, which clears only the rows below
-each pivot and drops the pivot row. The others reduce fully
-(Gauss-Jordan). The layout of the fields (item type, words per field,
+wide enough that no intermediate value can carry from one entry into the
+next. Each pivot's inverse comes from the extended Euclidean algorithm
+(``pow(lead, -1, p)``), which at the largest primes is several times
+faster than Fermat's ``lead^(p - 2)``. One loop, ``_echelon``,
+eliminates: it takes each pivot row out of the working rows and clears
+the pivot column from the rows after it, and, when a reduced form is
+asked for, from the pivot rows taken before it too. ``rank_mod`` and
+``nullity_mod`` read its pivot count and unpack nothing; ``rref_mod``,
+``nullspace_mod`` and ``inv_mod`` reduce fully (Gauss-Jordan) and unpack
+the pivot rows. The layout of the fields (item type, words per field,
 width, mask, shifts) is keyed by p, min(m, n) and n, under one rule: a
 field holds p - 1 times p^min(m, n), the most an entry can grow to, so
 no field ever carries. It is kept in a small LRU cache, since the
-callers reduce matrices of a few shapes at one p, over and over. Rows
-go in and out as bytes: the field width is rounded up to 8, 16 or 32
-bits or to whole 64-bit words, so the matrix cast to that unsigned type
-is one ``tobytes()`` and each row one ``int.from_bytes``. The reduced
-rows come back through one ``np.frombuffer``, with a field of several
-words reduced mod p by Horner's rule; ``nullspace_mod`` reads its basis off
+callers reduce matrices of a few shapes at one p, over and over. Rows go
+in and out as bytes: the field width is rounded up to 8, 16 or 32 bits
+or to whole 64-bit words, so the matrix cast to that unsigned type is
+one ``tobytes()`` and each row one ``int.from_bytes``. The reduced rows
+come back through one ``np.frombuffer``, with a field of several words
+reduced mod p by Horner's rule; ``nullspace_mod`` reads its basis off
 the reduced form and its free columns. The stack entry point,
 ``batch_nullity_mod``, counts the nullity of each matrix of a (B, m, n)
 stack at once, in int64 through one column loop that stops at what a
 rank needs, for callers that hold real batches; ``matpow_mod`` powers
-one matrix or each matrix of a stack. No public entry point calls another. Every routine
-needs p to be a prime <= ``P_MAX``: prime so that every nonzero residue
-has an inverse, and within the bound so that a product of two residues
-fits int64. ``_check_p`` checks it, called by ``as_field``, which every
-entry point reduces its input through, by ``_inverse_mod``, the stack
-inverse that ``variety`` also calls on its own arrays, and by
-``variety._unit_q``, which every entry point that takes q calls first.
-A p that passed is kept, and its one fast path, a Python int found in
-that set, serves every caller. Any other p is checked in turn: that it
-is a Python int, so that neither a float nor a numpy integer gets in,
-then the bound, so that no trial division runs past sqrt(P_MAX), then
-primality.
+one matrix or each matrix of a stack. No public entry point calls
+another. Every routine needs p to be a prime <= ``P_MAX``: prime so that
+every nonzero residue has an inverse, and within the bound so that a
+product of two residues fits int64. ``_check_p`` checks it, called by
+``as_field``, which every entry point reduces its input through, by
+``_inverse_mod``, the stack inverse that ``variety`` also calls on its
+own arrays, and by ``variety._unit_q``, which every entry point that
+takes q calls first. A p that passed is kept, and its one fast path, a
+Python int found in that set, serves every caller. Any other p is
+checked in turn: that it is a Python int, so that neither a float nor a
+numpy integer gets in, then the bound, so that no trial division runs
+past sqrt(P_MAX), then primality.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from .arith import _check_int, is_prime
 P_MAX = 759_250_125
 
 _INT64 = np.dtype(np.int64)
-#: little-endian unsigned types by byte size: the field items of ``_rref``
+#: little-endian unsigned types by byte size: the field items of ``_pack``
 _UNSIGNED = {size: np.dtype("<u%d" % size) for size in (1, 2, 4, 8)}
 #: the moduli ``_check_p`` has accepted
 _PRIMES: set[int] = set()
@@ -107,90 +109,39 @@ def _pack(mat: NDArray[np.int64], p: int) -> tuple[list[int], tuple]:
             if (v := int.from_bytes(data[i:i + step], "little"))], layout
 
 
-def _rref(mat: NDArray[np.int64], p: int) -> tuple[list[int], NDArray[np.int64]]:
-    # Gauss-Jordan elimination of an (m, n) int64 array with entries in
-    # [0, p), p prime, with first-nonzero pivoting; returns the pivot column
-    # of each nonzero row, in order, and the reduced row echelon form as a
-    # new (m, n) int64 array.
+def _echelon(mat: NDArray[np.int64], p: int, reduced: bool
+             ) -> tuple[list[int], list[int], list[int], tuple]:
+    # The one elimination of an (m, n) int64 array with entries in [0, p),
+    # p prime, with first-nonzero pivoting: (the pivot columns, their
+    # pivots' inverses, the packed pivot rows in pivot order, the
+    # ``_layout``). The pivot rows are the row echelon form, or, when
+    # `reduced`, the reduced one, each row still to be scaled by its
+    # pivot's inverse; their number is the rank.
     #
     # The rows are packed by ``_pack``, so clearing a column from a row is
-    # one big-int update: a row whose entry there is f gains (-f inv % p)
-    # times the unscaled pivot row (inv the pivot's inverse, by the extended
-    # Euclidean algorithm), which makes that entry 0 mod p. Each pivot
-    # column is cleared from every other row. On the way only pivot-column
-    # entries are reduced mod p (pivot candidates, the pivot, and f); every
-    # entry is reduced once at the end, when each nonzero row is scaled by
-    # its pivot's inverse. This is exact:
+    # one big-int update. Fields are not kept reduced: only the entry of
+    # the current column is, in each row scanned. The first working row
+    # nonzero there mod p is the pivot; the rows before it are 0 there, so
+    # only the rows after it are cleared, each by adding
+    # c = (-f lead^-1 mod p) <= p - 1 times the pivot row, f its entry,
+    # which makes that entry 0 mod p. The pivot row then leaves the working
+    # rows for the done rows, which a reduced form clears the same way.
+    # This is exact:
     # - fields stay >= 0, since only nonnegative multiples are added, so
     #   no field ever borrows from the next;
-    # - there are at most min(m, n) pivots, so by ``_layout``'s rule no
+    # - each row, working or done, gains at most one multiple per pivot,
+    #   and there are at most min(m, n) pivots, so by ``_layout``'s rule no
     #   field ever carries into the next;
     # - each field stays congruent mod p to its entry in the usual
-    #   Gauss-Jordan (which scales pivot rows to a leading 1) up to a unit,
+    #   elimination (which scales pivot rows to a leading 1) up to a unit,
     #   so the pivot columns are the same, and the reduced row echelon
-    #   form is unique, so the result equals that of the usual method.
-    # Zero rows, which ``_pack`` leaves out, come back as the last rows.
-    #
-    # On the way out the pivot rows' to_bytes are joined into one
-    # np.frombuffer; each word is reduced mod p, a field of several words is
-    # reduced by Horner's rule with 2^64 mod p, and each row is scaled by
-    # its pivot's inverse in int64. Every product there is of two residues,
-    # below p^2 < 2^63 for p <= P_MAX (a Horner step adds one more residue),
-    # so nothing overflows.
-    m, n = mat.shape
-    packed, (dtype, words, mask, shifts, step) = _pack(mat, p)
-    k = len(packed)
+    #   form is unique, so a reduced result equals the usual method's.
+    rows, layout = _pack(mat, p)
+    mask, shifts = layout[2], layout[3]
     pivots: list[int] = []
     invs: list[int] = []
-    r = 0
+    done: list[int] = []
     for col, sh in enumerate(shifts):
-        if r == k:
-            break
-        for piv in range(r, k):
-            lead = (packed[piv] >> sh & mask) % p
-            if lead:
-                break
-        else:
-            continue
-        v = packed[piv]
-        packed[piv] = packed[r]
-        packed[r] = v
-        inv = pow(lead, -1, p)
-        for i in range(k):
-            if r <= i <= piv:  # the pivot, and rows the scan found 0 mod p
-                continue
-            f = (packed[i] >> sh & mask) % p
-            if f:
-                packed[i] += (-f * inv % p) * v
-        pivots.append(col)
-        invs.append(inv)
-        r += 1
-    data = b"".join([v.to_bytes(step, "little") for v in packed[:r]]) + bytes(step * (m - r))
-    fields = (np.frombuffer(data, dtype).reshape(m, n, words) % p).astype(np.int64)
-    red = fields[:, :, -1]
-    for j in range(words - 2, -1, -1):  # Horner's rule in base 2^64
-        red = (red * (2**64 % p) + fields[:, :, j]) % p
-    return pivots, red * np.array(invs + [0] * (m - r), dtype=np.int64)[:, None] % p
-
-
-def _rank(mat: NDArray[np.int64], p: int) -> int:
-    # The rank mod p of an (m, n) int64 array with entries in [0, p): the
-    # one rank-only elimination, which ``rank_mod`` and ``nullity_mod``
-    # share. The rows are packed by ``_pack``, and each field stays below
-    # 2^W = mask + 1 after every update (``_layout``'s rule). Fields are not
-    # kept reduced: only the entry of the current column is, in each row
-    # scanned. The first row nonzero there mod p is the pivot; the rows
-    # before it are 0 there, so only the rows after it are cleared, each by
-    # adding c = (-f lead^-1 mod p) <= p - 1 times the pivot row, f its
-    # entry. The pivot row is then taken out of the list, since a rank never
-    # reads it again. The inverse is the extended Euclidean algorithm's,
-    # ``pow(lead, -1, p)``, one rule for every p: timed in this loop on GL2
-    # tangent rows, Fermat's ``pow(lead, p - 2, p)`` and an LRU table of
-    # inverses move a matrix's 3.6 us by at most 4 % at p = 7, and Fermat
-    # takes 45 % longer at the largest prime.
-    rows, (_, _, mask, shifts, _) = _pack(mat, p)
-    rank = 0
-    for sh in shifts:
         for piv, v in enumerate(rows):
             lead = (v >> sh & mask) % p
             if lead:
@@ -198,15 +149,44 @@ def _rank(mat: NDArray[np.int64], p: int) -> int:
         else:
             continue
         del rows[piv]
-        rank += 1
-        if not rows:
-            break
-        c = p - pow(lead, -1, p)
+        inv = pow(lead, -1, p)
+        c = p - inv
         for i in range(piv, len(rows)):
             f = (rows[i] >> sh & mask) % p
             if f:
                 rows[i] += f * c % p * v
-    return rank
+        if reduced:
+            for i, u in enumerate(done):
+                f = (u >> sh & mask) % p
+                if f:
+                    done[i] = u + f * c % p * v
+        pivots.append(col)
+        invs.append(inv)
+        done.append(v)
+        if not rows:
+            break
+    return pivots, invs, done, layout
+
+
+def _rref(mat: NDArray[np.int64], p: int) -> tuple[list[int], NDArray[np.int64]]:
+    # The pivot columns of an (m, n) int64 array with entries in [0, p), p
+    # prime, and its reduced row echelon form as a new (m, n) int64 array,
+    # from ``_echelon``. Zero rows, which ``_pack`` leaves out, come back
+    # as the last rows. The pivot rows' to_bytes are joined into one
+    # np.frombuffer; each word is reduced mod p, a field of several words
+    # is reduced by Horner's rule with 2^64 mod p, and each row is scaled
+    # by its pivot's inverse in int64. Every product there is of two
+    # residues, below p^2 < 2^63 for p <= P_MAX (a Horner step adds one
+    # more residue), so nothing overflows.
+    m, n = mat.shape
+    pivots, invs, done, (dtype, words, _, _, step) = _echelon(mat, p, True)
+    r = len(done)
+    data = b"".join([v.to_bytes(step, "little") for v in done]) + bytes(step * (m - r))
+    fields = (np.frombuffer(data, dtype).reshape(m, n, words) % p).astype(np.int64)
+    red = fields[:, :, -1]
+    for j in range(words - 2, -1, -1):  # Horner's rule in base 2^64
+        red = (red * (2**64 % p) + fields[:, :, j]) % p
+    return pivots, red * np.array(invs + [0] * (m - r), dtype=np.int64)[:, None] % p
 
 
 def _check_p(p: int) -> None:
@@ -281,12 +261,12 @@ def rref_mod(a, p: int) -> tuple[NDArray[np.int64], int, NDArray[np.int64]]:
 
 
 def rank_mod(a, p: int) -> int:
-    return _rank(_matrix(a, p), p)
+    return len(_echelon(_matrix(a, p), p, False)[2])
 
 
 def nullity_mod(a, p: int) -> int:
     mat = _matrix(a, p)
-    return mat.shape[1] - _rank(mat, p)
+    return mat.shape[1] - len(_echelon(mat, p, False)[2])
 
 
 def _inverse_mod(x: NDArray[np.int64], p: int) -> NDArray[np.int64]:

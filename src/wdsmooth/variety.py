@@ -25,32 +25,29 @@ Elsewhere (GL3, GL4, GSp4 and a singular phi) it eliminates T, by
 deterministic Gaussian elimination, with its columns reversed, M half
 first, built in that order from two numpy products: vec(phi) times the
 M half's map of residues, kept per (spec, p, q), and phi times the
-brackets [X, N], kept per (spec, p, N). ``nullity_mod`` reduces it
-once; each entry is a sum of at most n^2 <= 16 products of residues,
-the bound ``kernels.P_MAX`` is derived from. ``tangent_matrix`` is that
-build, reduced, for every group, and the closed form's oracle. The
-bracket cache also records, once per N, whether every bracket vanishes
-mod p (N = 0, or N central); there the X half is zero, and
-``tangent_dim`` eliminates the M half alone and adds dim g, which is
-exact, since zero columns add to the nullity and nothing to the rank.
-That is every zero-orbit sample of GL3, GL4 and GSp4. The GL sampler
-reads all its draws from one buffered stream of its generator; numpy's
-bounded draws concatenate, so the samples are those of one generator
-call per block.
+brackets [X, N]. ``nullity_mod`` reduces it once; each entry is a sum
+of at most n^2 <= 16 products of residues, the bound ``kernels.P_MAX``
+is derived from. ``tangent_matrix`` is that build, reduced, for every
+group, and the closed form's oracle. Where every bracket vanishes mod p
+(N = 0, or N central) the X half is zero, and ``tangent_dim``
+eliminates the M half alone and adds dim g, which is exact, since zero
+columns add to the nullity and nothing to the rank. That is every
+zero-orbit sample of GL3, GL4 and GSp4. The GL sampler reads all its
+draws from one buffered stream of its generator; numpy's bounded draws
+concatenate, so the samples are those of one generator call per block.
 Every linear system on gl_n comes from one builder of X -> a X - X b,
-with no inverse: the nilpotency scan's witness and the GL(3) bundle
-fibres solve N -> phi N - q N phi, which is Ad(phi) - q times the
-invertible phi and so has the same RREF and kernel, and the sampler
-solves its negated Jordan system q J phi - phi J. The GL2 enumeration
-solves no system: it lists the points stratum by nilpotent orbit, N = 0
-with every phi, then each nonzero nilpotent N = g E12 g^-1 with the
-conjugates by g of the closed-form fibre of phi E12 = q E12 phi. The
-nilpotency scan and the GL(2) bundle check sum a class function, the
-nullity of N -> phi N - q N phi, over the p^2 - 1 conjugacy classes of
-GL(2, F_p) (``_gl2_classes``), read in closed form at each class's
-representative (``_small_h2`` at N = 0); only the scan's witness builds
-a system. The enumeration, the scan and the GL(2) bundle check stop at
-p = 13.
+with no inverse: the GL(3) bundle fibres solve N -> phi N - q N phi,
+which is Ad(phi) - q times the invertible phi and so has the same RREF
+and kernel, and the sampler solves its negated Jordan system
+q J phi - phi J. The GL2 enumeration solves no system: it lists the
+points stratum by nilpotent orbit, N = 0 with every phi, then each
+nonzero nilpotent N = g E12 g^-1 with the conjugates by g of the
+closed-form fibre of phi E12 = q E12 phi. The nilpotency scan and the
+GL(2) bundle check sum a class function, the nullity of
+N -> phi N - q N phi, over the p^2 - 1 conjugacy classes of GL(2, F_p)
+(``_gl2_classes``), read in closed form at each class's representative
+(``_small_h2`` at N = 0), and the scan's witness is in closed form. The
+enumeration, the scan and the GL(2) bundle check stop at p = 13.
 
 p must be a prime <= ``kernels.P_MAX``. Every entry point checks it
 through ``kernels.as_field``, which reduces its matrices, or, when it
@@ -322,9 +319,8 @@ def _point_matrix(spec: GroupSpec, a, p: int, name: str) -> NDArray[np.int64]:
     return a
 
 
-# A few slots suffice: enumeration lists its points grouped by N, one q and
-# one p per call, so one slot of each cache serves all of an N's points,
-# and the sampler's distinct Ns miss at the cost of one lookup each.
+# A few slots suffice: every sample of one ``verify tangent`` call shares
+# (spec, p, q), so one slot serves all of a call's points.
 @functools.lru_cache(maxsize=8)
 def _m_map(spec: GroupSpec, p: int, q: int) -> NDArray[np.int64]:
     """The M half of the column-reversed tangent matrix as a map of phi:
@@ -341,23 +337,6 @@ def _m_map(spec: GroupSpec, p: int, q: int) -> NDArray[np.int64]:
     a = (np.einsum("ik,mlj->klijm", eye, basis)
          - q * np.einsum("mik,lj->klijm", basis, eye))
     return _read_only(a.reshape(n * n, -1) % p)
-
-
-@functools.lru_cache(maxsize=8)
-def _brackets(spec: GroupSpec, p: int, n_bytes: bytes) -> NDArray[np.int64] | None:
-    """The brackets [X_m, N] over the reversed basis as one (n, n dim_g)
-    array, entry (k, (j, m)) being [X_m, N][k, j], reduced mod p, for N the
-    reduced (n, n) int64 matrix with bytes n_bytes; read-only. phi times
-    it, read as (n^2, dim_g), is the X half of the column-reversed tangent
-    matrix. None when every bracket vanishes mod p (N = 0, or N central),
-    where that half is zero whatever phi is."""
-    n = spec.n
-    n_mat = np.frombuffer(n_bytes, dtype=np.int64).reshape(n, n)
-    basis = spec.lie_basis[::-1]
-    brackets = (basis @ n_mat - n_mat @ basis) % p  # (m, k, j)
-    if not brackets.any():
-        return None
-    return _read_only(brackets.transpose(1, 2, 0).reshape(n, -1))
 
 
 def _point_residues(spec: GroupSpec, a, p: int, name: str) -> list[int]:
@@ -383,8 +362,10 @@ def _reversed_halves(spec: GroupSpec, phi: NDArray[np.int64], n_mat: NDArray[np.
     """The two halves of the tangent matrix at (phi, N) with its columns
     reversed, for (phi, N, q) as ``_checked_point`` returns them, each
     (n^2, dim_g), C-contiguous and unreduced: the M half over the reversed
-    basis, then the X half, which is None where every bracket [X_m, N]
-    vanishes mod p and the half is zero.
+    basis, then the X half, phi times the brackets [X_m, N] as one
+    (n, n dim_g) array, entry (k, (j, m)) being [X_m, N][k, j] reduced mod
+    p. The X half is None where every bracket vanishes mod p (N = 0, or N
+    central), where it is zero whatever phi is.
 
     Every entry is congruent mod p to that of ``tangent_matrix`` and lies
     in [0, n^2 (p - 1)^2]: an entry of the M half is a sum of n^2 products
@@ -394,8 +375,11 @@ def _reversed_halves(spec: GroupSpec, phi: NDArray[np.int64], n_mat: NDArray[np.
     """
     size = spec.n * spec.n
     m_half = (phi.reshape(size) @ _m_map(spec, p, q)).reshape(size, -1)
-    brackets = _brackets(spec, p, n_mat.tobytes())
-    return m_half, None if brackets is None else (phi @ brackets).reshape(size, -1)
+    basis = spec.lie_basis[::-1]
+    brackets = (basis @ n_mat - n_mat @ basis) % p  # (m, k, j)
+    if not brackets.any():
+        return m_half, None
+    return m_half, (phi @ brackets.transpose(1, 2, 0).reshape(spec.n, -1)).reshape(size, -1)
 
 
 def tangent_matrix(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.int64]:
@@ -414,10 +398,10 @@ def tangent_matrix(spec: GroupSpec, phi, n_mat, q: int, p: int) -> NDArray[np.in
     It is the matrix ``tangent_dim`` eliminates with its columns
     reversed, reduced and read backwards, built in numpy for every group:
     two products, vec(phi) times the M half's map, kept per (spec, p, q),
-    and phi times the brackets [X, N], kept per (spec, p, N), each a sum
-    of at most n^2 <= 16 products of residues; where every bracket
-    vanishes mod p the X columns are zero. Its nullity is the oracle of
-    ``tangent_dim``'s closed form for GL1 and GL2.
+    and phi times the brackets [X, N], each a sum of at most n^2 <= 16
+    products of residues; where every bracket vanishes mod p the X
+    columns are zero. Its nullity is the oracle of ``tangent_dim``'s
+    closed form for GL1 and GL2.
     """
     m_half, x_half = _reversed_halves(spec, *_checked_point(spec, phi, n_mat, q, p), p)
     if x_half is None:
@@ -491,10 +475,9 @@ def tangent_dim(spec: GroupSpec, phi, n_mat, q: int, p: int) -> int:
     has a pivot, and the M half holds most of the rank at the sampled
     points. The matrix is handed to ``nullity_mod`` unreduced, so it is
     reduced once. Where every bracket [X_m, N] vanishes mod p (N = 0, or
-    any N central in the Lie algebra), which the per-N bracket cache
-    records once per N, the X half is zero and only the M half is
-    eliminated: dim_g zero columns add dim_g to the nullity and nothing
-    to the rank, so its nullity plus dim_g is exactly the whole
+    any N central in the Lie algebra), the X half is zero and only the M
+    half is eliminated: dim_g zero columns add dim_g to the nullity and
+    nothing to the rank, so its nullity plus dim_g is exactly the whole
     matrix's.
     """
     # gl_n is the only n^2-dimensional Lie algebra of n x n matrices
@@ -546,14 +529,6 @@ def _gl2_classes(p: int):
         for delta in range(1, p):
             roots = pairs[tau, delta]
             yield [0, -delta % p, 1, tau], (p * p - p, p * p - 1, p * p + p)[roots], roots
-
-
-def _digits(d: int, p: int) -> NDArray[np.int64]:
-    """The (p^d - 1, d) coefficients 1 .. p^d - 1 in base p, first digit
-    least significant: on a canonical kernel basis (a 1 in each free
-    column) they give its nonzero vectors, distinct, in a fixed order."""
-    k = np.arange(1, p**d, dtype=np.int64)
-    return k[:, None] // p ** np.arange(d, dtype=np.int64) % p
 
 
 def enumerate_sg(spec: GroupSpec, p: int, q: int) -> NDArray[np.int64]:
@@ -804,9 +779,8 @@ def nilpotency_redundancy_check(spec: GroupSpec, p: int, q: int) -> RedundancyRe
     representative (``_small_h2`` at N = 0). Exactly |GL(2, F_p)| of the
     solutions are nilpotent: the p^2 - 1 nonzero nilpotent N form one
     class and each is conjugate to q N, so the phi solving phi N = q N phi
-    form a coset of its centralizer. The witness N, when the rest is
-    nonzero, comes from one phi's system, built with no inverse, and its
-    canonical kernel basis."""
+    form a coset of its centralizer. The witness, when the rest is
+    nonzero, is in closed form."""
     q = _gl2_walk(spec, p, q, "redundancy scan")
     checked = sum(size * (p ** _small_h2(phi, [0, 0, 0, 0], q, p) - 1)
                   for phi, size, _ in _gl2_classes(p))
@@ -815,12 +789,12 @@ def nilpotency_redundancy_check(spec: GroupSpec, p: int, q: int) -> RedundancyRe
     if bad:
         # phi N phi^-1 = q N multiplies N's eigenvalues by q, so a
         # non-nilpotent N needs q^2 = 1. Then [[0, 1], [1, 0]], the first
-        # invertible phi in lexicographic order, has one: N = I at q = 1,
-        # and N = diag(1, -1) at q = -1
+        # invertible phi in lexicographic order, has one. Its solutions are
+        # the [[a, b], [q b, q a]], whose canonical kernel basis (free
+        # columns (1, 0) and (1, 1) of vec N) starts with [[0, q], [1, 0]],
+        # of square q I != 0: the first non-nilpotent solution in order
         wphi = np.array([[0, 1], [1, 0]], dtype=np.int64)
-        basis = kernels.nullspace_mod(_sylvester(wphi, q * wphi % p, p), p)
-        sols = (_digits(len(basis), p) @ basis % p).reshape(-1, 2, 2)
-        wn = sols[np.flatnonzero(~_is_nilpotent(sols, p))[0]]
+        wn = np.array([[0, q], [1, 0]], dtype=np.int64)
     return RedundancyReport(
         p=p, q=q, pairs_checked=checked, non_nilpotent_count=bad,
         witness_phi=wphi, witness_n=wn,

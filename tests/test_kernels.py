@@ -551,26 +551,28 @@ def test_kernels_equal_the_reference_at_each_packing_width(w, p, k):
             assert_kernels_equal_the_reference(a[rng.permutation(shape[0])], p)
 
 
-def reference_rank_growth(rows, p):
-    """The rank-only elimination of ``kernels._rank`` on rows of residues
-    held as lists, with fields left unreduced as it leaves them: (rank,
-    the largest entry any row reaches on the way)."""
+def reference_growth(rows, p, reduced):
+    """The elimination of ``kernels._echelon`` on rows of residues held as
+    lists, with fields left unreduced as it leaves them: (the pivot rows in
+    pivot order, the largest entry any row reaches on the way). The rows
+    after each pivot are cleared, and with `reduced` the pivot rows taken
+    before it too."""
     rows = [list(row) for row in rows]
+    done = []
     largest = max((x for row in rows for x in row), default=0)
-    rank = 0
     for col in range(len(rows[0]) if rows else 0):
         piv = next((i for i, row in enumerate(rows) if row[col] % p), None)
         if piv is None:
             continue
         pivot = rows.pop(piv)
-        rank += 1
         c = p - pow(pivot[col] % p, -1, p)
-        for row in rows[piv:]:
+        for row in rows[piv:] + (done if reduced else []):
             f = row[col] % p
             if f:
                 row[:] = [a + f * c % p * b for a, b in zip(row, pivot)]
                 largest = max(largest, *row)
-    return rank, largest
+        done.append(pivot)
+    return done, largest
 
 
 @pytest.mark.parametrize("p", [2, 7, TOP_P])
@@ -578,20 +580,25 @@ def reference_rank_growth(rows, p):
 def test_rank_rows_never_carry_under_the_layout_rule(top, shape, p):
     # rows of residues, entries up to top = p - 1, as ``_pack`` packs them.
     # With k = min(m, n) pivots every entry stays at most (p - 1) p^k, which
-    # the field holds, so the packed rank equals the rank of the rows mod p
+    # the field holds, in both modes of the elimination: the row echelon
+    # form of a rank, and the reduced form, which clears the pivot rows as
+    # well. So each packed pivot row holds exactly the reference's
+    # unreduced entries, one per field, and their number is the rank
     top = {"p - 1": p - 1}[top]
     m, n = shape
     k = min(m, n)
-    _, _, mask, _, _ = kernels._layout(p, k, n)
+    _, _, mask, shifts, _ = kernels._layout(p, k, n)
     assert (top * p**k).bit_length() <= mask.bit_length()
     rng = np.random.default_rng(p + top)
     cases = [[[top] * n] * m, rng.integers(0, top + 1, size=shape, dtype=np.uint64).tolist()]
     cases += [low_rank(rng, shape, rank, p).tolist() for rank in (1, k // 2, k - 1)]
     for rows in cases:
-        rank, largest = reference_rank_growth(rows, p)
-        assert largest <= top * p**k <= mask
-        assert kernels._rank(np.array(rows, dtype=np.int64), p) == rank
-        assert rank == oracle_rank(rows, p)
+        for reduced in (False, True):
+            want, largest = reference_growth(rows, p, reduced)
+            assert largest <= top * p**k <= mask
+            _, _, done, _ = kernels._echelon(np.array(rows, dtype=np.int64), p, reduced)
+            assert [[v >> sh & mask for sh in shifts] for v in done] == want
+            assert len(done) == oracle_rank(rows, p)
 
 
 def test_single_matrix_results_are_new_writable_arrays():

@@ -1429,11 +1429,10 @@ def exact_tangent_matrix(spec, phi, n_mat, q, p):
 
 
 def test_kept_tangent_products_never_go_stale():
-    # tangent_matrix keeps the M half's map by (spec, p, q) and the brackets
-    # by (spec, p, reduced N): interleave points whose keys differ only in
-    # the spec, only in p, only in q, or in an N the caller changes in
-    # place, and a shuffled enumeration with q alternating; every matrix
-    # must equal the oracle's, built from nothing kept
+    # tangent_matrix keeps the M half's map by (spec, p, q): interleave
+    # points whose keys differ only in the spec, only in p or only in q,
+    # and a shuffled enumeration with q alternating; every matrix must
+    # equal the oracle's, built from nothing kept
     def check(spec, phi, n_mat, q, p):
         exact = exact_tangent_matrix(spec, phi % p, n_mat % p, q, p).astype(np.int64)
         assert np.array_equal(tangent_matrix(spec, phi, n_mat, q, p), exact)
@@ -1442,21 +1441,12 @@ def test_kept_tangent_products_never_go_stale():
     gl4, zero4 = GroupSpec.gl(4), np.zeros((4, 4), dtype=np.int64)
     phi4 = np.diag(arr([2, 6, 1, 3]))  # a similitude too: 2 * 3 = 6 * 1
     for q in (3, 5, 3, 5):
-        check(gl4, phi4, zero4, q, 11)  # GL4 and GSp4 share n = 4 and N = 0's bytes
+        check(gl4, phi4, zero4, q, 11)  # GL4 and GSp4 share n = 4
         check(GSP4, phi4, zero4, q, 11)
     phi2, e12 = arr([[2, 1], [0, 1]]), arr([[0, 1], [0, 0]])
-    # the same reduced bytes, brackets with -1 = p - 1, and q = 2 and 3 at each p
+    # the same point, brackets with -1 = p - 1, and q = 2 and 3 at each p
     for p, q in ((11, 2), (13, 2), (11, 3), (13, 3), (11, 2), (13, 2)):
         check(GL2, phi2, e12, q, p)
-    n_mat = arr([[0, 1], [0, 0]])
-    check(GL2, phi2, n_mat, 2, 7)
-    n_mat[0, 1] = 3  # the caller's array changes between calls
-    check(GL2, phi2, n_mat, 2, 7)
-    # N = 0, central and non-central Ns in turn at one (spec, p, q): a record
-    # that every bracket vanishes, kept by anything but N, goes stale here
-    zero2, e21 = np.zeros((2, 2), dtype=np.int64), arr([[0, 0], [1, 0]])
-    for n_mat in (zero2, e12, zero2, 3 * np.eye(2, dtype=np.int64), e21, zero2, e12):
-        check(GL2, phi2, n_mat, 3, 7)
     e14 = np.zeros((4, 4), dtype=np.int64)
     e14[0, 3] = 1  # in sp4, so in gsp4
     for spec in (gl4, GSP4, gl4):
@@ -1466,25 +1456,24 @@ def test_kept_tangent_products_never_go_stale():
     order = np.random.default_rng(0).permutation(len(pts))
     for i, (phi, n_mat) in enumerate(pts[order]):
         check(GL2, phi, n_mat, 2 + i % 2, 5)  # q = 3 is off the variety: no matter
-    # GL1 and GL2 too: tangent_matrix keeps the M half's map by (spec, p, q)
-    # and the brackets by (spec, p, N), and tangent_dim reads their
-    # invertible points in closed form, keeping nothing: p, q and N change
-    # in turn, each alone, so a key missing any of them reads another
-    # point's products. GL1's tangent dimension is 1 at q = 1 and 2 at any
+    # GL1 and GL2 too: tangent_matrix keeps the M half's map by (spec, p, q),
+    # and tangent_dim reads their invertible points in closed form, keeping
+    # nothing: p and q change in turn, each alone, so a key missing either
+    # reads another point's products. GL1's tangent dimension is 1 at q = 1 and 2 at any
     # other q; GL2's at phi = I and N = 0 is 8 at q = 1 and 4 otherwise
     gl1 = GroupSpec.gl(1)
     for p, q, c in ((5, 1, 0), (5, 2, 0), (7, 1, 3), (5, 1, 2), (7, 3, 3), (7, 1, 0)):
         for phi in (arr([[1]]), arr([[3]])):
             check(gl1, phi, arr([[c]]), q, p)
+    zero2, e21 = np.zeros((2, 2), dtype=np.int64), arr([[0, 0], [1, 0]])
     rng = np.random.default_rng(7)
     for p, q in ((5, 1), (5, 2), (7, 1), (5, 1), (7, 3), (7, 1), (5, 2)):
         phi = invertible_gl(rng, 2, p)
         for n_mat in (zero2, e12, 2 * e21, zero2, e21 + e12, 3 * np.eye(2, dtype=np.int64)):
             check(GL2, np.eye(2, dtype=np.int64), n_mat, q, p)
             check(GL2, phi, n_mat, q, p)
-    for kept in (variety._m_map(GL2, 5, 2), variety._brackets(GL2, 5, pts[-1, 1].tobytes())):
-        with pytest.raises(ValueError, match="read-only"):
-            kept[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        variety._m_map(GL2, 5, 2)[0, 0] = 1
 
 
 def invertible_gl(rng, n, p):
@@ -1637,9 +1626,10 @@ def test_tangent_dim_where_every_bracket_vanishes(spec, p):
     cs = sorted({1, p - 1, int(rng.integers(1, p))})
     ns = [0 * eye] + ([c * eye for c in cs] if n > 1 else [rng.integers(0, p, size=(1, 1))])
     for n_mat in ns:
-        assert variety._brackets(spec, p, n_mat.tobytes()) is None
         for phi in phis:
             for q in sorted({1, p - 1, min(2, p - 1)}):
+                point = variety._checked_point(spec, phi, n_mat, q, p)
+                assert variety._reversed_halves(spec, *point, p)[1] is None
                 exact = exact_tangent_matrix(spec, phi, n_mat, q, p).astype(np.int64)
                 got = tangent_matrix(spec, phi, n_mat, q, p)
                 assert np.array_equal(got, exact)
